@@ -7,12 +7,7 @@ GO ?= go
 # to make a failing build pass.
 COVER_MIN ?= 75
 
-.PHONY: build test vet race bench bench-json bench-check lifecycle-e2e serve-smoke verify fmt fmt-check cover lint vulncheck tidy-check
-
-# Relative slowdown bench-check tolerates before failing, in percent.
-# Benchmarks at -benchtime 1x are noisy; 30% separates "regressed" from
-# "jittered" on the tracked hot paths.
-BENCH_TOLERANCE ?= 30
+.PHONY: build test vet race bench bench-layered lifecycle-e2e serve-smoke verify fmt fmt-check cover lint vulncheck tidy-check
 
 # Staticcheck version the lint gate pins (see .github/workflows/ci.yml —
 # keep the two in sync so local runs match CI).
@@ -36,123 +31,18 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
+# bench smoke-runs every root Benchmark* once; it proves they still build
+# and finish, not how fast they are.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-json runs the offline-pipeline, batch-prediction, sharded fleet
-# dispatch, admission-pipeline, and tracing-overhead benchmarks and
-# snapshots their figures into BENCH_pipeline.json, the artifact CI
-# archives to track the perf trajectory. Besides ns/op, every
-# b.ReportMetric figure is published under a sanitized key
-# (placements/s -> _placements_per_s), so the admission benchmarks'
-# p50/p99 latency and placement throughput land in the baseline too. The
-# -N GOMAXPROCS suffix is stripped so keys stay stable across runners.
-bench-json:
-	$(GO) test -bench 'BenchmarkProfileCatalog|BenchmarkCollectSamples|BenchmarkTrainPipeline|BenchmarkPredictBatch|BenchmarkOnlinePlacement|BenchmarkTraceOverhead|BenchmarkHotSwap' \
-		-benchtime 1x -run '^$$' . > bench_pipeline.txt
-	$(GO) test -bench 'BenchmarkFleetDispatch$$' -benchtime 5x -run '^$$' . >> bench_pipeline.txt
-	$(GO) test -bench 'BenchmarkAdmissionPipeline$$|BenchmarkAdmissionSingleton$$|BenchmarkAdmissionTraced$$' -benchtime 10x -run '^$$' . >> bench_pipeline.txt
-	$(GO) test -bench 'BenchmarkAdmissionParallel$$|BenchmarkAdmissionParallelBaseline$$' -benchtime 10x -run '^$$' . >> bench_pipeline.txt
-	$(GO) test -bench 'BenchmarkAdmissionTracedOverhead$$' -benchtime 30x -run '^$$' . >> bench_pipeline.txt
-	cat bench_pipeline.txt
-	awk 'BEGIN { print "{" } \
-		/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
-			if (n++) printf ",\n"; printf "  \"%s_ns_op\": %s", $$1, $$3; \
-			for (i = 5; i < NF; i += 2) { u = $$(i+1); gsub(/\//, "_per_", u); printf ",\n  \"%s_%s\": %s", $$1, u, $$i } } \
-		END { print "\n}" }' bench_pipeline.txt > BENCH_pipeline.json
-	cat BENCH_pipeline.json
-
-# bench-check is the perf regression guard: it re-runs the guarded hot
-# paths — the batch prediction kernel, the sharded fleet dispatch loop,
-# the full offline pipeline, and the hot-swap-plus-cache-refill bubble —
-# and fails when any is more than BENCH_TOLERANCE percent slower than the
-# committed BENCH_pipeline.json baseline. Only those are guarded because
-# the parallel Seq variants and trace overheads swing with runner load.
-# PredictBatch and HotSwap run 20 iterations (a single shot of a
-# millisecond-scale kernel jitters past any sane tolerance); FleetDispatch
-# amortizes 2048 placements per iteration so 5 are enough; TrainPipeline
-# is seconds long and stable at one; the admission pair amortizes 2048
-# arrivals per iteration so 10 are enough. Beyond the ns/op deltas, the
-# guard asserts two headline invariants within the fresh run itself (so
-# runner speed cancels out): the batched admission pipeline must place at
-# >= 2x the singleton arm's placements/sec, and the observability plane's
-# cost must stay under 5%. The overhead figure comes from the interleaved
-# AdmissionTracedOverhead experiment (median of per-pair ratios), run 3
-# times with the MINIMUM taken: run medians still swing a few percent with
-# VM steal, and the minimum is the noise-floor estimate — a real
-# regression lifts all three runs, a steal burst only some. The multi-lane
-# admission plane has its own within-run invariant: BenchmarkAdmissionParallel
-# must place at >= 1.5x BenchmarkAdmissionParallelBaseline (the identical
-# mixed-game workload at lanes=1) — asserted only when the run's reported
-# GOMAXPROCS is >= 4, since lanes sharing one core cannot speed anything
-# up; on smaller boxes the ratio prints as info. The baseline
-# file is read, never rewritten — run `make bench-json` deliberately to
-# move it.
-bench-check:
-	@test -f BENCH_pipeline.json || { echo "BENCH_pipeline.json baseline missing; run make bench-json and commit it"; exit 1; }
-	$(GO) test -bench 'BenchmarkPredictBatch$$|BenchmarkHotSwap$$' -benchtime 20x -run '^$$' . > bench_check.txt
-	$(GO) test -bench 'BenchmarkFleetDispatch$$' -benchtime 5x -run '^$$' . >> bench_check.txt
-	$(GO) test -bench 'BenchmarkTrainPipeline$$' -benchtime 1x -run '^$$' . >> bench_check.txt
-	$(GO) test -bench 'BenchmarkAdmissionPipeline$$|BenchmarkAdmissionSingleton$$|BenchmarkAdmissionTraced$$' -benchtime 10x -run '^$$' . >> bench_check.txt
-	$(GO) test -bench 'BenchmarkAdmissionParallel$$|BenchmarkAdmissionParallelBaseline$$' -benchtime 10x -run '^$$' . >> bench_check.txt
-	$(GO) test -bench 'BenchmarkAdmissionTracedOverhead$$' -benchtime 30x -count 3 -run '^$$' . >> bench_check.txt
-	@cat bench_check.txt
-	@awk -v tol=$(BENCH_TOLERANCE) ' \
-		FNR == 1 { f++ } \
-		f == 1 && /_ns_op/ { \
-			key = $$1; gsub(/[":]/, "", key); \
-			val = $$2; gsub(/,/, "", val); \
-			base[key] = val; \
-		} \
-		f == 2 && /^Benchmark/ { \
-			key = $$1; sub(/-[0-9]+$$/, "", key); \
-			cur[key "_ns_op"] = $$3; \
-			for (i = 5; i < NF; i += 2) { \
-				u = $$(i+1); gsub(/\//, "_per_", u); cur[key "_" u] = $$i; \
-				if (key "_" u == "BenchmarkAdmissionTracedOverhead_overhead_pct") { \
-					v = $$i + 0; if (!ovseen++ || v < ovmin) ovmin = v; \
-				} \
-			} \
-		} \
-		END { \
-			n = split("BenchmarkPredictBatch_ns_op BenchmarkHotSwap_ns_op BenchmarkFleetDispatch_ns_op BenchmarkTrainPipeline_ns_op BenchmarkAdmissionPipeline_ns_op BenchmarkAdmissionParallel_ns_op", guard, " "); \
-			fail = 0; \
-			for (i = 1; i <= n; i++) { \
-				k = guard[i]; \
-				if (!(k in base) || !(k in cur)) { printf "bench-check: %s missing from baseline or fresh run\n", k; fail = 1; continue; } \
-				pct = (cur[k] - base[k]) * 100.0 / base[k]; \
-				printf "bench-check: %-36s base=%s fresh=%s delta=%+.1f%%\n", k, base[k], cur[k], pct; \
-				if (pct > tol) { printf "bench-check: %s regressed beyond %d%% tolerance\n", k, tol; fail = 1; } \
-			} \
-			ps = cur["BenchmarkAdmissionPipeline_placements_per_s"] + 0; \
-			ss = cur["BenchmarkAdmissionSingleton_placements_per_s"] + 0; \
-			if (ps <= 0 || ss <= 0) { print "bench-check: admission placements/s missing from fresh run"; fail = 1; } \
-			else { \
-				ratio = ps / ss; \
-				printf "bench-check: admission coalescing = %.2fx singleton (%.0f vs %.0f placements/s)\n", ratio, ps, ss; \
-				if (ratio < 2.0) { print "bench-check: coalesced admission fell below the 2x-over-singleton bar"; fail = 1; } \
-			} \
-			pp = cur["BenchmarkAdmissionParallel_placements_per_s"] + 0; \
-			pb = cur["BenchmarkAdmissionParallelBaseline_placements_per_s"] + 0; \
-			mp = cur["BenchmarkAdmissionParallel_maxprocs"] + 0; \
-			if (pp <= 0 || pb <= 0) { print "bench-check: parallel admission placements/s missing from fresh run"; fail = 1; } \
-			else if (mp >= 4) { \
-				pratio = pp / pb; \
-				printf "bench-check: multi-lane admission = %.2fx single-collector (%.0f vs %.0f placements/s, %.0f lanes)\n", pratio, pp, pb, cur["BenchmarkAdmissionParallel_lanes"] + 0; \
-				if (pratio < 1.5) { print "bench-check: multi-lane admission fell below the 1.5x-over-single-collector bar"; fail = 1; } \
-			} \
-			else printf "bench-check: multi-lane speedup = %.2fx [info only: GOMAXPROCS=%.0f < 4, lanes contend for one core]\n", pp / pb, mp; \
-			ts = cur["BenchmarkAdmissionTraced_placements_per_s"] + 0; \
-			if (ts <= 0) { print "bench-check: traced admission placements/s missing from fresh run"; fail = 1; } \
-			else if (ps > 0) \
-				printf "bench-check: traced admission = %.2fx untraced (%.0f vs %.0f placements/s) [info only]\n", ts / ps, ts, ps; \
-			if (!ovseen) { print "bench-check: paired tracing-overhead figure missing from fresh run"; fail = 1; } \
-			else { \
-				printf "bench-check: tracing overhead (paired, min of %d run medians) = %+.2f%%\n", ovseen, ovmin; \
-				if (ovmin >= 5.0) { print "bench-check: tracing cost exceeded the 5% overhead budget"; fail = 1; } \
-			} \
-			exit fail; \
-		}' BENCH_pipeline.json bench_check.txt
+# bench-layered is the perf gate: the layered admission benchmark (see
+# bench/README.md) over all four workloads, end-to-end metrics plus the
+# per-layer breakdown, into bench/out/results.json. Judge a change with
+# `go run ./bench -compare base/results.json new/results.json` over
+# interleaved runs of the two commits — never from a single run.
+bench-layered:
+	$(GO) run ./bench -out bench/out
 
 # lifecycle-e2e runs the self-healing headline proof on its own: a mid-run
 # physics perturbation must trip the drift alarm, retrain on post-drift

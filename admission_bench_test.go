@@ -226,8 +226,7 @@ func BenchmarkAdmissionSingleton(b *testing.B) { benchAdmission(b, 1, false) }
 
 // BenchmarkAdmissionTraced: the coalescing path with full request
 // observability on — propagated trace ids, span collection, 1% tail
-// sampling, exemplars — for the absolute-throughput trend line in
-// BENCH_pipeline.json.
+// sampling, exemplars — the absolute-throughput figure.
 func BenchmarkAdmissionTraced(b *testing.B) { benchAdmission(b, 16, true) }
 
 // admitCycleSpread is admitCycle with the arrival mix spread across game
@@ -280,8 +279,8 @@ func parallelLanes() int {
 // through a lanes-wide admission plane. Both arms (lanes=1 baseline and
 // the multi-lane headline) run this identical workload so their
 // placements/s ratio isolates the lane fan-out alone. The reported
-// maxprocs metric lets the bench-check guard skip the speedup assertion
-// on boxes without enough cores to exhibit one.
+// maxprocs metric says whether the box has enough cores to exhibit a
+// speedup at all.
 func benchAdmissionParallel(b *testing.B, lanes int) {
 	env := benchEnv(b)
 	p, err := env.GAugur(env.Cfg.QoSHigh)
@@ -311,9 +310,10 @@ func benchAdmissionParallel(b *testing.B, lanes int) {
 // BenchmarkAdmissionParallel: the multi-lane admission plane — 128
 // producers over a 10-game mix, lanes = GOMAXPROCS/2 (min 2), each lane
 // its own collector and fleet.Caller. The acceptance bar on a >= 4-core
-// box is >= 1.8x BenchmarkAdmissionPipeline placements/s; `make
-// bench-check` enforces >= 1.5x over BenchmarkAdmissionParallelBaseline
-// within the same run (skipped when maxprocs < 4).
+// box is >= 1.8x BenchmarkAdmissionPipeline placements/s, and >= 1.5x
+// over BenchmarkAdmissionParallelBaseline within the same run. Nothing
+// enforces either: the layered benchmark's pipeline.lanes2_ratio is the
+// measured figure.
 func BenchmarkAdmissionParallel(b *testing.B) { benchAdmissionParallel(b, parallelLanes()) }
 
 // BenchmarkAdmissionParallelBaseline: the identical mixed-game workload
@@ -330,8 +330,9 @@ func BenchmarkAdmissionParallelBaseline(b *testing.B) { benchAdmissionParallel(b
 // noise, VM steal bursts, and thermal drift hit both arms almost equally,
 // so the ratio resolves differences an order of magnitude below what two
 // independent benchmark runs can on a shared machine. The acceptance bar
-// (enforced by `make bench-check`) is overhead_pct < 5, taken as the
-// minimum over -count 3 runs — the noise-floor estimate.
+// is overhead_pct < 5, taken as the minimum over -count 3 runs — the
+// noise-floor estimate; the layered benchmark reports the same quantity
+// as obs.overhead_pct.
 func BenchmarkAdmissionTracedOverhead(b *testing.B) {
 	env := benchEnv(b)
 	p, err := env.GAugur(env.Cfg.QoSHigh)

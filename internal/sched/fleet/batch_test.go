@@ -95,6 +95,40 @@ func TestPlaceBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBatchOfOneEqualsPlace: Place is a batch of one, so the two spellings
+// agree on every placement and every counter, steal traffic included.
+func TestBatchOfOneEqualsPlace(t *testing.T) {
+	mk := func() *Cluster {
+		c, err := New(Config{
+			NumServers: 32, ShardCount: 4, MaxPerServer: 2, K: 2, Seed: 9,
+			Scorer:         ScorerFunc(synthScore),
+			StealThreshold: 0.4, StealGap: 0.1, StealBatch: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	one, bat := mk(), mk()
+	defer one.Close()
+	defer bat.Close()
+	rng := rand.New(rand.NewSource(8))
+	for step := 0; step < 200; step++ {
+		g := rng.Intn(8)
+		pl, ok := one.Place(g)
+		r := bat.PlaceBatch([]int{g}, nil)[0]
+		if ok != r.OK || pl != r.Placement {
+			t.Fatalf("step %d game %d: Place (%+v,%v), PlaceBatch (%+v,%v)", step, g, pl, ok, r.Placement, r.OK)
+		}
+		if ok && rng.Intn(3) == 0 && (!one.Remove(pl.Session) || !bat.Remove(pl.Session)) {
+			t.Fatalf("step %d: session %d missing from a cluster", step, pl.Session)
+		}
+	}
+	if so, sb := one.Stats(), bat.Stats(); so != sb || so.StolenSessions == 0 {
+		t.Fatalf("stats diverged or stealing idle:\nPlace:      %+v\nPlaceBatch: %+v", so, sb)
+	}
+}
+
 // TestPlaceBatchLeastLoaded pins the interference-blind mode to the same
 // batched-equals-sequential contract (it skips scoring entirely, so the
 // dirty-tracking shortcuts must hold there too).

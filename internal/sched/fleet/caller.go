@@ -4,19 +4,19 @@ import (
 	"math/rand"
 
 	"gaugur/internal/obs/flight"
-	"gaugur/internal/sim"
+	"gaugur/internal/obs/trace"
 )
 
-// Caller is a handle for one of several concurrent balancer-side callers —
-// an admission lane. The single-caller Cluster methods (Place, PlaceBatch,
-// Remove) are deterministic but demand exactly one driving goroutine; a
-// Caller relaxes determinism to linearizability so N lanes can drive the
-// same fleet from N cores:
+// Caller is the balancer: the one implementation that samples candidate
+// shards, probes them, commits the winner and removes sessions. Every
+// Cluster owns a built-in Caller that Cluster.Place, PlaceBatch,
+// PlaceBatchTimed and Remove delegate to; NewCaller hands out more, one per
+// admission lane, so N lanes can drive the same fleet from N cores:
 //
 //   - Scoring runs lock-free and in parallel: each Caller owns private
 //     per-shard reply channels, so its probes interleave with other lanes'
-//     on the shard request queues without mixing up answers, and each lane
-//     still batches its arrivals' probes into one kernel pass per shard.
+//     on the shard request queues without mixing up answers, and each batch
+//     scores all its arrivals' candidates in one kernel pass per shard.
 //   - Commits are sequenced: every balancer-side mutation (session booking,
 //     per-server occupancy, removal, steal moves, stats) holds the cluster
 //     commit lock and draws a monotone ticket (Placement.Seq), so two lanes
@@ -25,28 +25,31 @@ import (
 //     session it returned.
 //   - Capacity is revalidated at commit time against the balancer-side
 //     occupancy ledger: a probe answer that went stale while another lane
-//     filled the chosen server fails the commit, the lane re-probes fresh,
-//     and after bounded optimistic retries it falls back to probing under
-//     the lock — where shard state is provably consistent (all mutating
-//     sends hold the lock and shard queues are FIFO), so the decision,
-//     including a full-fleet reject, is exact at its linearization point.
+//     filled the chosen server fails the commit and the lane re-probes
+//     fresh. A reject is validated the same way — it stands only if no
+//     other caller mutated the fleet while the full-fleet probe ran. Either
+//     check failing repeatedly ends in a probe under the lock, where shard
+//     state is provably consistent (all mutating sends hold the lock and
+//     shard queues are FIFO), so the decision is exact at its
+//     linearization point.
 //
-// What concurrency costs: placements are no longer a replayable function
-// of the arrival order (two runs may interleave lanes differently), and a
-// lane may commit against a score another lane has since perturbed — the
-// same approximation power-of-k sampling already accepts. What it keeps:
-// no double-placement, no orphaned session, conserved occupancy, and
-// admit/reject decided exactly (an arrival is rejected only if the whole
-// fleet was full at its linearization point — a property independent of
-// lane interleaving, which is why admitted/rejected counts are invariant
+// One Caller driven by one goroutine never loses a race, so its placements
+// are a pure function of (Config, call sequence): they replay
+// byte-identically at any shard count, under the race detector, with
+// metrics and tracing on, and PlaceBatch(games) equals Place(g) per game.
+// Several Callers relax that to linearizability: two runs may interleave
+// lanes differently, and a lane may commit against a score another lane has
+// since perturbed — the same approximation power-of-k sampling already
+// accepts. What every interleaving keeps: no double-placement, no orphaned
+// session, conserved occupancy, and admit/reject decided exactly (an
+// arrival is rejected only if the whole fleet was full at its
+// linearization point, which is why admitted/rejected counts are invariant
 // across lane counts for a quiesced replay).
 //
 // A Caller is NOT safe for concurrent use itself — one goroutine per
-// Caller, many Callers per Cluster. Do not mix Caller use with the
-// single-caller Cluster methods while either is in flight.
+// Caller, many Callers per Cluster.
 type Caller struct {
-	c  *Cluster
-	id int
+	c *Cluster
 
 	// resp holds this caller's private per-shard reply channels. The
 	// protocol invariant that keeps the whole plane deadlock-free: at most
@@ -59,38 +62,32 @@ type Caller struct {
 	sampled []int
 	candBuf []int
 
-	// Per-batch probe scratch, mirroring the Cluster's single-caller batch
-	// state but private to this lane. dirty tracks only THIS caller's
-	// commits — other lanes' commits leave our cached answers stale, which
-	// the commit-time occupancy check makes safe.
+	// Per-batch probe scratch. games[s] lists the games shard s was asked
+	// to score for this batch and resps[s] its answers, installed lazily by
+	// collect while pending[s] says the reply is still in flight. dirty[s]
+	// marks answers THIS caller has invalidated (its own commits and steal
+	// moves) — other lanes' commits leave them stale too, which the
+	// commit-time occupancy check makes safe.
 	games   [][]int
 	resps   [][]shardResp
 	dirty   []bool
 	pending []bool
 
-	// Probe-side counters accumulated off-lock and folded into the shared
-	// Stats under the commit lock once per batch.
-	probes, scanned, misses int
+	// Counters accumulated off-lock and folded into the shared Stats under
+	// the commit lock once per batch.
+	probes, scanned, misses, escapes int
 }
 
-// callerRetries bounds the optimistic probe→commit attempts before a
-// placement falls back to the locked slow path. Two is enough: a second
-// conflict on the same arrival means real contention, and the slow path
-// resolves it exactly instead of spinning.
+// callerRetries bounds the optimistic probe→commit attempts on the sampled
+// shards before a placement widens to the whole fleet. Two is enough: a
+// second conflict on the same arrival means real contention.
 const callerRetries = 2
 
-// NewCaller registers a new concurrent caller handle. Callers are never
-// unregistered; build them once per lane at startup.
-func (c *Cluster) NewCaller() *Caller {
-	c.mu.Lock()
-	id := c.nCallers
-	c.nCallers++
-	c.mu.Unlock()
+func (c *Cluster) newCaller(seed int64) *Caller {
 	cl := &Caller{
 		c:       c,
-		id:      id,
 		resp:    make([]chan shardResp, c.nShards),
-		rng:     rand.New(rand.NewSource(sim.DeriveSeed(c.cfg.Seed, "fleet-caller", int64(id)))),
+		rng:     rand.New(rand.NewSource(seed)),
 		games:   make([][]int, c.nShards),
 		resps:   make([][]shardResp, c.nShards),
 		dirty:   make([]bool, c.nShards),
@@ -102,9 +99,10 @@ func (c *Cluster) NewCaller() *Caller {
 	return cl
 }
 
-// sampleShards mirrors Cluster.sampleShards on the caller's private rng:
-// k distinct shards, or the fixed full list (no randomness consumed) when
-// k covers every shard.
+// sampleShards picks the candidate shards for one arrival: k distinct
+// shards, or the fixed full list when k covers every shard — no randomness
+// is consumed then, the property the cross-shard-count invariance tests
+// rely on.
 func (cl *Caller) sampleShards() []int {
 	c := cl.c
 	if c.k >= c.nShards {
@@ -128,8 +126,10 @@ func (cl *Caller) sampleShards() []int {
 	return s
 }
 
-// collect installs the batched probe answers an opScoreBatch left on shard
-// s's private reply channel. No-op when nothing is pending.
+// collect installs the batched answers the batch's opScoreBatch left on
+// shard s's private reply channel. The shard scored them in parallel with
+// the drain, so by the time s comes up as a candidate this is usually a
+// channel read, not a scoring round trip. No-op when nothing is pending.
 func (cl *Caller) collect(s int) {
 	if !cl.pending[s] {
 		return
@@ -144,47 +144,48 @@ func (cl *Caller) collect(s int) {
 	}
 }
 
-// collectAll drains every outstanding batched-probe reply — required
-// before any full fan-out and before PlaceBatch returns, so no private
-// channel ever holds a reply across calls.
-func (cl *Caller) collectAll() {
-	for s := range cl.pending {
-		cl.collect(s)
-	}
-}
-
-// flushStats folds the caller's probe counters into the shared ledger.
+// flushStats folds the caller's off-lock counters into the shared ledger.
 func (cl *Caller) flushStats() {
-	if cl.probes == 0 && cl.scanned == 0 && cl.misses == 0 {
-		return
-	}
 	c := cl.c
 	c.mu.Lock()
 	c.stats.ScoreProbes += cl.probes
 	c.stats.Scanned += cl.scanned
 	c.stats.CacheMisses += cl.misses
+	c.stats.Escapes += cl.escapes
 	c.mu.Unlock()
-	cl.probes, cl.scanned, cl.misses = 0, 0, 0
+	cl.probes, cl.scanned, cl.misses, cl.escapes = 0, 0, 0, 0
 }
 
-// Place admits one session through this lane.
+// Place admits one arriving session: a batch of one. ok=false means no
+// shard in the whole fleet had capacity.
 func (cl *Caller) Place(game int) (Placement, bool) {
 	var dst [1]BatchResult
-	cl.PlaceBatch([]int{game}, dst[:0])
+	cl.PlaceBatchTimed([]int{game}, dst[:0], nil)
 	return dst[0].Placement, dst[0].OK
 }
 
-// PlaceBatch is the lane's coalesced admission path; see
-// Cluster.PlaceBatch for the batching shape. Placements are linearizable,
-// not replay-deterministic — the Caller type comment spells out the
-// contract.
+// PlaceBatch admits a coalesced batch of arrivals: dst[i] receives the
+// outcome for games[i]. See PlaceBatchTimed.
 func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 	return cl.PlaceBatchTimed(games, dst, nil)
 }
 
-// PlaceBatchTimed is PlaceBatch with per-arrival timing breadcrumbs,
-// mirroring Cluster.PlaceBatchTimed (timestamps from the tracer clock, all
-// zero with no tracer).
+// PlaceBatchTimed admits a coalesced batch. One batched probe per involved
+// shard scores every (shard, game) pair of the batch in a single
+// BatchScorer call — this is where the compiled forest kernel runs at full
+// 16-wide occupancy instead of one underfilled pass per arrival — and the
+// batch then drains in arrival order, re-probing only shards this caller's
+// earlier commits or steal moves dirtied. A clean answer is exactly what a
+// fresh probe would return as far as this caller's own mutations go, which
+// is why batched and one-at-a-time submission place identically; only the
+// probe-side counters differ. The model generation is pinned once per
+// batch, so a lifecycle hot swap takes effect at the next batch boundary.
+//
+// When times covers the batch (len(times) >= len(games)), times[i] receives
+// the clock stamps and probe counts of games[i]'s decision and the
+// per-arrival "fleet-placement" traces are suppressed — the caller owns the
+// traces and materializes spans from the breadcrumbs off the balancer's
+// critical path. Timing observes the decision, it never participates in it.
 func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchTiming) []BatchResult {
 	if cap(dst) < len(games) {
 		dst = make([]BatchResult, len(games))
@@ -196,18 +197,15 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	timed := len(times) >= len(games)
 	c := cl.c
 
-	// Batch prologue under the lock: pin the model generation and drain at
-	// most one pending steal move (the steal plan is shared sequenced
-	// state; its round trips ride the shard default channels, which only
-	// ever carry traffic under this lock in caller mode).
 	c.mu.Lock()
-	c.applySteal()
+	c.applySteal(cl)
 	genTag := c.genTag()
 	c.mu.Unlock()
 	c.met.batches.Inc()
 	c.met.batchArrivals.Observe(float64(len(games)))
 
-	// Phase 1: presample every arrival's candidate shards on the lane rng.
+	// Presample every arrival's candidate shards in arrival order —
+	// exactly the rng draws one-at-a-time calls would consume.
 	kk := c.k
 	need := len(games) * kk
 	if cap(cl.candBuf) < need {
@@ -218,9 +216,10 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 		copy(cand[i*kk:(i+1)*kk], cl.sampleShards())
 	}
 
-	// Phase 2: group the batch by shard and fan one batched probe out per
-	// involved shard on the private reply channels. Answers are collected
-	// lazily by the drain, so shard-side scoring overlaps it.
+	// Group the batch by shard (deduping games per shard) and fan one
+	// batched probe out per involved shard. The replies are NOT collected
+	// here: the drain starts immediately instead of barriering on the
+	// slowest shard.
 	for s := range cl.games {
 		cl.games[s] = cl.games[s][:0]
 		cl.resps[s] = nil
@@ -234,86 +233,142 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 		}
 	}
 	span := c.met.batchProbe.Start()
-	for s := 0; s < c.nShards; s++ {
-		if len(cl.games[s]) == 0 {
-			continue
+	for s, gs := range cl.games {
+		if len(gs) > 0 {
+			c.shards[s].reqs <- shardReq{op: opScoreBatch, games: gs, genTag: genTag, resp: cl.resp[s]}
+			cl.pending[s] = true
 		}
-		c.shards[s].reqs <- shardReq{op: opScoreBatch, games: cl.games[s], genTag: genTag, resp: cl.resp[s]}
-		cl.pending[s] = true
 	}
 	span.Stop()
 
-	// Phase 3: drain arrivals in order through optimistic probe→commit
-	// with the locked slow path as backstop.
+	// Drain arrivals in order. In timed mode each arrival's StartNS chains
+	// from its predecessor's EndNS (one clock read instead of two): the
+	// drain is sequential, so the previous decision's end IS this one's
+	// start, give or take bookkeeping the score span absorbs.
 	var lastNS int64
 	if timed {
 		lastNS = c.tr.Now()
 	}
+	var untimed BatchTiming // breadcrumbs nobody reads when the caller passed no times
 	for i, g := range games {
+		if i > 0 && c.cfg.StealThreshold > 0 {
+			// One steal move per arrival, as one-at-a-time calls drain it.
+			c.mu.Lock()
+			c.applySteal(cl)
+			c.mu.Unlock()
+		}
 		dspan := c.met.decision.Start()
-		var tm *BatchTiming
+		tm := &untimed
+		var tctx trace.Ctx
 		if timed {
 			tm = &times[i]
-			*tm = BatchTiming{StartNS: lastNS}
+		} else {
+			tctx = c.tr.StartTrace("fleet-placement", trace.Int("game", g))
 		}
+		*tm = BatchTiming{StartNS: lastNS}
 		probes0 := cl.probes
-		pl, ok := cl.placeOne(g, cand[i*kk:(i+1)*kk], genTag, tm)
-		if tm != nil {
-			tm.Probes = cl.probes - probes0
+		pl, ok := cl.placeOne(g, cand[i*kk:(i+1)*kk], genTag, tm, tctx)
+		tm.Probes = cl.probes - probes0
+		if timed {
 			tm.EndNS = c.tr.Now()
 			lastNS = tm.EndNS
+		} else if tctx.Active() {
+			if tm.Escape {
+				tctx = tctx.SetAttr(trace.Bool("escape", true))
+			}
+			if ok {
+				tctx.End(trace.String("outcome", "placed"), trace.Int("shard", pl.Shard),
+					trace.Int("server", pl.Server), trace.Int("session", pl.Session))
+			} else {
+				tctx.End(trace.String("outcome", "rejected"))
+			}
 		}
 		dst[i] = BatchResult{Placement: pl, OK: ok}
 		dspan.Stop()
 	}
-	cl.collectAll()
+	// Leave no reply buffered: the next call expects its channels empty.
+	for s := range cl.pending {
+		cl.collect(s)
+	}
 	cl.flushStats()
 	return dst
 }
 
-// placeOne runs one arrival's decision: probe the sampled candidates
-// (batched answers where clean, fresh probes where dirty), commit under
-// the sequencer with capacity revalidation, and retry on a lost race. A
-// saturated candidate set or exhausted retries fall through to the locked
-// slow path, which settles the decision — including a full-fleet reject —
-// exactly.
-func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchTiming) (Placement, bool) {
+// placeOne runs one arrival's decision: optimistic probe→commit rounds on
+// the sampled candidates, then the whole fleet.
+func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchTiming, tctx trace.Ctx) (Placement, bool) {
 	c := cl.c
-	sawCandidate := false
+	tm.Cands = len(candidates)
+	lost := false
 	for attempt := 0; attempt < callerRetries; attempt++ {
-		best, bestShard, found := cl.probeBatched(candidates, game, genTag)
+		best, shard, found := cl.probe(candidates, game, genTag, false, tctx)
 		if !found {
 			break
 		}
-		sawCandidate = true
-		if pl, ok := cl.tryCommit(game, bestShard, best, tm); ok {
-			if tm != nil {
-				tm.Cands = len(candidates)
-			}
-			// Our own commit stales our cached answers for that shard;
-			// the next arrival touching it re-probes fresh.
-			cl.dirty[bestShard] = true
+		if pl, ok := cl.tryCommit(game, shard, best, tm); ok {
 			return pl, true
 		}
-		// Lost the capacity race to another lane: the chosen server filled
-		// between probe and commit. Re-probe that shard fresh.
-		cl.dirty[bestShard] = true
+		lost = true
 	}
-	escape := !sawCandidate && len(candidates) < c.nShards
-	return cl.placeLocked(game, escape, genTag, tm)
+	if !lost && len(candidates) < c.nShards {
+		// Escape hatch: every sampled shard rejected (saturated); scan the
+		// whole fleet rather than shedding a placeable session.
+		cl.escapes++
+		c.met.escapes.Inc()
+		c.flight.TryRecord(flight.Event{Kind: "escape", Game: game})
+		tm.Escape = true
+	}
+	tm.Cands = c.nShards
+	return cl.placeWide(game, genTag, tm, tctx)
 }
 
-// probeBatched answers one arrival's probe from the lane's batched
-// answers, re-probing shards this lane has dirtied. Mirrors
-// Cluster.probeBatched minus span bookkeeping (the admission pipeline owns
-// the traces in lane mode and materializes them from BatchTiming).
-func (cl *Caller) probeBatched(candidates []int, game int, genTag uint64) (shardResp, int, bool) {
+// placeWide settles an arrival against the whole fleet. The first probe is
+// optimistic like any other, and validated like any other: a found server
+// goes through tryCommit, and a full-fleet reject stands only if the
+// cluster's mutation count did not move while the probe ran — then every
+// shard's answer describes one and the same instant. Otherwise another
+// caller is racing us, and the probe is repeated under the commit lock:
+// while it is held no commit or removal can land anywhere (every mutating
+// shard send holds it, and shard queues are FIFO), so the answers are
+// consistent with the occupancy ledger by construction — the commit cannot
+// fail, and a not-found is a true full-fleet reject.
+func (cl *Caller) placeWide(game int, genTag uint64, tm *BatchTiming, tctx trace.Ctx) (Placement, bool) {
+	c := cl.c
+	c.mu.Lock()
+	before := c.mutations()
+	c.mu.Unlock()
+	best, shard, found := cl.probe(c.all, game, genTag, true, tctx)
+	if found {
+		if pl, ok := cl.tryCommit(game, shard, best, tm); ok {
+			return pl, true
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if found || c.mutations() != before {
+		c.stats.LockedProbes++
+		c.met.lockedProbes.Inc()
+		best, shard, found = cl.probe(c.all, game, genTag, true, tctx)
+	}
+	if !found {
+		c.stats.Rejected++
+		c.met.rejected.Inc()
+		return Placement{}, false
+	}
+	return cl.commitLocked(game, shard, best, tm), true
+}
+
+// probe fans scoring requests out to the candidate shards and reduces the
+// replies to the best (delta, lowest global server id) placement. Unless
+// fresh, a candidate whose batched answer this caller has not dirtied is
+// answered from the batch. Replies are read in candidate order and the
+// reduce is order-independent, so goroutine scheduling never changes the
+// answer. With an active trace each candidate gets a child span.
+func (cl *Caller) probe(candidates []int, game int, genTag uint64, fresh bool, tctx trace.Ctx) (shardResp, int, bool) {
 	c := cl.c
 	for _, id := range candidates {
 		cl.collect(id)
-	}
-	for _, id := range candidates {
-		if cl.dirty[id] || lookupIdx(cl.games[id], game) < 0 {
+		if cl.batched(id, game, fresh) < 0 {
 			c.shards[id].reqs <- shardReq{op: opScore, game: game, genTag: genTag, resp: cl.resp[id]}
 		}
 	}
@@ -321,14 +376,25 @@ func (cl *Caller) probeBatched(candidates []int, game int, genTag uint64) (shard
 	bestShard, found := -1, false
 	for _, id := range candidates {
 		var r shardResp
-		if j := lookupIdx(cl.games[id], game); !cl.dirty[id] && j >= 0 {
+		j := cl.batched(id, game, fresh)
+		if j >= 0 {
 			r = cl.resps[id][j]
 		} else {
 			r = <-cl.resp[id]
 			cl.probes++
 			cl.scanned += r.scanned
 			cl.misses += r.misses
-			c.met.reprobes.Inc()
+			if !fresh {
+				c.met.reprobes.Inc()
+			}
+		}
+		if tctx.Active() {
+			sp := tctx.StartSpan("score-shard", trace.Int("shard", id), trace.Bool("batched", j >= 0))
+			if r.ok {
+				sp.End(trace.Int("server", r.server), trace.Float("delta", r.delta))
+			} else {
+				sp.End(trace.Bool("rejected", true))
+			}
 		}
 		if !r.ok {
 			continue
@@ -338,129 +404,58 @@ func (cl *Caller) probeBatched(candidates []int, game int, genTag uint64) (shard
 		}
 	}
 	return best, bestShard, found
+}
+
+// batched returns the index of game's still-valid batched answer from
+// shard s, or -1 when the shard must be probed fresh. Candidate game lists
+// are k-small, so the scan is linear.
+func (cl *Caller) batched(s, game int, fresh bool) int {
+	if fresh || cl.dirty[s] {
+		return -1
+	}
+	return lookupIdx(cl.games[s], game)
+}
+
+func lookupIdx(xs []int, v int) int {
+	for i, x := range xs {
+		if x == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // tryCommit books the chosen placement under the commit lock, failing if
-// another lane filled the server since the probe.
+// another lane filled the server since the probe; the shard is then probed
+// fresh on the next attempt.
 func (cl *Caller) tryCommit(game, shard int, best shardResp, tm *BatchTiming) (Placement, bool) {
 	c := cl.c
 	c.mu.Lock()
-	if c.occ[best.server] >= c.max {
-		c.mu.Unlock()
-		return Placement{}, false
-	}
-	if tm != nil {
-		tm.CommitNS = c.tr.Now()
-	}
-	pl := c.bookLocked(game, shard, best)
-	c.maybePlanSteal(shard)
-	c.mu.Unlock()
-	return pl, true
-}
-
-// placeLocked is the exact slow path: a full-fleet probe under the commit
-// lock. While the lock is held no commit or removal can land anywhere
-// (every mutating shard send holds it, and shard queues are FIFO), so the
-// probe answers are consistent with the occupancy ledger by construction —
-// the commit cannot fail, and a not-found here is a true full-fleet
-// reject at this decision's linearization point.
-func (cl *Caller) placeLocked(game int, escape bool, genTag uint64, tm *BatchTiming) (Placement, bool) {
-	c := cl.c
-	// Private channels must be empty before a full fan-out.
-	cl.collectAll()
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	if escape {
-		c.stats.Escapes++
-		c.met.escapes.Inc()
-		c.flight.TryRecord(flight.Event{Kind: "escape", Game: game})
-		if tm != nil {
-			tm.Escape = true
-		}
-	}
-	best, bestShard, found := cl.probeFresh(c.all, game, genTag)
-	if tm != nil {
-		tm.Cands = c.nShards
-	}
-	if !found {
-		c.stats.Rejected++
-		c.met.rejected.Inc()
+	if c.occ[best.server] >= c.max {
+		c.stats.CommitConflicts++
+		c.met.conflicts.Inc()
+		cl.dirty[shard] = true
 		return Placement{}, false
 	}
-	if tm != nil {
-		tm.CommitNS = c.tr.Now()
-	}
-	pl := c.bookLocked(game, bestShard, best)
-	cl.dirty[bestShard] = true
-	c.maybePlanSteal(bestShard)
-	return pl, true
+	return cl.commitLocked(game, shard, best, tm), true
 }
 
-// probeFresh fans uncached probes to every candidate shard on the private
-// channels and reduces to the best (delta, lowest server id) placement.
-func (cl *Caller) probeFresh(candidates []int, game int, genTag uint64) (shardResp, int, bool) {
+// commitLocked books an admitted session onto its chosen shard/server; the
+// caller holds c.mu. The commit itself is fire-and-forget, and sent under
+// the lock so per-shard delivery order matches ticket order — that ordering
+// is what makes a later Remove unable to overtake the commit it depends on.
+func (cl *Caller) commitLocked(game, shard int, best shardResp, tm *BatchTiming) Placement {
 	c := cl.c
-	for _, id := range candidates {
-		c.shards[id].reqs <- shardReq{op: opScore, game: game, genTag: genTag, resp: cl.resp[id]}
-	}
-	var best shardResp
-	bestShard, found := -1, false
-	for _, id := range candidates {
-		r := <-cl.resp[id]
-		cl.probes++
-		cl.scanned += r.scanned
-		cl.misses += r.misses
-		if !r.ok {
-			continue
-		}
-		if !found || r.delta > best.delta || (r.delta == best.delta && r.server < best.server) {
-			best, bestShard, found = r, id, true
-		}
-	}
-	return best, bestShard, found
-}
-
-// Remove departs a session through this lane; false when the id is
-// unknown. Sequenced under the commit lock, so a Leave that raced an Admit
-// whose reply the client already observed always finds the session — the
-// booking preceded the reply, and both hold the lock.
-func (cl *Caller) Remove(sid int) bool {
-	c := cl.c
-	c.mu.Lock()
-	c.applySteal()
-	loc, ok := c.sessions[sid]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	// No ack needed: the sessions map is authoritative under the lock, so
-	// the shard-side removal cannot fail; channel FIFO orders every later
-	// sequenced op behind it.
-	c.shards[loc.shard].reqs <- shardReq{op: opRemove, sid: sid, server: loc.server, noAck: true}
-	delete(c.sessions, sid)
-	c.loads[loc.shard]--
-	c.occ[loc.server]--
-	c.stats.Removed++
-	c.stats.Active--
-	c.met.active.Set(float64(c.stats.Active))
-	c.met.shardSessions[loc.shard].Set(float64(c.loads[loc.shard]))
-	c.mu.Unlock()
-	return true
-}
-
-// bookLocked books a sequenced commit: the shared tail of every
-// Caller-side placement. The caller holds c.mu. The shard send happens
-// under the lock so per-shard delivery order matches ticket order — that
-// ordering is what makes a later sequenced Remove unable to overtake the
-// commit it depends on.
-func (c *Cluster) bookLocked(game, bestShard int, best shardResp) Placement {
+	tm.CommitNS = c.tr.Now()
 	sid := c.nextSID
 	c.nextSID++
 	seq := c.commitSeq
 	c.commitSeq++
-	c.shards[bestShard].reqs <- shardReq{op: opCommit, game: game, sid: sid, server: best.server}
-	c.sessions[sid] = sessionLoc{shard: bestShard, server: best.server, game: game}
-	c.loads[bestShard]++
+	c.shards[shard].reqs <- shardReq{op: opCommit, game: game, sid: sid, server: best.server}
+	cl.dirty[shard] = true
+	c.sessions[sid] = sessionLoc{shard: shard, server: best.server, game: game}
+	c.loads[shard]++
 	c.occ[best.server]++
 	c.stats.Placed++
 	c.stats.Active++
@@ -469,6 +464,36 @@ func (c *Cluster) bookLocked(game, bestShard int, best shardResp) Placement {
 	}
 	c.met.placements.Inc()
 	c.met.active.Set(float64(c.stats.Active))
-	c.met.shardSessions[bestShard].Set(float64(c.loads[bestShard]))
-	return Placement{Session: sid, Server: best.server, Shard: bestShard, Delta: best.delta, Seq: seq}
+	c.met.shardSessions[shard].Set(float64(c.loads[shard]))
+	c.maybePlanSteal(shard)
+	return Placement{Session: sid, Server: best.server, Shard: shard, Delta: best.delta, Seq: seq}
+}
+
+// Remove departs a session; false when the id is unknown. Sequenced under
+// the commit lock, so a Leave that raced an Admit whose reply the client
+// already observed always finds the session — the booking preceded the
+// reply, and both hold the lock. The shard's ack is awaited after the lock
+// is released: the sessions map is authoritative, so the ack decides
+// nothing, but waiting for it keeps this goroutine from queueing further
+// work on a shard that has not caught up.
+func (cl *Caller) Remove(sid int) bool {
+	c := cl.c
+	c.mu.Lock()
+	c.applySteal(cl)
+	loc, ok := c.sessions[sid]
+	if !ok {
+		c.mu.Unlock()
+		return false
+	}
+	c.shards[loc.shard].reqs <- shardReq{op: opRemove, sid: sid, server: loc.server, resp: cl.resp[loc.shard]}
+	delete(c.sessions, sid)
+	c.loads[loc.shard]--
+	c.occ[loc.server]--
+	c.stats.Removed++
+	c.stats.Active--
+	c.met.active.Set(float64(c.stats.Active))
+	c.met.shardSessions[loc.shard].Set(float64(c.loads[loc.shard]))
+	c.mu.Unlock()
+	<-cl.resp[loc.shard]
+	return true
 }

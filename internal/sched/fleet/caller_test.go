@@ -4,109 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"gaugur/internal/obs/trace"
 )
-
-// TestCallerMatchesSingleCallerPath: with K covering every shard (so no
-// sampling randomness is consumed on either side) a single Caller must
-// place an arrival/departure sequence identically to the deterministic
-// Cluster methods — the anchor that pins the concurrent commit path's
-// scoring and reduce order to the validated single-caller plane.
-func TestCallerMatchesSingleCallerPath(t *testing.T) {
-	build := func() *Cluster {
-		c, err := New(Config{
-			NumServers:   48,
-			ShardCount:   6,
-			MaxPerServer: 3,
-			K:            6,
-			Scorer:       ScorerFunc(synthScore),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	ref := build()
-	defer ref.Close()
-	con := build()
-	defer con.Close()
-	cl := con.NewCaller()
-
-	rng := rand.New(rand.NewSource(41))
-	var refSIDs, conSIDs []int
-	for step := 0; step < 400; step++ {
-		if len(refSIDs) > 0 && rng.Intn(4) == 0 {
-			i := rng.Intn(len(refSIDs))
-			rs, cs := refSIDs[i], conSIDs[i]
-			refSIDs = append(refSIDs[:i], refSIDs[i+1:]...)
-			conSIDs = append(conSIDs[:i], conSIDs[i+1:]...)
-			if !ref.Remove(rs) || !cl.Remove(cs) {
-				t.Fatalf("step %d: removal failed", step)
-			}
-			continue
-		}
-		game := rng.Intn(9)
-		rp, rok := ref.Place(game)
-		cp, cok := cl.Place(game)
-		if rok != cok {
-			t.Fatalf("step %d game %d: admit mismatch ref=%v caller=%v", step, game, rok, cok)
-		}
-		if !rok {
-			continue
-		}
-		if rp.Server != cp.Server || rp.Shard != cp.Shard || rp.Delta != cp.Delta {
-			t.Fatalf("step %d game %d: ref placed server %d shard %d delta %g, caller server %d shard %d delta %g",
-				step, game, rp.Server, rp.Shard, rp.Delta, cp.Server, cp.Shard, cp.Delta)
-		}
-		refSIDs = append(refSIDs, rp.Session)
-		conSIDs = append(conSIDs, cp.Session)
-	}
-	verifyInvariants(t, ref)
-	verifyInvariants(t, con)
-}
-
-// TestCallerBatchMatchesClusterBatch: same anchor for the coalesced path —
-// a Caller's PlaceBatch must match Cluster.PlaceBatch arrival for arrival.
-func TestCallerBatchMatchesClusterBatch(t *testing.T) {
-	build := func() *Cluster {
-		c, err := New(Config{
-			NumServers:   32,
-			ShardCount:   4,
-			MaxPerServer: 2,
-			K:            4,
-			Scorer:       ScorerFunc(synthScore),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	ref := build()
-	defer ref.Close()
-	con := build()
-	defer con.Close()
-	cl := con.NewCaller()
-
-	rng := rand.New(rand.NewSource(59))
-	for batch := 0; batch < 12; batch++ {
-		games := make([]int, 8)
-		for i := range games {
-			games[i] = rng.Intn(7)
-		}
-		rres := ref.PlaceBatch(games, nil)
-		cres := cl.PlaceBatch(games, nil)
-		for i := range games {
-			if rres[i].OK != cres[i].OK {
-				t.Fatalf("batch %d arrival %d: admit mismatch ref=%v caller=%v", batch, i, rres[i].OK, cres[i].OK)
-			}
-			if rres[i].OK && rres[i].Placement.Server != cres[i].Placement.Server {
-				t.Fatalf("batch %d arrival %d: ref server %d, caller server %d",
-					batch, i, rres[i].Placement.Server, cres[i].Placement.Server)
-			}
-		}
-	}
-	verifyInvariants(t, ref)
-	verifyInvariants(t, con)
-}
 
 // TestConcurrentCallersChurn: several lanes admit and depart concurrently
 // — departures deliberately cross lanes (a session admitted on one lane is
@@ -206,13 +106,26 @@ func TestConcurrentCallersChurn(t *testing.T) {
 // the rest reject, at every concurrency level.
 func TestConcurrentCallersSaturation(t *testing.T) {
 	const nServers, max, nCallers, perCaller = 4, 2, 4, 6
+	// stagedGame's first scoring parks its shard until the gate opens; the
+	// staged race at the end of the test is built on that.
+	const stagedGame = 99
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
 	c, err := New(Config{
 		NumServers:   nServers,
 		ShardCount:   2,
 		MaxPerServer: max,
 		K:            1,
 		Seed:         5,
-		Scorer:       ScorerFunc(synthScore),
+		Scorer: ScorerFunc(func(games []int) float64 {
+			if lookupIdx(games, stagedGame) >= 0 {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-gate
+			}
+			return synthScore(games)
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,4 +175,163 @@ func TestConcurrentCallersSaturation(t *testing.T) {
 			t.Fatalf("server %d not full: %d/%d", s, len(contents), max)
 		}
 	}
+
+	// How many commits the race above cost is the scheduler's business, so
+	// stage one loss by hand to pin the counters. One slot is free. Lane a
+	// probes it; lane b's full-fleet probe is parked inside the scorer on
+	// the same shard; a commits; b's answer, computed before a's commit
+	// reached the shard, is now stale: b loses the commit (a conflict),
+	// cannot tell whether the fleet is full, and settles under the lock.
+	before := c.Stats()
+	if !c.Remove(0) {
+		t.Fatal("session 0 missing")
+	}
+	a, b := c.NewCaller(), c.NewCaller()
+	best, shard, found := a.probe(c.all, 7, 0, true, trace.Ctx{})
+	if !found {
+		t.Fatal("freed slot not found")
+	}
+	bOK := make(chan bool)
+	go func() {
+		_, ok := b.placeWide(stagedGame, 0, new(BatchTiming), trace.Ctx{})
+		bOK <- ok
+	}()
+	<-entered
+	if _, ok := a.tryCommit(7, shard, best, new(BatchTiming)); !ok {
+		t.Fatal("lane a lost an uncontended commit")
+	}
+	close(gate)
+	if <-bOK {
+		t.Fatal("lane b placed onto a full fleet")
+	}
+	st := c.Stats()
+	if got := st.CommitConflicts - before.CommitConflicts; got != 1 {
+		t.Errorf("staged race: %d commit conflicts, want 1", got)
+	}
+	if got := st.LockedProbes - before.LockedProbes; got != 1 {
+		t.Errorf("staged race: %d locked probes, want 1", got)
+	}
+	if st.CommitConflicts == 0 || st.LockedProbes == 0 {
+		t.Errorf("contention counters empty after a saturated multi-lane run: %+v", st)
+	}
+	verifyInvariants(t, c)
+}
+
+// TestClusterMethodsAndCallerMixed: the Cluster's own methods and a
+// NewCaller handle drive one cluster — first taking turns (each removing
+// sessions the other placed), then concurrently while a third goroutine
+// reads every accessor and runs the invariant check mid-flight. Under -race
+// this is the proof that there is no second path left to mix with.
+func TestClusterMethodsAndCallerMixed(t *testing.T) {
+	c, err := New(Config{
+		NumServers:     48,
+		ShardCount:     6,
+		MaxPerServer:   3,
+		K:              2,
+		Seed:           13,
+		Scorer:         ScorerFunc(synthScore),
+		StealThreshold: 0.5,
+		StealGap:       0.1,
+		StealBatch:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := c.NewCaller()
+
+	rng := rand.New(rand.NewSource(77))
+	var byCluster, byCaller []int
+	keep := func(dst *[]int, rs []BatchResult) {
+		for _, r := range rs {
+			if r.OK {
+				*dst = append(*dst, r.Session)
+			}
+		}
+	}
+	pop := func(src *[]int) (int, bool) {
+		if len(*src) == 0 {
+			return 0, false
+		}
+		sid := (*src)[len(*src)-1]
+		*src = (*src)[:len(*src)-1]
+		return sid, true
+	}
+	for step := 0; step < 300; step++ {
+		games := []int{rng.Intn(9), rng.Intn(9), rng.Intn(9)}
+		switch rng.Intn(6) {
+		case 0:
+			keep(&byCluster, c.PlaceBatch(games, nil))
+		case 1:
+			keep(&byCaller, cl.PlaceBatch(games, nil))
+		case 2:
+			if pl, ok := c.Place(games[0]); ok {
+				byCluster = append(byCluster, pl.Session)
+			}
+		case 3:
+			if pl, ok := cl.Place(games[0]); ok {
+				byCaller = append(byCaller, pl.Session)
+			}
+		case 4:
+			if sid, ok := pop(&byCaller); ok && !c.Remove(sid) {
+				t.Fatalf("step %d: Cluster.Remove lost session %d", step, sid)
+			}
+		case 5:
+			if sid, ok := pop(&byCluster); ok && !cl.Remove(sid) {
+				t.Fatalf("step %d: Caller.Remove lost session %d", step, sid)
+			}
+		}
+		verifyInvariants(t, c)
+	}
+	if st := c.Stats(); st.CommitConflicts != 0 || st.LockedProbes != 0 || st.StolenSessions == 0 {
+		t.Fatalf("taking turns: lost races or idle stealing: %+v", st)
+	}
+
+	var drivers sync.WaitGroup
+	drive := func(seed int64, place func(int) (Placement, bool), batch func([]int, []BatchResult) []BatchResult, remove func(int) bool) {
+		defer drivers.Done()
+		rng := rand.New(rand.NewSource(seed))
+		var mine []int
+		for i := 0; i < 300; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				if pl, ok := place(rng.Intn(9)); ok {
+					mine = append(mine, pl.Session)
+				}
+			case 1:
+				keep(&mine, batch([]int{rng.Intn(9), rng.Intn(9)}, nil))
+			case 2:
+				if sid, ok := pop(&mine); ok && !remove(sid) {
+					t.Errorf("driver %d: session %d vanished", seed, sid)
+				}
+			}
+		}
+	}
+	drivers.Add(2)
+	go drive(1, c.Place, c.PlaceBatch, c.Remove)
+	go drive(2, cl.Place, cl.PlaceBatch, cl.Remove)
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for sid := 0; ; sid++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.Stats()
+			c.Active()
+			c.Locate(sid % 64)
+			c.Utilization(sid % 6)
+			c.StealPending()
+			if err := CheckInvariants(c); err != nil {
+				t.Errorf("mid-flight: %v", err)
+				return
+			}
+		}
+	}()
+	drivers.Wait()
+	close(stop)
+	<-readerDone
+	verifyInvariants(t, c)
 }

@@ -28,46 +28,11 @@ func synthScore(games []int) float64 {
 	return s * math.Pow(0.92, float64(pairs))
 }
 
-// verifyInvariants checks the cluster's global bookkeeping against the
-// shards' ground truth: every session lives exactly where the balancer
-// thinks it does, loads match, and nothing is orphaned or duplicated. The
-// shard goroutines are quiescent between balancer calls (parked on their
-// request channels, with a happens-before edge through the last reply), so
-// reading their state here is race-free.
+// verifyInvariants fails the test on the first broken cluster invariant.
 func verifyInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
-	c.barrier() // commits are fire-and-forget; quiesce before direct reads
-	total := 0
-	seen := map[int]bool{}
-	for si, sh := range c.shards {
-		load := 0
-		for local, slots := range sh.slots {
-			if len(slots) != len(sh.contents[local]) {
-				t.Fatalf("shard %d server %d: %d slots vs %d contents", si, local, len(slots), len(sh.contents[local]))
-			}
-			load += len(slots)
-			for i, sid := range slots {
-				if seen[sid] {
-					t.Fatalf("session %d present twice", sid)
-				}
-				seen[sid] = true
-				loc, ok := c.sessions[sid]
-				if !ok {
-					t.Fatalf("shard %d holds unknown session %d", si, sid)
-				}
-				if loc.shard != si || loc.server != sh.lo+local || loc.game != sh.contents[local][i] {
-					t.Fatalf("session %d: table says shard %d server %d game %d, shard state says %d/%d/%d",
-						sid, loc.shard, loc.server, loc.game, si, sh.lo+local, sh.contents[local][i])
-				}
-			}
-		}
-		if load != c.loads[si] {
-			t.Fatalf("shard %d: balancer load %d, actual %d", si, c.loads[si], load)
-		}
-		total += load
-	}
-	if total != len(c.sessions) || total != c.stats.Active {
-		t.Fatalf("session count mismatch: shards %d, table %d, stats %d", total, len(c.sessions), c.stats.Active)
+	if err := CheckInvariants(c); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -333,7 +298,7 @@ func TestStealSkipsDepartedVictims(t *testing.T) {
 		t.Fatalf("could not remove nominated victim %d", first)
 	}
 	for i := 0; i < 16 && c.plan != nil; i++ {
-		c.applySteal()
+		c.applySteal(c.self)
 		verifyInvariants(t, c)
 	}
 	st := c.Stats()
@@ -396,6 +361,76 @@ func TestDeterministicReplay(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("placement %d diverged: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	// One caller has nobody to lose a race to, escapes and rejects included.
+	if sa.CommitConflicts != 0 || sa.LockedProbes != 0 || sa.Escapes == 0 || sa.Rejected == 0 {
+		t.Fatalf("single-caller run: %+v", sa)
+	}
+}
+
+// TestFullCacheDeterminism: a score cache far smaller than the set of live
+// states evicts on every probe. Which entries it evicts used to follow map
+// iteration order, and a probe could evict a value its own reduce still
+// needed and silently skip that server group. Two tiny-cache clusters fed
+// one stream must agree with each other on everything, and with a cluster
+// whose cache never evicts on every placement.
+func TestFullCacheDeterminism(t *testing.T) {
+	run := func(cacheCap int) ([]Placement, Stats) {
+		c, err := New(Config{
+			NumServers:   40,
+			ShardCount:   2,
+			MaxPerServer: 3,
+			K:            2,
+			Seed:         4,
+			Scorer:       ScorerFunc(synthScore),
+			CacheCap:     cacheCap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rng := rand.New(rand.NewSource(52))
+		var out []Placement
+		var active []int
+		for i := 0; i < 600; i++ {
+			if i > 60 && rng.Intn(2) == 0 {
+				for n := 0; n < 2 && len(active) > 0; n++ {
+					j := rng.Intn(len(active))
+					c.Remove(active[j])
+					active = append(active[:j], active[j+1:]...)
+				}
+				continue
+			}
+			games := make([]int, 1+rng.Intn(3))
+			for k := range games {
+				games[k] = rng.Intn(20)
+			}
+			for _, r := range c.PlaceBatch(games, nil) {
+				if r.OK {
+					out = append(out, r.Placement)
+					active = append(active, r.Session)
+				}
+			}
+		}
+		verifyInvariants(t, c)
+		return out, c.Stats()
+	}
+	a, sa := run(8)
+	b, sb := run(8)
+	big, sbig := run(1 << 20)
+	if sa != sb {
+		t.Fatalf("tiny-cache replays disagree on stats:\n%+v\n%+v", sa, sb)
+	}
+	if sa.CacheMisses <= sbig.CacheMisses {
+		t.Fatalf("tiny cache never overflowed: %d misses vs %d with an unbounded one", sa.CacheMisses, sbig.CacheMisses)
+	}
+	if len(a) != len(b) || len(a) != len(big) {
+		t.Fatalf("placement counts differ: %d, %d, unbounded %d", len(a), len(b), len(big))
+	}
+	for i := range a {
+		if a[i] != b[i] || a[i] != big[i] {
+			t.Fatalf("placement %d: tiny caches %+v and %+v, unbounded %+v", i, a[i], b[i], big[i])
 		}
 	}
 }

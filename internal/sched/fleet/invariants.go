@@ -1,0 +1,67 @@
+package fleet
+
+import "fmt"
+
+// CheckInvariants compares the balancer's bookkeeping with the shards'
+// ground truth and returns the first discrepancy: every session lives
+// exactly where the session table says, once; per-shard loads and the
+// per-server occupancy ledger match shard contents and stay within
+// capacity; the counters conserve sessions; commit tickets are dense.
+//
+// It holds the commit lock throughout and quiesces every shard first
+// (commits are fire-and-forget), so no mutation can be in flight while it
+// reads shard state: the reads are race-free even with callers running,
+// which merely wait for their next commit. Probe-side counters are not
+// checked; they settle only when no call is in flight.
+func CheckInvariants(c *Cluster) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.shards {
+		sh.reqs <- shardReq{op: opBarrier}
+		<-sh.resp
+	}
+	total := 0
+	seen := make(map[int]bool, len(c.sessions))
+	for si, sh := range c.shards {
+		load := 0
+		for local, slots := range sh.slots {
+			server := sh.lo + local
+			if len(slots) != len(sh.contents[local]) {
+				return fmt.Errorf("server %d: %d slots vs %d contents", server, len(slots), len(sh.contents[local]))
+			}
+			if len(slots) > c.max {
+				return fmt.Errorf("server %d over capacity: %d > %d", server, len(slots), c.max)
+			}
+			if c.occ[server] != len(slots) {
+				return fmt.Errorf("server %d: occupancy ledger %d, actual %d", server, c.occ[server], len(slots))
+			}
+			load += len(slots)
+			for i, sid := range slots {
+				if seen[sid] {
+					return fmt.Errorf("session %d placed twice", sid)
+				}
+				seen[sid] = true
+				loc, ok := c.sessions[sid]
+				if !ok {
+					return fmt.Errorf("shard %d holds unknown session %d", si, sid)
+				}
+				if got := (sessionLoc{si, server, sh.contents[local][i]}); loc != got {
+					return fmt.Errorf("session %d: table says shard/server/game %+v, shard state says %+v", sid, loc, got)
+				}
+			}
+		}
+		if load != c.loads[si] {
+			return fmt.Errorf("shard %d: balancer load %d, actual %d", si, c.loads[si], load)
+		}
+		total += load
+	}
+	st := c.stats
+	if total != len(c.sessions) || total != st.Active || st.Active != st.Placed-st.Removed {
+		return fmt.Errorf("session count mismatch: shards %d, table %d, active %d, placed %d - removed %d",
+			total, len(c.sessions), st.Active, st.Placed, st.Removed)
+	}
+	if int(c.commitSeq) != st.Placed {
+		return fmt.Errorf("commit tickets not dense: next seq %d, placed %d", c.commitSeq, st.Placed)
+	}
+	return nil
+}

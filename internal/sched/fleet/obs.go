@@ -19,10 +19,14 @@ type fleetMetrics struct {
 	stealAborts *obs.Counter
 	batches     *obs.Counter
 	reprobes    *obs.Counter
-	refreshes   *obs.Counter
-	active      *obs.Gauge
-	decision    *obs.StageTimer
-	batchProbe  *obs.StageTimer
+	// conflicts and lockedProbes count the one place lanes can fight: a
+	// commit that lost the capacity race, and a full-fleet probe repeated
+	// under the commit lock.
+	conflicts    *obs.Counter
+	lockedProbes *obs.Counter
+	active       *obs.Gauge
+	decision     *obs.StageTimer
+	batchProbe   *obs.StageTimer
 	// batchArrivals distributes coalesced batch sizes — full 16-wide
 	// batches are the regime the compiled kernel is fastest in, so this
 	// histogram is how you see whether the admission front end actually
@@ -54,8 +58,10 @@ func newFleetMetrics(r *obs.Registry, shards int) fleetMetrics {
 			"coalesced placement batches submitted through PlaceBatch"),
 		reprobes: r.Counter("gaugur_fleet_batch_reprobes_total",
 			"dirty-shard re-probes issued while draining a placement batch"),
-		refreshes: r.Counter("gaugur_fleet_batch_refreshes_total",
-			"piggybacked post-commit answer refreshes collected during batch drains"),
+		conflicts: r.Counter("gaugur_fleet_commit_conflicts_total",
+			"commits that lost the capacity race to another caller and re-probed"),
+		lockedProbes: r.Counter("gaugur_fleet_locked_probes_total",
+			"full-fleet probes repeated under the commit lock after failed validation"),
 		active: r.Gauge("gaugur_fleet_active_sessions",
 			"currently placed sessions across all shards"),
 		decision: r.Timer("gaugur_fleet_decision_seconds",

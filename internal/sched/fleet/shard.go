@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gaugur/internal/sched"
@@ -22,11 +24,13 @@ import (
 //   - an idle heap over its non-full servers (O(1) capacity check and
 //     emptiest-server lookup).
 //
-// Scoring is two-phase: collect every state whose score is not cached,
+// Scoring is three-phase: collect every state whose score is not cached,
 // score them all through one BatchScorer call (one blocked pass through
-// the compiled forest), then reduce to the best (delta, lowest global
-// server id) candidate. The reduce is order-independent, so Go's random
-// map iteration never changes the answer.
+// the compiled forest), reduce to the best (delta, lowest global server
+// id) candidate, and only then memoize the new scores in sorted key order.
+// The reduce is order-independent and reads a cache no Put has touched
+// since the gather, so Go's random map iteration changes neither the
+// answer nor what a full cache evicts.
 
 // shardOp enumerates the balancer->shard requests.
 type shardOp int
@@ -35,7 +39,6 @@ const (
 	opScore shardOp = iota
 	opScoreBatch
 	opCommit
-	opCommitRefresh
 	opRemove
 	opVictims
 	opSnapshot
@@ -54,13 +57,10 @@ type shardReq struct {
 	seed   int64
 	// resp, when non-nil, receives this request's reply instead of the
 	// shard's default channel — how concurrent Callers interleave requests
-	// to one shard without mixing up each other's answers. Nil keeps the
-	// original single-caller protocol byte-for-byte.
+	// to one shard without mixing up each other's answers. The default
+	// channel carries only traffic sent under the cluster's commit lock
+	// (steal moves, victim nomination, snapshots, barriers).
 	resp chan shardResp
-	// noAck suppresses the reply entirely (remove under the commit
-	// sequencer: the sessions map is authoritative, so the shard-side
-	// remove cannot fail and an ack would only stall the sequenced path).
-	noAck bool
 }
 
 // victim is one session nominated for a steal move.
@@ -123,8 +123,9 @@ type shard struct {
 	pendStates [][]int
 	pendVals   []float64
 	pendIdx    map[uint64]int
-	order      []int // victim selection scratch
-	pos        []int // local idx -> position in its current group's member heap
+	putOrder   []uint64 // memoize scratch: pendKeys sorted
+	order      []int    // victim selection scratch
+	pos        []int    // local idx -> position in its current group's member heap
 }
 
 func newShard(id, lo, hi, max int, mode Mode, scorer BatchScorer, cacheCap int) *shard {
@@ -220,7 +221,7 @@ func (sh *shard) siftDown(g *group, i int) int {
 
 // run is the shard dispatcher goroutine: one request at a time, state
 // confined, reply per request on the requester's channel (req.resp when a
-// concurrent Caller asked, the shard's dedicated channel otherwise).
+// Caller asked, the shard's default channel otherwise).
 func (sh *shard) run() {
 	for req := range sh.reqs {
 		out := sh.resp
@@ -237,20 +238,8 @@ func (sh *shard) run() {
 			// FIFO already orders any later probe or remove behind the
 			// commit, so acking would only stall the sender for nothing.
 			sh.commit(req.game, req.sid, req.server-sh.lo)
-		case opCommitRefresh:
-			// Commit, then immediately recompute this shard's batch
-			// answers against the post-commit state. The balancer reads
-			// the reply lazily (only when this shard next comes up as a
-			// candidate), so the rescore runs here in parallel with the
-			// balancer draining other arrivals instead of serializing a
-			// re-probe round trip into every drain step.
-			sh.commit(req.game, req.sid, req.server-sh.lo)
-			out <- shardResp{ok: true, batch: sh.scoreBatch(req.games, req.genTag)}
 		case opRemove:
-			ok := sh.remove(req.sid, req.server-sh.lo)
-			if !req.noAck {
-				out <- shardResp{ok: ok}
-			}
+			out <- shardResp{ok: sh.remove(req.sid, req.server-sh.lo)}
 		case opVictims:
 			out <- shardResp{ok: true, victims: sh.pickVictims(req.n, req.seed)}
 		case opSnapshot:
@@ -276,22 +265,18 @@ func (sh *shard) resetPending() {
 	clear(sh.pendIdx)
 }
 
-// pendLookup finds key k in the pending (just-scored) list. Only valid
-// after flushPending — before it, pendVals has not been sized yet.
-func (sh *shard) pendLookup(k uint64) (float64, bool) {
-	if i, ok := sh.pendIdx[k]; ok {
-		return sh.pendVals[i], true
-	}
-	return 0, false
-}
-
-// stateVal returns the cached-or-pending score for key k; ok=false means
-// the state was never queued (cannot happen for keys queued this scan).
-func (sh *shard) stateVal(k uint64) (float64, bool) {
+// stateVal returns the cached-or-pending score for key k. Only valid
+// between scorePending and memoize: every key the gather visited is then in
+// exactly one of the two, so a miss is a bug in this file, not an input.
+func (sh *shard) stateVal(k uint64) float64 {
 	if v, ok := sh.cache.Lookup(k); ok {
-		return v, ok
+		return v
 	}
-	return sh.pendLookup(k)
+	i, ok := sh.pendIdx[k]
+	if !ok {
+		panic(fmt.Sprintf("fleet: shard %d reduced state %#x it never gathered", sh.id, k))
+	}
+	return sh.pendVals[i]
 }
 
 // wantMiss reports whether key k still needs scoring (neither cached nor
@@ -356,26 +341,31 @@ func (sh *shard) gatherGame(game int, genTag uint64) int {
 	return scanned
 }
 
-// flushPending scores every queued state through ONE scorer call — the
+// scorePending scores every queued state through ONE scorer call — the
 // whole point of batching probes: the compiled forest runs at full chunk
-// occupancy instead of one underfilled pass per game — and memoizes the
-// answers. Returns the number of states scored.
-func (sh *shard) flushPending() int {
-	misses := len(sh.pendKeys)
-	if misses == 0 {
-		return 0
+// occupancy instead of one underfilled pass per game. Returns the number of
+// states scored. The answers stay in the pending list until memoize.
+func (sh *shard) scorePending() int {
+	if len(sh.pendKeys) > 0 {
+		sh.pendVals = sh.scorer.ScoreStates(sh.pendStates, sh.pendVals[:0])
 	}
-	sh.pendVals = sh.scorer.ScoreStates(sh.pendStates, sh.pendVals[:0])
-	for i, k := range sh.pendKeys {
-		sh.cache.Put(k, sh.pendVals[i])
+	return len(sh.pendKeys)
+}
+
+// memoize moves the pending scores into the cache, after the reduce has
+// read them. A full cache evicts FIFO, so the order of these Puts decides
+// which older entries survive to the next probe; the gather queued them in
+// map-iteration order, hence the sort.
+func (sh *shard) memoize() {
+	sh.putOrder = append(sh.putOrder[:0], sh.pendKeys...)
+	slices.Sort(sh.putOrder)
+	for _, k := range sh.putOrder {
+		sh.cache.Put(k, sh.pendVals[sh.pendIdx[k]])
 	}
-	return misses
 }
 
 // reduceGame reduces one game's scan to the best (delta, lowest server id)
-// candidate. Values come from the cache or the still-live pending list (an
-// overfull cache may already have evicted early puts), so map order cannot
-// matter.
+// candidate.
 func (sh *shard) reduceGame(game int, genTag uint64) shardResp {
 	gh := sim.Mix64(uint64(game))
 	best, bestDelta, found := -1, 0.0, false
@@ -383,17 +373,9 @@ func (sh *shard) reduceGame(game int, genTag uint64) shardResp {
 		if len(g.members) == 0 || len(g.games) >= sh.max {
 			continue
 		}
-		cand, ok := sh.stateVal(h + gh + genTag)
-		if !ok {
-			continue
-		}
-		delta := cand
+		delta := sh.stateVal(h + gh + genTag)
 		if len(g.games) > 0 {
-			base, ok := sh.stateVal(h + genTag)
-			if !ok {
-				continue
-			}
-			delta -= base
+			delta -= sh.stateVal(h + genTag)
 		}
 		srv := g.members[0]
 		if !found || delta > bestDelta || (delta == bestDelta && srv < best) {
@@ -419,8 +401,9 @@ func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 	}
 	sh.resetPending()
 	scanned := sh.gatherGame(game, genTag)
-	misses := sh.flushPending()
+	misses := sh.scorePending()
 	r := sh.reduceGame(game, genTag)
+	sh.memoize()
 	r.scanned, r.misses = scanned, misses
 	return r
 }
@@ -452,12 +435,13 @@ func (sh *shard) scoreBatch(games []int, genTag uint64) []shardResp {
 	for i, g := range games {
 		out[i].scanned = sh.gatherGame(g, genTag)
 	}
-	misses := sh.flushPending()
+	misses := sh.scorePending()
 	for i, g := range games {
 		scanned := out[i].scanned
 		out[i] = sh.reduceGame(g, genTag)
 		out[i].scanned = scanned
 	}
+	sh.memoize()
 	if len(out) > 0 {
 		out[0].misses = misses
 	}

@@ -59,6 +59,9 @@ func TestLaneCountInvariance(t *testing.T) {
 		}
 		wg.Wait()
 		p.Close()
+		if err := fleet.CheckInvariants(c); err != nil {
+			t.Fatalf("lanes=%d: %v", lanes, err)
+		}
 		st := c.Stats()
 		if st.Active != out.admitted {
 			t.Fatalf("lanes=%d: occupancy not conserved: fleet active %d, admitted %d", lanes, st.Active, out.admitted)
@@ -210,6 +213,9 @@ func TestLaneChurnRace(t *testing.T) {
 	}
 	wg.Wait()
 	p.Close()
+	if err := fleet.CheckInvariants(c); err != nil {
+		t.Fatal(err)
+	}
 
 	want := 0
 	kept.Range(func(any, any) bool { want++; return true })

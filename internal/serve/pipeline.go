@@ -16,9 +16,8 @@
 // across per-lane queues by game hash (so same-game arrivals still
 // coalesce into shared-probe batches), each lane runs its own collector
 // driving a fleet.Caller, and the cluster's commit sequencer linearizes
-// the lanes' placements. Lanes=1 — the default — is byte-identical to the
-// original single-collector pipeline: one queue, one collector, the
-// deterministic single-caller Cluster path.
+// the lanes' placements. Lanes=1 — the default — drives the cluster's
+// built-in caller, so it places exactly as direct calls on the Cluster do.
 package serve
 
 import (
@@ -53,16 +52,17 @@ var (
 // PipelineConfig parameterizes the coalescing admission pipeline.
 type PipelineConfig struct {
 	// Cluster is the fleet dispatch plane; required. With Lanes <= 1 the
-	// pipeline becomes its sole caller (the deterministic single-caller
-	// contract); with Lanes > 1 each lane drives its own fleet.Caller and
+	// pipeline drives the cluster's built-in caller (deterministic replay,
+	// as long as nothing else calls the Cluster's placement methods while
+	// it runs); with Lanes > 1 each lane drives its own fleet.Caller and
 	// the cluster's commit sequencer linearizes them.
 	Cluster *fleet.Cluster
 	// Lanes is how many parallel collector lanes drain the admission
-	// queue; <= 1 (the default) keeps the original single-collector
-	// pipeline byte-identical. Arrivals are partitioned by game hash so
-	// same-game arrivals coalesce on one lane; leaves route by session
-	// hash; an arrival whose home lane's queue is full spills to the
-	// least-loaded lane before rejecting with ErrQueueFull.
+	// queue; <= 1 (the default) is one queue and one collector. Arrivals
+	// are partitioned by game hash so same-game arrivals coalesce on one
+	// lane; leaves route by session hash; an arrival whose home lane's
+	// queue is full spills to the least-loaded lane before rejecting with
+	// ErrQueueFull.
 	Lanes int
 	// BatchWindow is the most arrivals coalesced into one dispatch;
 	// <= 0 defaults to 16 — one full compiled-kernel chunk. 1 disables
@@ -133,7 +133,7 @@ type opResult struct {
 
 // Pipeline is the coalescing admission pipeline. Safe for concurrent
 // submitters; each lane's collector goroutine is the only one talking to
-// its fleet caller (and with one lane, to the Cluster itself).
+// its fleet caller.
 type Pipeline struct {
 	cfg    PipelineConfig
 	window int
@@ -147,20 +147,11 @@ type Pipeline struct {
 	prod      sync.WaitGroup // in-flight submitters
 	done      chan struct{}  // every lane collector exited; cluster quiescent
 
-	// statsCache is the collectors' snapshot of the cluster counters,
-	// refreshed after every dispatch — Stats() never touches the Cluster
-	// while a collector owns it, so monitoring can't block or race the
-	// hot path (and can't deadlock the graceful drain).
-	statsCache atomic.Pointer[fleet.Stats]
-
 	met admissionMetrics
 }
 
 // lane is one admission lane: a bounded MPSC queue drained by its own
-// collector goroutine. In single-lane mode (caller == nil) the collector
-// drives the Cluster's deterministic path directly; in multi-lane mode it
-// drives its own fleet.Caller, whose commits the cluster sequencer
-// linearizes against the other lanes'.
+// collector goroutine, which drives the lane's fleet.Caller.
 type lane struct {
 	p      *Pipeline
 	queue  chan *pendingOp
@@ -204,9 +195,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	}
 	for i := 0; i < cfg.Lanes; i++ {
 		l := &lane{
-			p:     p,
-			queue: make(chan *pendingOp, perLane),
-			done:  make(chan struct{}),
+			p:      p,
+			queue:  make(chan *pendingOp, perLane),
+			done:   make(chan struct{}),
+			caller: cfg.Cluster.Caller(),
 		}
 		if cfg.Lanes > 1 {
 			l.caller = cfg.Cluster.NewCaller()
@@ -214,8 +206,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		p.lanes = append(p.lanes, l)
 	}
 	p.pool.New = func() any { return &pendingOp{done: make(chan opResult, 1)} }
-	st := cfg.Cluster.Stats()
-	p.statsCache.Store(&st)
 	for _, l := range p.lanes {
 		go l.run()
 	}
@@ -393,8 +383,8 @@ func (p *Pipeline) AdmitTraced(game int, traceID uint64) (fleet.Placement, error
 	return res.placement, nil
 }
 
-// Leave removes a session. Leaves ride the same queue as admits so the
-// collector stays the cluster's only caller and ordering is preserved.
+// Leave removes a session. Leaves ride the same queues as admits so each
+// collector stays its caller's only driver and ordering is preserved.
 func (p *Pipeline) Leave(session int) error {
 	return p.LeaveTraced(session, 0)
 }
@@ -567,17 +557,9 @@ func (p *Pipeline) finishLeave(op *pendingOp, err error) {
 	op.root.EndAt(end, trace.Int("session", op.session), trace.String("outcome", outcome))
 }
 
-// Stats reads the cluster's counters: the collector's post-dispatch
-// snapshot while it runs (at most one batch stale), the exact final
-// values once the drain has completed.
-func (p *Pipeline) Stats() fleet.Stats {
-	select {
-	case <-p.done:
-		return p.cfg.Cluster.Stats()
-	default:
-		return *p.statsCache.Load()
-	}
-}
+// Stats reads the cluster's counters; the probe-side ones settle at batch
+// boundaries, all are exact once the drain has completed.
+func (p *Pipeline) Stats() fleet.Stats { return p.cfg.Cluster.Stats() }
 
 // run is a lane's collector: block for the first op, coalesce up to the
 // window (bounded by the deadline when configured), dispatch, repeat.
@@ -710,17 +692,16 @@ func (l *lane) dispatch() {
 		i = j
 	}
 	sp.Stop()
-	st := p.cfg.Cluster.Stats()
-	p.statsCache.Store(&st)
 	// Drop op pointers so pooled ops aren't pinned by the scratch slice.
 	clear(l.batch)
 	l.batch = l.batch[:0]
 }
 
-// runAdmits places one run of consecutive admits through PlaceBatch —
-// the timed form when tracing, so each op carries its fleet breadcrumbs
-// home. Each op's result is copied into the op BEFORE its done send: the
-// producer frees the op back to the pool right after materializing.
+// runAdmits places one run of consecutive admits through one timed batch
+// when tracing (times stays nil otherwise), so each op carries its fleet
+// breadcrumbs home. Each op's result is copied into the op BEFORE its done
+// send: the producer frees the op back to the pool right after
+// materializing.
 func (l *lane) runAdmits(ops []*pendingOp) {
 	p := l.p
 	l.games = l.games[:0]
@@ -732,18 +713,10 @@ func (l *lane) runAdmits(ops []*pendingOp) {
 			l.times = make([]fleet.BatchTiming, len(ops))
 		}
 		l.times = l.times[:len(ops)]
-		if l.caller != nil {
-			l.results = l.caller.PlaceBatchTimed(l.games, l.results[:0], l.times)
-		} else {
-			l.results = p.cfg.Cluster.PlaceBatchTimed(l.games, l.results[:0], l.times)
-		}
-		for i, op := range ops {
-			op.tm = l.times[i]
-		}
-	} else if l.caller != nil {
-		l.results = l.caller.PlaceBatch(l.games, l.results[:0])
-	} else {
-		l.results = p.cfg.Cluster.PlaceBatch(l.games, l.results[:0])
+	}
+	l.results = l.caller.PlaceBatchTimed(l.games, l.results[:0], l.times)
+	for i := range l.times {
+		ops[i].tm = l.times[i]
 	}
 	admitted := 0
 	for i, op := range ops {
@@ -768,12 +741,7 @@ func (l *lane) runSingle(op *pendingOp) {
 	if p.cfg.Tracer != nil {
 		op.tm.StartNS = p.cfg.Tracer.Now()
 	}
-	var removed bool
-	if l.caller != nil {
-		removed = l.caller.Remove(op.session)
-	} else {
-		removed = p.cfg.Cluster.Remove(op.session)
-	}
+	removed := l.caller.Remove(op.session)
 	if p.cfg.Tracer != nil {
 		op.tm.EndNS = p.cfg.Tracer.Now()
 	}

@@ -41,8 +41,17 @@ func testCluster(t *testing.T, servers, shards, max int, scorer fleet.BatchScore
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() { checkedClose(t, c) })
 	return c
+}
+
+// checkedClose is every serve test's last step: whatever the front end did
+// to the cluster, its books must still balance.
+func checkedClose(t *testing.T, c *fleet.Cluster) {
+	if err := fleet.CheckInvariants(c); err != nil {
+		t.Error(err)
+	}
+	c.Close()
 }
 
 // gatedScorer blocks every score call until the gate opens — how tests

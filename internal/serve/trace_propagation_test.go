@@ -32,7 +32,7 @@ func tracedCluster(t *testing.T, servers, shards, max int, tr *trace.Tracer) *fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() { checkedClose(t, c) })
 	return c
 }
 

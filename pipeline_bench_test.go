@@ -12,9 +12,10 @@ import (
 
 // Pipeline benchmarks: the offline profile -> collect -> train path at its
 // two ends of the worker knob (workers=1 is the sequential path, workers=0
-// uses every core), plus the batch online-prediction API. `make bench-json`
-// snapshots their ns/op into BENCH_pipeline.json so CI tracks the perf
-// trajectory. Outputs are byte-identical at any worker count (see
+// uses every core), plus the batch online-prediction API. `make bench`
+// smoke-runs them; the layered benchmark (`go run ./bench`) reports the
+// same stages as profile.catalog_s / core.collect_s / core.train_s.
+// Outputs are byte-identical at any worker count (see
 // TestParallelPipelineMatchesSequential), so the Seq/parallel pairs measure
 // the same computation.
 
@@ -190,7 +191,7 @@ func clonePredictor(b *testing.B, p *core.Predictor) *core.Predictor {
 // greedy policy. This is the worst case for the swap — every cached score
 // is invalidated at once and the whole batch re-scores against the new
 // model — so it bounds the latency bubble a promotion can inject into the
-// dispatcher. Guarded by `make bench-check`.
+// dispatcher.
 func BenchmarkHotSwap(b *testing.B) {
 	env := benchEnv(b)
 	p1, err := env.GAugur(env.Cfg.QoSHigh)

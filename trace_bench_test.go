@@ -22,8 +22,8 @@ func (s *traceAuditSink) Dropped(sid int)                   { s.dropped++ }
 //	go test -bench BenchmarkTraceOverhead -benchtime 5x .
 //
 // The acceptance budget is <5% overhead for the traced variant over bare;
-// TestTraceOverheadUnderBudget in internal/sched enforces it, this
-// benchmark publishes the numbers through make bench-json.
+// TestTraceOverheadUnderBudget in internal/sched enforces it; this
+// benchmark prints the numbers.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		runObsOverhead(b, func() *obs.Registry { return nil })
