@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -24,13 +23,14 @@ import (
 //   - an idle heap over its non-full servers (O(1) capacity check and
 //     emptiest-server lookup).
 //
-// Scoring is three-phase: collect every state whose score is not cached,
-// score them all through one BatchScorer call (one blocked pass through
-// the compiled forest), reduce to the best (delta, lowest global server
-// id) candidate, and only then memoize the new scores in sorted key order.
-// The reduce is order-independent and reads a cache no Put has touched
-// since the gather, so Go's random map iteration changes neither the
-// answer nor what a full cache evicts.
+// Scoring is three-phase: one pass over the state groups looks every
+// needed score up in the cache and queues the uncached states, one
+// BatchScorer call scores them all (one blocked pass through the compiled
+// forest), the reduce picks the best (delta, lowest global server id)
+// candidate from what the first pass noted, and only then are the new
+// scores memoized, in sorted key order. The reduce is order-independent and
+// no Put lands between the lookups and it, so Go's random map iteration
+// changes neither the answer nor what a full cache evicts.
 
 // shardOp enumerates the balancer->shard requests.
 type shardOp int
@@ -98,6 +98,16 @@ type group struct {
 	members []int // min-heap by local index; heap positions in shard.pos
 }
 
+// scan is what the gather pass notes per (game, eligible group): the
+// group's tie-break server and its two scores — the state with the game
+// added and the state as it stands — each either read from the cache or,
+// when the index is >= 0, waiting at that position of the pending list.
+type scan struct {
+	srv            int
+	cand, base     float64
+	candAt, baseAt int
+}
+
 type shard struct {
 	id      int
 	lo, hi  int // global server ids [lo, hi)
@@ -116,9 +126,9 @@ type shard struct {
 	cache    *sched.ScoreCache
 
 	// scoring scratch, reused across requests. pendIdx indexes pendKeys
-	// by key: one probe used to tolerate a linear pending scan, but a
-	// batched probe gathers games × groups states and the reduce phase
-	// looks each one up again, so membership must stay O(1).
+	// by key: a batched probe gathers games × groups states, so membership
+	// must stay O(1).
+	scans      []scan
 	pendKeys   []uint64
 	pendStates [][]int
 	pendVals   []float64
@@ -258,51 +268,30 @@ func (sh *shard) run() {
 	}
 }
 
-// resetPending clears the pending-state scratch for a fresh scan.
+// resetPending clears the scoring scratch for a fresh probe.
 func (sh *shard) resetPending() {
+	sh.scans = sh.scans[:0]
 	sh.pendKeys = sh.pendKeys[:0]
 	sh.pendStates = sh.pendStates[:0]
 	clear(sh.pendIdx)
 }
 
-// stateVal returns the cached-or-pending score for key k. Only valid
-// between scorePending and memoize: every key the gather visited is then in
-// exactly one of the two, so a miss is a bug in this file, not an input.
-func (sh *shard) stateVal(k uint64) float64 {
+// lookup resolves the score of the state keyed k: the cached value, or the
+// state's position in the pending list (queued now unless an earlier group
+// or game of this probe already did). state materializes it and runs only
+// on a genuine miss, so warm probes never allocate.
+func (sh *shard) lookup(k uint64, state func() []int) (float64, int) {
 	if v, ok := sh.cache.Lookup(k); ok {
-		return v
+		return v, -1
 	}
-	i, ok := sh.pendIdx[k]
+	at, ok := sh.pendIdx[k]
 	if !ok {
-		panic(fmt.Sprintf("fleet: shard %d reduced state %#x it never gathered", sh.id, k))
+		at = len(sh.pendKeys)
+		sh.pendIdx[k] = at
+		sh.pendKeys = append(sh.pendKeys, k)
+		sh.pendStates = append(sh.pendStates, state())
 	}
-	return sh.pendVals[i]
-}
-
-// wantMiss reports whether key k still needs scoring (neither cached nor
-// already queued this scan).
-func (sh *shard) wantMiss(k uint64) bool {
-	if _, ok := sh.cache.Lookup(k); ok {
-		return false
-	}
-	_, ok := sh.pendIdx[k]
-	return !ok
-}
-
-// queueState registers an uncached state for the batch scoring pass; the
-// caller has already established the miss via wantMiss.
-func (sh *shard) queueState(k uint64, state []int) {
-	sh.pendIdx[k] = len(sh.pendKeys)
-	sh.pendKeys = append(sh.pendKeys, k)
-	sh.pendStates = append(sh.pendStates, state)
-}
-
-// queueMiss registers state (with cache key k) for the batch scoring pass
-// unless it is already cached or pending.
-func (sh *shard) queueMiss(k uint64, state []int) {
-	if sh.wantMiss(k) {
-		sh.queueState(k, state)
-	}
+	return 0, at
 }
 
 // leastLoadedBest answers a probe in ModeLeastLoaded: the idle heap's top
@@ -318,27 +307,24 @@ func (sh *shard) leastLoadedBest() shardResp {
 	}
 }
 
-// gatherGame queues every uncached state one game's scan needs — each
-// eligible group's occupant state and its occupants+game candidate —
-// returning the number of groups scanned.
+// gatherGame appends one scan per group that can still take game — its
+// occupant state and its occupants+game candidate, each looked up or queued
+// for scoring — and returns how many groups that was.
 func (sh *shard) gatherGame(game int, genTag uint64) int {
 	gh := sim.Mix64(uint64(game))
-	scanned := 0
+	from := len(sh.scans)
 	for h, g := range sh.groups {
 		if len(g.members) == 0 || len(g.games) >= sh.max {
 			continue
 		}
-		scanned++
-		if sh.wantMiss(h + gh + genTag) {
-			// Materialize the candidate state only on a genuine miss —
-			// warm probes never allocate.
-			sh.queueState(h+gh+genTag, insertSorted(g.games, game))
-		}
+		e := scan{srv: g.members[0], baseAt: -1}
+		e.cand, e.candAt = sh.lookup(h+gh+genTag, func() []int { return insertSorted(g.games, game) })
 		if len(g.games) > 0 {
-			sh.queueMiss(h+genTag, g.games)
+			e.base, e.baseAt = sh.lookup(h+genTag, func() []int { return g.games })
 		}
+		sh.scans = append(sh.scans, e)
 	}
-	return scanned
+	return len(sh.scans) - from
 }
 
 // scorePending scores every queued state through ONE scorer call — the
@@ -354,8 +340,8 @@ func (sh *shard) scorePending() int {
 
 // memoize moves the pending scores into the cache, after the reduce has
 // read them. A full cache evicts FIFO, so the order of these Puts decides
-// which older entries survive to the next probe; the gather queued them in
-// map-iteration order, hence the sort.
+// which older entries survive to the next probe — hence a sorted order, not
+// the order the gather happened to meet them in.
 func (sh *shard) memoize() {
 	sh.putOrder = append(sh.putOrder[:0], sh.pendKeys...)
 	slices.Sort(sh.putOrder)
@@ -364,28 +350,26 @@ func (sh *shard) memoize() {
 	}
 }
 
-// reduceGame reduces one game's scan to the best (delta, lowest server id)
-// candidate.
-func (sh *shard) reduceGame(game int, genTag uint64) shardResp {
-	gh := sim.Mix64(uint64(game))
+// reduce picks the best (delta, lowest server id) candidate among one
+// game's scans, filling in the scores scorePending just computed.
+func (sh *shard) reduce(scans []scan) shardResp {
 	best, bestDelta, found := -1, 0.0, false
-	for h, g := range sh.groups {
-		if len(g.members) == 0 || len(g.games) >= sh.max {
-			continue
+	for _, e := range scans {
+		if e.candAt >= 0 {
+			e.cand = sh.pendVals[e.candAt]
 		}
-		delta := sh.stateVal(h + gh + genTag)
-		if len(g.games) > 0 {
-			delta -= sh.stateVal(h + genTag)
+		if e.baseAt >= 0 {
+			e.base = sh.pendVals[e.baseAt]
 		}
-		srv := g.members[0]
-		if !found || delta > bestDelta || (delta == bestDelta && srv < best) {
-			found, best, bestDelta = true, srv, delta
+		delta := e.cand - e.base
+		if !found || delta > bestDelta || (delta == bestDelta && e.srv < best) {
+			found, best, bestDelta = true, e.srv, delta
 		}
 	}
 	if !found {
 		return shardResp{ok: false}
 	}
-	return shardResp{ok: true, server: sh.lo + best, delta: bestDelta}
+	return shardResp{ok: true, server: sh.lo + best, delta: bestDelta, scanned: len(scans)}
 }
 
 // scoreBest answers the balancer's candidate probe: the shard's best
@@ -400,11 +384,11 @@ func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 		return sh.leastLoadedBest()
 	}
 	sh.resetPending()
-	scanned := sh.gatherGame(game, genTag)
+	sh.gatherGame(game, genTag)
 	misses := sh.scorePending()
-	r := sh.reduceGame(game, genTag)
+	r := sh.reduce(sh.scans)
 	sh.memoize()
-	r.scanned, r.misses = scanned, misses
+	r.misses = misses
 	return r
 }
 
@@ -436,10 +420,11 @@ func (sh *shard) scoreBatch(games []int, genTag uint64) []shardResp {
 		out[i].scanned = sh.gatherGame(g, genTag)
 	}
 	misses := sh.scorePending()
-	for i, g := range games {
-		scanned := out[i].scanned
-		out[i] = sh.reduceGame(g, genTag)
-		out[i].scanned = scanned
+	from := 0
+	for i := range games {
+		n := out[i].scanned
+		out[i] = sh.reduce(sh.scans[from : from+n])
+		from += n
 	}
 	sh.memoize()
 	if len(out) > 0 {
