@@ -8,6 +8,7 @@ import (
 	"gaugur/internal/ml"
 	"gaugur/internal/profile"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -69,8 +70,6 @@ func cmdChurn(args []string) error {
 		aud = core.NewAuditor(nil, p, p.QoS, core.AuditorConfig{Metrics: reg})
 	}
 	cfg := sched.OnlineConfig{
-		NumServers:   *servers,
-		MaxPerServer: maxPer,
 		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
 		MeanDuration: *duration,
 		Sessions:     *sessions,
@@ -79,12 +78,12 @@ func cmdChurn(args []string) error {
 		Metrics:      reg,
 		Tracer:       tracer,
 	}
-	run := func(name string, pol sched.PlacementPolicy, audited bool) error {
+	run := func(name string, fc fleet.Config, audited bool) error {
 		c := cfg
 		if audited && aud != nil {
 			c.Audit = aud
 		}
-		res, err := sched.RunOnline(c, pol, eval, p.QoS)
+		res, err := sched.RunChurn(c, fc, eval, p.QoS)
 		if err != nil {
 			return err
 		}
@@ -94,10 +93,12 @@ func cmdChurn(args []string) error {
 	}
 	fmt.Printf("%d sessions onto %d servers at %.0f%% target load (QoS %.0f FPS)\n",
 		*sessions, *servers, 100**load, p.QoS)
-	if err := run("GAugur greedy", sched.GreedyPolicyTraced(score, maxPer, tracer), true); err != nil {
+	greedy := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Tracer: tracer}
+	if err := run("GAugur greedy", greedy, true); err != nil {
 		return err
 	}
-	if err := run("least-loaded", sched.LeastLoadedPolicy(maxPer), false); err != nil {
+	leastLoaded := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Mode: fleet.ModeLeastLoaded}
+	if err := run("least-loaded", leastLoaded, false); err != nil {
 		return err
 	}
 	if reg != nil {

@@ -5,6 +5,7 @@ import (
 
 	"gaugur/internal/core"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -71,8 +72,6 @@ func cmdFaults(args []string) error {
 
 	const maxPer = 4
 	base := sched.OnlineConfig{
-		NumServers:   *servers,
-		MaxPerServer: maxPer,
 		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
 		MeanDuration: *duration,
 		Sessions:     *sessions,
@@ -114,7 +113,7 @@ func cmdFaults(args []string) error {
 		aud = core.NewAuditor(fb, p, p.QoS, core.AuditorConfig{Metrics: reg})
 	}
 
-	run := func(name string, pol sched.PlacementPolicy, migrate, audited bool) error {
+	run := func(name string, fc fleet.Config, migrate, audited bool) error {
 		cfg := base
 		cfg.Faults = faults
 		cfg.SpikeEval = spikeEval
@@ -128,7 +127,7 @@ func cmdFaults(args []string) error {
 		if migrate {
 			cfg.WatchdogWindow = *watchdog
 		}
-		res, err := sched.RunOnline(cfg, pol, eval, p.QoS)
+		res, err := sched.RunChurn(cfg, fc, eval, p.QoS)
 		if err != nil {
 			return err
 		}
@@ -137,13 +136,15 @@ func cmdFaults(args []string) error {
 		return nil
 	}
 
-	if err := run("GAugur greedy + migration", sched.GreedyPolicyTraced(score, maxPer, tracer), true, true); err != nil {
+	greedy := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Tracer: tracer}
+	if err := run("GAugur greedy + migration", greedy, true, true); err != nil {
 		return err
 	}
-	if err := run("GAugur greedy, no migration", sched.GreedyPolicyTraced(score, maxPer, tracer), false, false); err != nil {
+	if err := run("GAugur greedy, no migration", greedy, false, false); err != nil {
 		return err
 	}
-	if err := run("least-loaded + migration", sched.LeastLoadedPolicy(maxPer), true, false); err != nil {
+	leastLoaded := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Mode: fleet.ModeLeastLoaded}
+	if err := run("least-loaded + migration", leastLoaded, true, false); err != nil {
 		return err
 	}
 	fmt.Printf("fallback chain: %d queries served by the model, %d by the capacity stage\n",

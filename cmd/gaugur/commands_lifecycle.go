@@ -6,6 +6,7 @@ import (
 	"gaugur/internal/core"
 	"gaugur/internal/obs"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 )
 
 // loadServingModel resolves the model the dispatcher serves: when a
@@ -135,7 +136,6 @@ func cmdLifecycle(args []string) error {
 	// Score through the handle so promoted models take over future
 	// placements; the generation tag retires cached scores at each swap.
 	score := func(g []int) float64 { return h.Load().PredictTotalFPS(toColoc(g)) }
-	policy := sched.GreedyPolicyVersioned(score, 4, h.Generation)
 	// Drifted physics: only colocations feel it — singleton FPS is profiled
 	// per game, so interference retraining has nothing to fix there.
 	eval := func(g []int) []float64 {
@@ -151,9 +151,7 @@ func cmdLifecycle(args []string) error {
 	const maxPer = 4
 	fmt.Printf("%d sessions onto %d servers (QoS %.0f FPS); colocated physics at %.0f%% of profile\n",
 		*sessions, *servers, p.QoS, 100**perturb)
-	res, err := sched.RunOnline(sched.OnlineConfig{
-		NumServers:   *servers,
-		MaxPerServer: maxPer,
+	res, err := sched.RunChurn(sched.OnlineConfig{
 		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
 		MeanDuration: *duration,
 		Sessions:     *sessions,
@@ -163,7 +161,9 @@ func cmdLifecycle(args []string) error {
 		Lifecycle:    lm,
 		Metrics:      obsReg,
 		Tracer:       tracer,
-	}, policy, eval, p.QoS)
+	}, fleet.Config{
+		NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Gen: h.Generation, Tracer: tracer,
+	}, eval, p.QoS)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -106,8 +107,6 @@ func cmdServeMetrics(args []string) error {
 	const maxPer = 4
 	for round := 0; round < *rounds; round++ {
 		cfg := sched.OnlineConfig{
-			NumServers:   *servers,
-			MaxPerServer: maxPer,
 			ArrivalRate:  0.85 * float64(*servers) * maxPer / 6,
 			MeanDuration: 6,
 			Sessions:     *sessions,
@@ -127,7 +126,9 @@ func cmdServeMetrics(args []string) error {
 			WatchdogWindow:  1,
 			ShedUtilization: 0.97,
 		}
-		res, err := sched.RunOnline(cfg, sched.GreedyPolicyTraced(score, maxPer, tracer), demoEval, 60)
+		res, err := sched.RunChurn(cfg, fleet.Config{
+			NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Tracer: tracer,
+		}, demoEval, 60)
 		if err != nil {
 			return err
 		}

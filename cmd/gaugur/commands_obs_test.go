@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"testing"
 )
 
@@ -108,13 +110,18 @@ func TestTraceCommand(t *testing.T) {
 	for _, frag := range []string{
 		"traces: ",
 		"placement",
-		"score-candidates",
+		"score-shard",
 		"quality: ",
 		"drift quiet",
 	} {
 		if !bytes.Contains([]byte(out), []byte(frag)) {
 			t.Errorf("trace output missing %q:\n%s", frag, out)
 		}
+	}
+	// One decision, one trace: the cluster nests its scoring under the
+	// driver's placement trace instead of opening a root of its own.
+	if bytes.Contains([]byte(out), []byte("fleet-placement")) {
+		t.Errorf("trace output lists a second root per decision:\n%s", out)
 	}
 	data, err := os.ReadFile(chrome)
 	if err != nil {
@@ -136,16 +143,13 @@ func TestTraceCommandPerturbed(t *testing.T) {
 	}
 }
 
-// TestChurnMetricsFlag runs the churn command with -metrics-addr on an
-// ephemeral port, exercising the flag wiring end to end (profile + train +
-// online loop with a live endpoint and instrumented predictor).
-func TestChurnMetricsFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
+// trainedArtifacts profiles the catalog and trains a small model into a
+// temp dir, returning the two paths.
+func trainedArtifacts(t *testing.T) (profiles, model string) {
+	t.Helper()
 	dir := t.TempDir()
-	profiles := filepath.Join(dir, "profiles.json")
-	model := filepath.Join(dir, "model.gob")
+	profiles = filepath.Join(dir, "profiles.json")
+	model = filepath.Join(dir, "model.gob")
 	if err := cmdProfile([]string{"-out", profiles}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +160,49 @@ func TestChurnMetricsFlag(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return profiles, model
+}
+
+// TestFaultsCommandReplays: with prediction dropouts scheduled the greedy
+// runs score through the fallback chain, whose breaker counts queries — a
+// stateful scorer called from the cluster's shard goroutine. Same seeds must
+// still print the same bytes, served-by-stage totals included, on one core
+// or two.
+func TestFaultsCommandReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	profiles, model := trainedArtifacts(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for i, procs := range []int{1, 2, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		out := captureStdout(t, func() error {
+			return cmdFaults([]string{
+				"-profiles", profiles, "-model", model,
+				"-games", "1,2,3,4,5", "-servers", "30", "-sessions", "300",
+				"-dropout-rate", "0.6",
+			})
+		})
+		if !regexp.MustCompile(`, [1-9]\d* by the capacity stage`).MatchString(out) {
+			t.Fatalf("dropouts never pushed a query onto the capacity stage:\n%s", out)
+		}
+		if i == 0 {
+			first = out
+		} else if out != first {
+			t.Fatalf("run %d (GOMAXPROCS %d) differs from the first:\n%s\nvs\n%s", i, procs, out, first)
+		}
+	}
+}
+
+// TestChurnMetricsFlag runs the churn command with -metrics-addr on an
+// ephemeral port, exercising the flag wiring end to end (profile + train +
+// online loop with a live endpoint and instrumented predictor).
+func TestChurnMetricsFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	profiles, model := trainedArtifacts(t)
 	out := captureStdout(t, func() error {
 		return cmdChurn([]string{
 			"-profiles", profiles,

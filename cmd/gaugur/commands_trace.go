@@ -9,6 +9,7 @@ import (
 	"gaugur/internal/core"
 	"gaugur/internal/obs/trace"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -56,8 +57,6 @@ func cmdTrace(args []string) error {
 	}
 	const maxPer = 4
 	cfg := sched.OnlineConfig{
-		NumServers:   *servers,
-		MaxPerServer: maxPer,
 		ArrivalRate:  0.85 * float64(*servers) * maxPer / 6,
 		MeanDuration: 6,
 		Sessions:     *sessions,
@@ -66,7 +65,9 @@ func cmdTrace(args []string) error {
 		Tracer:       tracer,
 		Audit:        aud,
 	}
-	res, err := sched.RunOnline(cfg, sched.GreedyPolicyTraced(score, maxPer, tracer), eval, 60)
+	res, err := sched.RunChurn(cfg, fleet.Config{
+		NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Tracer: tracer,
+	}, eval, 60)
 	if err != nil {
 		return err
 	}

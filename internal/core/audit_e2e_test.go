@@ -9,6 +9,7 @@ import (
 	"gaugur/internal/core"
 	"gaugur/internal/profile"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -67,8 +68,6 @@ func TestDriftAlarmPerturbedPhysics(t *testing.T) {
 	run := func(eval sched.FPSEvaluator) core.QualitySummary {
 		aud := core.NewAuditor(nil, p, p.QoS, core.AuditorConfig{Window: 64, MinResolved: 16, MAEThreshold: 18})
 		cfg := sched.OnlineConfig{
-			NumServers:   20,
-			MaxPerServer: 4,
 			ArrivalRate:  20.0 * 4 * 0.8 / 6,
 			MeanDuration: 6,
 			Sessions:     400,
@@ -76,7 +75,12 @@ func TestDriftAlarmPerturbedPhysics(t *testing.T) {
 			Seed:         13,
 			Audit:        aud,
 		}
-		if _, err := sched.RunOnline(cfg, sched.GreedyPolicy(score, 4), eval, p.QoS); err != nil {
+		c, err := fleet.New(fleet.Config{NumServers: 20, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := sched.RunOnline(cfg, c, eval, p.QoS); err != nil {
 			t.Fatal(err)
 		}
 		return aud.Summary()

@@ -8,8 +8,8 @@ import "sync/atomic"
 // manager promotes a new model by swapping the pointer — in-flight queries
 // finish on whichever model they loaded, and no decision is ever dropped.
 //
-// The generation counter invalidates derived caches (the GreedyPolicy
-// score memo tags its keys with it). Swap stores the new pointer BEFORE
+// The generation counter invalidates derived caches (the fleet shards'
+// score memos tag their keys with it). Swap stores the new pointer BEFORE
 // incrementing the generation: a racing reader can then at worst cache a
 // NEW model's score under the OLD generation tag — an entry that dies with
 // the swap — never an old score under the new tag, which would survive it.

@@ -13,6 +13,7 @@ import (
 
 	"gaugur/internal/core"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 )
 
 // The manager must satisfy both scheduler hooks structurally.
@@ -47,11 +48,15 @@ func TestLifecycleRecoversFromPerturbedPhysics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The policy scores with whatever model the handle currently serves and
+	// The cluster scores with whatever model the handle currently serves and
 	// tags its memo with the swap generation, so promoted models take over
 	// future placements immediately — no stale cached scores.
 	score := func(g []int) float64 { return h.Load().PredictTotalFPS(toColoc(g)) }
-	policy := sched.GreedyPolicyVersioned(score, 4, h.Generation)
+	cluster, err := fleet.New(fleet.Config{NumServers: 20, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score), Gen: h.Generation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
 
 	// Perturbed physics: every COLOCATED session runs 45% slower than the
 	// world the seed model was trained on (new hardware generation, stale
@@ -69,8 +74,6 @@ func TestLifecycleRecoversFromPerturbedPhysics(t *testing.T) {
 	}
 
 	cfg := sched.OnlineConfig{
-		NumServers:   20,
-		MaxPerServer: 4,
 		ArrivalRate:  20.0 * 4 * 0.8 / 6,
 		MeanDuration: 6,
 		Sessions:     1600,
@@ -79,7 +82,7 @@ func TestLifecycleRecoversFromPerturbedPhysics(t *testing.T) {
 		Audit:        lm,
 		Lifecycle:    lm,
 	}
-	if _, err := sched.RunOnline(cfg, policy, perturbed, p.QoS); err != nil {
+	if _, err := sched.RunOnline(cfg, cluster, perturbed, p.QoS); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"gaugur/internal/core"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -61,8 +62,6 @@ func ExtFaults(env *Env) (*Table, error) {
 		servers = 4
 	}
 	base := sched.OnlineConfig{
-		NumServers:   servers,
-		MaxPerServer: 4,
 		ArrivalRate:  float64(servers) * 0.425,
 		MeanDuration: 8,
 		Sessions:     sessions,
@@ -124,18 +123,18 @@ func ExtFaults(env *Env) (*Table, error) {
 		Columns: []string{"policy", "mean FPS", "time below QoS", "migrated", "dropped", "MTTR", "rejected"},
 	}
 	rows := []struct {
-		name string
-		cfg  sched.OnlineConfig
-		pol  sched.PlacementPolicy
+		name  string
+		cfg   sched.OnlineConfig
+		fleet fleet.Config
 	}{
-		{"GAugur greedy, no faults", base, sched.GreedyPolicy(scorer(p.PredictFPS), 4)},
-		{"GAugur greedy + migration + watchdog", faulted(true), sched.GreedyPolicy(scorer(p.PredictFPS), 4)},
-		{"GAugur greedy + fallback chain", fbCfg, sched.GreedyPolicy(scorer(fbScore), 4)},
-		{"GAugur greedy, migration disabled", faulted(false), sched.GreedyPolicy(scorer(p.PredictFPS), 4)},
-		{"least-loaded + migration", faulted(true), sched.LeastLoadedPolicy(4)},
+		{"GAugur greedy, no faults", base, greedyFleet(servers, scorer(p.PredictFPS))},
+		{"GAugur greedy + migration + watchdog", faulted(true), greedyFleet(servers, scorer(p.PredictFPS))},
+		{"GAugur greedy + fallback chain", fbCfg, greedyFleet(servers, scorer(fbScore))},
+		{"GAugur greedy, migration disabled", faulted(false), greedyFleet(servers, scorer(p.PredictFPS))},
+		{"least-loaded + migration", faulted(true), leastLoadedFleet(servers)},
 	}
 	for _, r := range rows {
-		res, err := sched.RunOnline(r.cfg, r.pol, eval, qos)
+		res, err := sched.RunChurn(r.cfg, r.fleet, eval, qos)
 		if err != nil {
 			return nil, err
 		}

@@ -50,8 +50,6 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	}
 	const maxPer = 4
 	base := sched.OnlineConfig{
-		NumServers:   servers,
-		MaxPerServer: maxPer,
 		ArrivalRate:  float64(servers) * maxPer * 0.8 / 6,
 		MeanDuration: 6,
 		Sessions:     sessions,
@@ -71,9 +69,9 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	staleAud := core.NewAuditor(nil, p, qos, audCfg)
 	staleCfg := base
 	staleCfg.Audit = staleAud
-	staleRes, err := sched.RunOnline(staleCfg, sched.GreedyPolicy(func(g []int) float64 {
+	staleRes, err := sched.RunChurn(staleCfg, greedyFleet(servers, func(g []int) float64 {
 		return p.PredictTotalFPS(toColoc(g))
-	}, maxPer), perturbed, qos)
+	}), perturbed, qos)
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +98,11 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	healCfg := base
 	healCfg.Audit = lm
 	healCfg.Lifecycle = lm
-	healRes, err := sched.RunOnline(healCfg, sched.GreedyPolicyVersioned(func(g []int) float64 {
+	healFleet := greedyFleet(servers, func(g []int) float64 {
 		return h.Load().PredictTotalFPS(toColoc(g))
-	}, maxPer, h.Generation), perturbed, qos)
+	})
+	healFleet.Gen = h.Generation
+	healRes, err := sched.RunChurn(healCfg, healFleet, perturbed, qos)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"gaugur/internal/ml"
 	"gaugur/internal/profile"
 	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 	"gaugur/internal/stats"
 )
@@ -156,8 +157,6 @@ func ExtChurn(env *Env) (*Table, error) {
 	// Offered load ~3.4 concurrent sessions per 4-slot server: placement
 	// quality, not slack, decides the outcome.
 	cfg := sched.OnlineConfig{
-		NumServers:   servers,
-		MaxPerServer: 4,
 		ArrivalRate:  float64(servers) * 0.425,
 		MeanDuration: 8,
 		Sessions:     sessions,
@@ -171,16 +170,16 @@ func ExtChurn(env *Env) (*Table, error) {
 		Columns: []string{"policy", "mean FPS", "time below QoS", "rejected", "peak active"},
 	}
 	policies := []struct {
-		name string
-		pol  sched.PlacementPolicy
+		name  string
+		fleet fleet.Config
 	}{
-		{"GAugur(RM) greedy", sched.GreedyPolicy(scorer(p.PredictFPS), 4)},
-		{"GAugur(RM) QoS-aware", sched.GreedyPolicy(clippedScorer(p.PredictFPS), 4)},
-		{"Sigmoid greedy", sched.GreedyPolicy(scorer(sg.PredictFPS), 4)},
-		{"least-loaded", sched.LeastLoadedPolicy(4)},
+		{"GAugur(RM) greedy", greedyFleet(servers, scorer(p.PredictFPS))},
+		{"GAugur(RM) QoS-aware", greedyFleet(servers, clippedScorer(p.PredictFPS))},
+		{"Sigmoid greedy", greedyFleet(servers, scorer(sg.PredictFPS))},
+		{"least-loaded", leastLoadedFleet(servers)},
 	}
 	for _, pl := range policies {
-		res, err := sched.RunOnline(cfg, pl.pol, eval, qos)
+		res, err := sched.RunChurn(cfg, pl.fleet, eval, qos)
 		if err != nil {
 			return nil, err
 		}
@@ -188,6 +187,17 @@ func ExtChurn(env *Env) (*Table, error) {
 	}
 	t.AddNote("%d sessions, %d servers, Poisson arrivals, exponential playtimes", sessions, servers)
 	return t, nil
+}
+
+// greedyFleet and leastLoadedFleet configure the single-shard, four-slot
+// cluster a churn experiment drives: the Section 5.2 rule scored by score,
+// and the interference-blind strawman.
+func greedyFleet(servers int, score sched.Scorer) fleet.Config {
+	return fleet.Config{NumServers: servers, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score)}
+}
+
+func leastLoadedFleet(servers int) fleet.Config {
+	return fleet.Config{NumServers: servers, MaxPerServer: 4, Mode: fleet.ModeLeastLoaded}
 }
 
 // ExtHetero quantifies cross-server-type transfer (future work 1): models

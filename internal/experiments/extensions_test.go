@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,6 +133,29 @@ func TestExtFaultsMigrationRecovers(t *testing.T) {
 	blindViol := cellFloat(t, tab, 4, 2)
 	if awareViol >= blindViol {
 		t.Errorf("aware policy under faults (%v) should stay below blind (%v)", awareViol, blindViol)
+	}
+}
+
+// TestExtFaultsReplays: the fallback-chain row scores through a stateful
+// scorer — the breaker's cooldown counts queries — which the cluster calls
+// from a shard goroutine with each probe's uncached states. The whole table,
+// that row and the chain's served-by-stage totals in its note included, must
+// still be a function of the seeds alone, on one core or two.
+func TestExtFaultsReplays(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first string
+	for i, procs := range []int{1, 2, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		runFig(t, "ext-faults").Render(&buf)
+		if !strings.Contains(buf.String(), "fallback chain served") {
+			t.Fatalf("table carries no served totals:\n%s", buf.String())
+		}
+		if i == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d (GOMAXPROCS %d) differs from the first:\n%s\nvs\n%s", i, procs, buf.String(), first)
+		}
 	}
 }
 

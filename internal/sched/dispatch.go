@@ -2,9 +2,11 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gaugur/internal/core"
+	"gaugur/internal/sched/fleet"
 )
 
 // Scorer evaluates the predicted TOTAL frame rate a server would deliver if
@@ -27,117 +29,38 @@ type Dispatcher struct {
 	Score Scorer
 }
 
-// serverState groups identical servers: with a 10-game study the number of
-// distinct multisets is tiny compared to the fleet, so scoring is memoized
-// per state instead of per server.
-type serverState struct {
-	games []int // sorted multiset
-	count int
-}
-
-func stateKey(games []int) string { return fmt.Sprint(games) }
-
 // Assign places the requests (a slice of game IDs, in arrival order) and
-// returns the final content of every non-empty server.
+// returns the final content of every non-empty server, sorted. It is one
+// batch through a single-shard fleet.Cluster, whose state-group index
+// memoizes scoring per distinct server state instead of per server: with a
+// 10-game study the number of distinct multisets is tiny compared to the
+// fleet.
 func (d *Dispatcher) Assign(requests []int) ([][]int, error) {
-	if d.NumServers <= 0 {
-		return nil, fmt.Errorf("sched: dispatcher needs at least one server")
+	c, err := fleet.New(fleet.Config{
+		NumServers:   d.NumServers,
+		MaxPerServer: d.MaxPerServer,
+		Scorer:       fleet.ScorerFunc(d.Score),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sched: dispatcher: %w", err)
 	}
-	maxPer := d.MaxPerServer
-	if maxPer <= 0 {
-		maxPer = 4
+	defer c.Close()
+	if capacity := c.Capacity(); len(requests) > capacity {
+		return nil, fmt.Errorf("sched: %d requests exceed fleet capacity %d", len(requests), capacity)
 	}
-	if len(requests) > d.NumServers*maxPer {
-		return nil, fmt.Errorf("sched: %d requests exceed fleet capacity %d", len(requests), d.NumServers*maxPer)
-	}
-
-	states := map[string]*serverState{}
-	empty := &serverState{games: nil, count: d.NumServers}
-	states[stateKey(nil)] = empty
-
-	scoreCache := map[string]float64{}
-	score := func(games []int) float64 {
-		k := stateKey(games)
-		if v, ok := scoreCache[k]; ok {
-			return v
-		}
-		v := d.Score(games)
-		scoreCache[k] = v
-		return v
-	}
-
-	for _, g := range requests {
-		var bestFrom *serverState
-		var bestTo []int
-		bestScore := 0.0
-		found := false
-
-		// Deterministic iteration over states.
-		keys := make([]string, 0, len(states))
-		for k := range states {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-
-		for _, k := range keys {
-			st := states[k]
-			if st.count <= 0 || len(st.games) >= maxPer {
-				continue
-			}
-			cand := insertSorted(st.games, g)
-			delta := score(cand)
-			if len(st.games) > 0 {
-				delta -= score(st.games)
-			}
-			if !found || delta > bestScore {
-				found = true
-				bestScore = delta
-				bestFrom = st
-				bestTo = cand
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sched: no server can take game %d", g)
-		}
-		bestFrom.count--
-		if bestFrom.count == 0 {
-			delete(states, stateKey(bestFrom.games))
-		}
-		tk := stateKey(bestTo)
-		if st, ok := states[tk]; ok {
-			st.count++
-		} else {
-			states[tk] = &serverState{games: bestTo, count: 1}
+	for i, r := range c.PlaceBatch(requests, nil) {
+		if !r.OK {
+			return nil, fmt.Errorf("sched: no server can take game %d", requests[i])
 		}
 	}
-
 	var out [][]int
-	keys := make([]string, 0, len(states))
-	for k := range states {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		st := states[k]
-		if len(st.games) == 0 {
-			continue
-		}
-		for i := 0; i < st.count; i++ {
-			out = append(out, append([]int(nil), st.games...))
+	for _, games := range c.Snapshot() {
+		if len(games) > 0 {
+			out = append(out, games)
 		}
 	}
+	slices.SortFunc(out, slices.Compare[[]int])
 	return out, nil
-}
-
-// insertSorted returns a new sorted slice with g inserted.
-func insertSorted(games []int, g int) []int {
-	out := make([]int, 0, len(games)+1)
-	out = append(out, games...)
-	i := sort.SearchInts(out, g)
-	out = append(out, 0)
-	copy(out[i+1:], out[i:])
-	out[i] = g
-	return out
 }
 
 // WorstFit assigns each request to the server with the most remaining

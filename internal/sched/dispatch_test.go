@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 )
+
+func stateKey(games []int) string { return fmt.Sprint(games) }
 
 // sumScorer returns a Scorer that gives each game a fixed value and
 // subtracts a pairwise penalty per cohabiting pair.
@@ -150,18 +153,5 @@ func TestExpandRequestsInterleaves(t *testing.T) {
 	// Round-robin: first pass serves each game once.
 	if out[0] != 1 || out[1] != 2 || out[2] != 3 || out[3] != 1 || out[4] != 2 {
 		t.Errorf("ExpandRequests = %v", out)
-	}
-}
-
-func TestInsertSorted(t *testing.T) {
-	got := insertSorted([]int{1, 3, 5}, 4)
-	want := []int{1, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertSorted = %v", got)
-		}
-	}
-	if got := insertSorted(nil, 7); len(got) != 1 || got[0] != 7 {
-		t.Errorf("insertSorted into empty = %v", got)
 	}
 }

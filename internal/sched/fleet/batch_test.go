@@ -232,6 +232,62 @@ func TestScorerFuncGrowsDst(t *testing.T) {
 	}
 }
 
+// TestStatefulScorerReplays: a scorer that is not a pure function of the
+// state — its answer drifts with the number of queries it has served, like a
+// breaker counting calls — must still see the same query sequence, and so
+// make the same placements, on every run. Shards hand over a probe's
+// uncached states in Go map order; ScorerFunc scoring them in canonical
+// order is what makes the sequence a function of the call sequence alone.
+func TestStatefulScorerReplays(t *testing.T) {
+	run := func() (queries [][]int, placed []Placement) {
+		calls := 0
+		c, err := New(Config{NumServers: 40, MaxPerServer: 4, Scorer: ScorerFunc(func(games []int) float64 {
+			calls++
+			queries = append(queries, append([]int(nil), games...))
+			return synthScore(games) - 1e-3*float64(calls%7)
+		})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rng := rand.New(rand.NewSource(5))
+		var active []int
+		for i := 0; i < 400; i++ {
+			if len(active) > 0 && rng.Intn(4) == 0 {
+				j := rng.Intn(len(active))
+				c.Remove(active[j])
+				active = append(active[:j], active[j+1:]...)
+				continue
+			}
+			if pl, ok := c.Place(rng.Intn(12)); ok {
+				placed = append(placed, pl)
+				active = append(active, pl.Session)
+			}
+		}
+		verifyInvariants(t, c)
+		return queries, placed
+	}
+	q1, p1 := run()
+	for i := 0; i < 3; i++ {
+		q2, p2 := run()
+		if !reflect.DeepEqual(q1, q2) {
+			t.Fatalf("run %d: the scorer saw a different query sequence (%d vs %d queries)", i, len(q1), len(q2))
+		}
+		if !reflect.DeepEqual(p1, p2) {
+			t.Fatalf("run %d: a stateful scorer changed the placements", i)
+		}
+	}
+	multi := 0
+	for i := 1; i < len(q1); i++ {
+		if len(q1[i]) > 1 {
+			multi++
+		}
+	}
+	if multi < 50 {
+		t.Fatalf("degenerate run: only %d multi-game states scored", multi)
+	}
+}
+
 // TestPredictorScorerRealloc is the regression test for the silent
 // truncation bug: predictorScorer used to copy(dst, res) after
 // PredictTotalFPSBatch, so when the batch call reallocated (cap(dst) <

@@ -1,24 +1,23 @@
-package sched
+package fleet
 
 import "gaugur/internal/sim"
 
-// Score memoization shared by the greedy policies in this package and the
-// sharded fleet dispatcher (internal/sched/fleet): an order-invariant
-// multiset hash identifying a candidate colocation, and a FIFO-bounded
-// map memoizing the scorer's answer per state.
+// Score memoization for the shard probe: an order-invariant multiset hash
+// identifying a candidate colocation, and a FIFO-bounded map memoizing the
+// scorer's answer per state.
 
-// greedyCacheCap bounds GreedyPolicy's score memo. A week-long churn
-// stream visits unboundedly many distinct states, so the memo evicts FIFO
-// past this many entries instead of growing memory without limit.
-const greedyCacheCap = 1 << 14
+// defaultCacheCap bounds a shard's score memo. A week-long churn stream
+// visits unboundedly many distinct states, so the memo evicts FIFO past
+// this many entries instead of growing memory without limit.
+const defaultCacheCap = 1 << 14
 
-// MultisetHash folds a game multiset into a 64-bit key by summing each
+// multisetHash folds a game multiset into a 64-bit key by summing each
 // id through sim.Mix64. Addition commutes, so the hash is
 // order-invariant — hash(occupants ∪ {g}) is hash(occupants) +
 // Mix64(g), computable without materializing the candidate slice — and
 // the mixer spreads ids across the full word so sums of small ids do not
 // collide. The empty multiset hashes to zero.
-func MultisetHash(games []int) uint64 {
+func multisetHash(games []int) uint64 {
 	var h uint64
 	for _, g := range games {
 		h += sim.Mix64(uint64(g))
@@ -26,36 +25,36 @@ func MultisetHash(games []int) uint64 {
 	return h
 }
 
-// ScoreCache is a FIFO-bounded uint64->float64 memo. Eviction order never
+// scoreCache is a FIFO-bounded uint64->float64 memo. Eviction order never
 // affects results (the scorer is pure); the bound only caps memory. The
 // insertion order lives in a fixed ring, so every operation — hit, insert,
 // or insert-with-eviction — is O(1) with no compaction pauses, and a hit
 // allocates nothing.
-type ScoreCache struct {
+type scoreCache struct {
 	limit int
 	m     map[uint64]float64
 	ring  []uint64 // insertion order; grows to limit, then overwrites
 	head  int      // oldest entry once the ring is full
 }
 
-// NewScoreCache returns a cache bounded to limit entries (the default
-// greedy cap when limit <= 0).
-func NewScoreCache(limit int) *ScoreCache {
+// newScoreCache returns a cache bounded to limit entries (the default cap
+// when limit <= 0).
+func newScoreCache(limit int) *scoreCache {
 	if limit <= 0 {
-		limit = greedyCacheCap
+		limit = defaultCacheCap
 	}
-	return &ScoreCache{limit: limit, m: make(map[uint64]float64)}
+	return &scoreCache{limit: limit, m: make(map[uint64]float64)}
 }
 
 // Lookup reports the memoized value for k, if present.
-func (c *ScoreCache) Lookup(k uint64) (float64, bool) {
+func (c *scoreCache) Lookup(k uint64) (float64, bool) {
 	v, ok := c.m[k]
 	return v, ok
 }
 
 // Put stores k's value, evicting the oldest entry when full. Re-putting a
 // present key overwrites the value without consuming a ring slot.
-func (c *ScoreCache) Put(k uint64, v float64) {
+func (c *scoreCache) Put(k uint64, v float64) {
 	if _, ok := c.m[k]; ok {
 		c.m[k] = v
 		return
@@ -74,16 +73,5 @@ func (c *ScoreCache) Put(k uint64, v float64) {
 	c.m[k] = v
 }
 
-// Get returns the memoized value for k, computing and (boundedly) storing
-// it on a miss.
-func (c *ScoreCache) Get(k uint64, miss func() float64) float64 {
-	if v, ok := c.m[k]; ok {
-		return v
-	}
-	v := miss()
-	c.Put(k, v)
-	return v
-}
-
 // Len reports the number of memoized entries.
-func (c *ScoreCache) Len() int { return len(c.m) }
+func (c *scoreCache) Len() int { return len(c.m) }

@@ -183,9 +183,12 @@ func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 //
 // When times covers the batch (len(times) >= len(games)), times[i] receives
 // the clock stamps and probe counts of games[i]'s decision and the
-// per-arrival "fleet-placement" traces are suppressed — the caller owns the
-// traces and materializes spans from the breadcrumbs off the balancer's
-// critical path. Timing observes the decision, it never participates in it.
+// per-arrival traces are suppressed — the caller owns the traces and
+// materializes spans from the breadcrumbs off the balancer's critical path.
+// Otherwise each arrival's "score-shard" spans hang on the tracer's ambient
+// decision context when one is installed (one decision, one trace), and on a
+// "fleet-placement" trace of their own when not. Timing observes the
+// decision, it never participates in it.
 func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchTiming) []BatchResult {
 	if cap(dst) < len(games) {
 		dst = make([]BatchResult, len(games))
@@ -260,8 +263,11 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 		dspan := c.met.decision.Start()
 		tm := &untimed
 		var tctx trace.Ctx
+		ambient := false
 		if timed {
 			tm = &times[i]
+		} else if tctx = c.tr.Current(); tctx.Active() {
+			ambient = true
 		} else {
 			tctx = c.tr.StartTrace("fleet-placement", trace.Int("game", g))
 		}
@@ -272,7 +278,7 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 		if timed {
 			tm.EndNS = c.tr.Now()
 			lastNS = tm.EndNS
-		} else if tctx.Active() {
+		} else if tctx.Active() && !ambient {
 			if tm.Escape {
 				tctx = tctx.SetAttr(trace.Bool("escape", true))
 			}
@@ -467,6 +473,36 @@ func (cl *Caller) commitLocked(game, shard int, best shardResp, tm *BatchTiming)
 	c.met.shardSessions[shard].Set(float64(c.loads[shard]))
 	c.maybePlanSteal(shard)
 	return Placement{Session: sid, Server: best.server, Shard: shard, Delta: best.delta, Seq: seq}
+}
+
+// Migrate moves a placed session to the best server other than the one it
+// is on, keeping its id, and reports where it went; false — with the session
+// left in place — when the id is unknown or no other server has room. The
+// whole move holds the commit lock: the session's own server is masked out
+// of its shard's index for the probe and filed back before anything moves,
+// so every other server is scored against the fleet exactly as it stands,
+// and under the lock the answer cannot go stale before the move books it.
+func (cl *Caller) Migrate(sid int) (server int, ok bool) {
+	c := cl.c
+	c.mu.Lock()
+	loc, ok := c.sessions[sid]
+	if !ok {
+		c.mu.Unlock()
+		return 0, false
+	}
+	genTag := c.genTag()
+	src := c.shards[loc.shard]
+	src.reqs <- shardReq{op: opMask, server: loc.server}
+	c.masks++
+	best, shard, found := cl.probe(c.all, loc.game, genTag, true, c.tr.Current())
+	src.reqs <- shardReq{op: opUnmask, server: loc.server}
+	if found {
+		c.moveLocked(sid, loc, shard, best.server)
+		c.stats.Migrated++
+	}
+	c.mu.Unlock()
+	cl.flushStats()
+	return best.server, found
 }
 
 // Remove departs a session; false when the id is unknown. Sequenced under

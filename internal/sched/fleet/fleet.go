@@ -17,12 +17,20 @@
 // call sequence) replays byte-identically at any shard count, under the
 // race detector, with metrics and tracing on. With ShardCount=1 the
 // candidate set degenerates to a full scan and the placement sequence is
-// bit-identical to sched.GreedyPolicy; with K >= ShardCount (full fan-out,
-// stealing off) it is bit-identical across ANY shard count.
+// bit-identical to a flat scan of every server (the test oracle); with
+// K >= ShardCount (full fan-out, stealing off) it is bit-identical across
+// ANY shard count.
+//
+// The cluster is also the one world the churn simulator (sched.RunOnline)
+// drives: FailServer and RestoreServer take a crashed server out of the
+// placement index and bring it back, and Migrate moves a session to the best
+// server other than its own — each sequenced under the commit lock like a
+// steal move.
 package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gaugur/internal/obs"
@@ -49,14 +57,26 @@ const (
 // must use the RETURN value, never assume dst was filled in place (the
 // append contract every batch API in this repo follows). Implementations
 // must be safe for concurrent use — every shard goroutine calls the
-// shared scorer during the fan-out. Values must be pure functions of the
-// state (the caches and all determinism guarantees depend on it).
+// shared scorer during the fan-out. Values should be pure functions of the
+// state: the cross-shard-count and batched-vs-sequential guarantees depend
+// on it, and a score is memoized per state for as long as the cache keeps it.
+//
+// An impure scorer (the fallback chain, whose breaker cooldown counts
+// queries) still replays byte-identically under one caller, because what it
+// may rely on is fixed: one call per probe, made only for that probe's
+// uncached states, each state at most once, on a shard goroutine while the
+// caller waits — so calls never overlap within a shard and their sequence
+// is a function of the call sequence. What it may NOT rely on is the order
+// of states within a call (shards gather them in Go map order; sort inside
+// the scorer, as ScorerFunc does) or being asked again for a state it has
+// already scored.
 type BatchScorer interface {
 	ScoreStates(states [][]int, dst []float64) []float64
 }
 
-// ScorerFunc adapts a single-state sched.Scorer (which must be pure and
-// goroutine-safe) to BatchScorer.
+// ScorerFunc adapts a goroutine-safe single-state scorer to BatchScorer. It
+// scores each call's states in lexicographic order, whatever order they were
+// handed over in, so a stateful f sees a reproducible query sequence.
 type ScorerFunc func(games []int) float64
 
 // ScoreStates implements BatchScorer.
@@ -65,8 +85,17 @@ func (f ScorerFunc) ScoreStates(states [][]int, dst []float64) []float64 {
 		dst = make([]float64, len(states))
 	}
 	dst = dst[:len(states)]
-	for i, s := range states {
-		dst[i] = f(s)
+	if len(states) == 1 {
+		dst[0] = f(states[0])
+		return dst
+	}
+	order := make([]int, len(states))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(states[a], states[b]) })
+	for _, i := range order {
+		dst[i] = f(states[i])
 	}
 	return dst
 }
@@ -93,7 +122,7 @@ type Config struct {
 	Mode Mode
 	// Gen, when non-nil, reports the serving model's generation; every
 	// score-cache key is tagged with it so a hot swap invalidates all
-	// shards' memos at once (see sched.GreedyPolicyVersioned).
+	// shards' memos at once.
 	Gen func() uint64
 	// CacheCap bounds each shard's score cache; <= 0 uses the default.
 	CacheCap int
@@ -107,8 +136,10 @@ type Config struct {
 	// StealBatch bounds the sessions per steal plan; <= 0 defaults to 8.
 	StealBatch int
 
-	// Metrics and Tracer mirror the sched.OnlineConfig contract: nil-safe
-	// and never feeding back into placement decisions.
+	// Metrics and Tracer are nil-safe and never feed back into placement
+	// decisions. While the tracer carries an ambient decision context (the
+	// one sched.RunOnline installs) scoring spans nest under it; otherwise
+	// every untimed arrival opens its own "fleet-placement" trace.
 	Metrics *obs.Registry
 	Tracer  *trace.Tracer
 	// Flight, when non-nil, receives the dispatch plane's flight-recorder
@@ -172,6 +203,9 @@ type Stats struct {
 	// because an optimistic one could not be validated. Both stay zero
 	// while a single caller drives the cluster.
 	CommitConflicts, LockedProbes int
+	// Migrated counts sessions Migrate moved. Sessions FailServer evicted
+	// have left the cluster and count as Removed.
+	Migrated int
 }
 
 type sessionLoc struct {
@@ -207,8 +241,10 @@ type Cluster struct {
 	sessions  map[int]sessionLoc
 	nextSID   int
 	loads     []int // sessions per shard
-	caps      []int // slot capacity per shard
-	occ       []int
+	caps      []int // slot capacity per shard, down servers excluded
+	occ       []int // parked at max while a server is down: no commit can land
+	down      []bool
+	masks     uint64 // Migrate probes that hid a server, see mutations
 	commitSeq uint64
 	nCallers  int
 	stealSeq  int64
@@ -280,6 +316,7 @@ func New(cfg Config) (*Cluster, error) {
 		loads:      make([]int, shardCount),
 		caps:       make([]int, shardCount),
 		occ:        make([]int, cfg.NumServers),
+		down:       make([]bool, cfg.NumServers),
 		stealGap:   gap,
 		stealBatch: batch,
 		met:        newFleetMetrics(cfg.Metrics, shardCount),
@@ -365,7 +402,12 @@ func (c *Cluster) Utilization(shard int) float64 {
 	return c.util(shard)
 }
 
+// util treats a shard whose servers are all down as full: nothing can be
+// placed there, and neither side of a steal should pick it.
 func (c *Cluster) util(shard int) float64 {
+	if c.caps[shard] == 0 {
+		return 1
+	}
 	return float64(c.loads[shard]) / float64(c.caps[shard])
 }
 
@@ -378,15 +420,19 @@ func (c *Cluster) Locate(sid int) (server int, ok bool) {
 	return loc.server, ok
 }
 
-// mutations counts every change to what is placed where — commits,
-// removals and steal moves — so two equal readings under the lock prove no
-// shard's contents moved in between.
+// mutations counts every change to what a probe can see — commits, removals
+// (evictions included), steal moves, migrations and Migrate's masking — so
+// two equal readings under the lock prove no shard's index moved in between.
+// A restored server only adds room, which a reject taken before it may miss.
 func (c *Cluster) mutations() uint64 {
-	return c.commitSeq + uint64(c.stats.Removed) + uint64(c.stats.StolenSessions)
+	return c.commitSeq + c.masks +
+		uint64(c.stats.Removed) + uint64(c.stats.StolenSessions) + uint64(c.stats.Migrated)
 }
 
 // genTag folds the model generation into score-cache keys, read once per
-// decision (same contract as sched.GreedyPolicyVersioned). A tag change —
+// decision: a swap mid-decision at worst re-scores one placement. Mix64
+// spreads consecutive generations across the word so a bumped generation
+// cannot collide with a nearby state hash. A tag change —
 // the serving model was hot-swapped since the last decision — lands a
 // "gen-swap" event in the flight recorder, so a dump shows placement events
 // on either side of the swap boundary. The caller holds c.mu.
@@ -419,7 +465,7 @@ func (c *Cluster) maybePlanSteal(donor int) {
 	}
 	target := -1
 	for i := 0; i < c.nShards; i++ {
-		if i == donor {
+		if i == donor || c.caps[i] == 0 {
 			continue
 		}
 		if target < 0 || c.loads[i]*c.caps[target] < c.loads[target]*c.caps[i] {
@@ -503,24 +549,10 @@ func (c *Cluster) applySteal(cl *Caller) {
 			tctx.End(trace.String("outcome", "aborted"))
 			return
 		}
-		// Commit on the target FIRST, then remove from the donor: the
-		// session exists somewhere at every step. The commit needs no
-		// ack — the donor remove below is the move's synchronization.
-		target.reqs <- shardReq{op: opCommit, game: m.game, sid: m.sid, server: r.server}
-		donor := c.shards[p.from]
-		donor.reqs <- shardReq{op: opRemove, sid: m.sid, server: m.server}
-		<-donor.resp
-		loc.shard, loc.server = p.to, r.server
-		c.sessions[m.sid] = loc
+		c.moveLocked(m.sid, loc, p.to, r.server)
 		cl.dirty[p.from], cl.dirty[p.to] = true, true
-		c.loads[p.from]--
-		c.loads[p.to]++
-		c.occ[m.server]--
-		c.occ[r.server]++
 		c.stats.StolenSessions++
 		c.met.stolen.Inc()
-		c.met.shardSessions[p.from].Set(float64(c.loads[p.from]))
-		c.met.shardSessions[p.to].Set(float64(c.loads[p.to]))
 		c.flight.TryRecord(flight.Event{Kind: "steal-move",
 			Session: m.sid, Server: r.server, Shard: p.to, Game: m.game})
 		tctx.End(trace.String("outcome", "moved"), trace.Int("server", r.server))
@@ -530,6 +562,107 @@ func (c *Cluster) applySteal(cl *Caller) {
 		return // one move per decision: bounded latency
 	}
 	c.plan = nil
+}
+
+// moveLocked relocates placed session sid from loc to (shard, server). It is
+// committed on the target FIRST and only then removed from the source, so
+// the session exists somewhere at every step; the commit needs no ack — the
+// source's remove reply is the move's synchronization. The caller holds
+// c.mu and has a free slot on the target.
+func (c *Cluster) moveLocked(sid int, loc sessionLoc, shard, server int) {
+	c.shards[shard].reqs <- shardReq{op: opCommit, game: loc.game, sid: sid, server: server}
+	src := c.shards[loc.shard]
+	src.reqs <- shardReq{op: opRemove, sid: sid, server: loc.server}
+	<-src.resp
+	c.sessions[sid] = sessionLoc{shard: shard, server: server, game: loc.game}
+	c.loads[loc.shard]--
+	c.loads[shard]++
+	c.occ[loc.server]--
+	c.occ[server]++
+	c.met.shardSessions[loc.shard].Set(float64(c.loads[loc.shard]))
+	c.met.shardSessions[shard].Set(float64(c.loads[shard]))
+}
+
+// Evicted is one session FailServer took off a crashed server.
+type Evicted struct {
+	Session, Game int
+}
+
+// FailServer crashes a server: every session on it is evicted and returned
+// (in slot order, for the caller to re-place) and the server leaves its
+// state group and the idle heap, so no probe answers with it until
+// RestoreServer. Its ledger entry parks at the cap, which fails the commit
+// of any probe answer that went stale across the crash. Failing a server
+// that is already down (an overlapping crash window) is a no-op.
+func (c *Cluster) FailServer(server int) []Evicted {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.down[server] {
+		return nil
+	}
+	si := c.shardOf(server)
+	sh := c.shards[si]
+	sh.reqs <- shardReq{op: opFail, server: server}
+	r := <-sh.resp
+	c.down[server] = true
+	c.occ[server] = c.max
+	c.caps[si] -= c.max
+	c.loads[si] -= len(r.victims)
+	c.stats.Removed += len(r.victims)
+	c.stats.Active -= len(r.victims)
+	out := make([]Evicted, len(r.victims))
+	for i, v := range r.victims {
+		delete(c.sessions, v.sid)
+		out[i] = Evicted{Session: v.sid, Game: v.game}
+	}
+	c.met.active.Set(float64(c.stats.Active))
+	c.met.shardSessions[si].Set(float64(c.loads[si]))
+	c.flight.TryRecord(flight.Event{Kind: "server-fail", Server: server, Shard: si,
+		Detail: fmt.Sprintf("evicted=%d", len(out))})
+	return out
+}
+
+// RestoreServer brings a failed server back, empty. A no-op on a server
+// that is not down.
+func (c *Cluster) RestoreServer(server int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.down[server] {
+		return
+	}
+	si := c.shardOf(server)
+	c.shards[si].reqs <- shardReq{op: opUnmask, server: server}
+	c.down[server] = false
+	c.occ[server] = 0
+	c.caps[si] += c.max
+	c.flight.TryRecord(flight.Event{Kind: "server-restore", Server: server, Shard: si})
+}
+
+// shardOf maps a global server id to the shard owning it.
+func (c *Cluster) shardOf(server int) int {
+	for i, r := range c.ranges {
+		if server < r[1] {
+			return i
+		}
+	}
+	return -1
+}
+
+// Migrate moves a session through the built-in caller; see Caller.Migrate.
+func (c *Cluster) Migrate(sid int) (server int, ok bool) { return c.self.Migrate(sid) }
+
+// NumServers reports the fleet size, down servers included.
+func (c *Cluster) NumServers() int { return c.cfg.NumServers }
+
+// Capacity reports the fleet's session slots, down servers excluded.
+func (c *Cluster) Capacity() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := 0
+	for _, n := range c.caps {
+		total += n
+	}
+	return total
 }
 
 // StealPending reports whether a steal batch is still draining.

@@ -9,7 +9,6 @@ import (
 
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
-	"gaugur/internal/sched"
 )
 
 // synthScore is a cheap, pure stand-in for the predictor: per-game solo
@@ -37,7 +36,7 @@ func verifyInvariants(t *testing.T, c *Cluster) {
 }
 
 // TestGoldenMatchesFlatGreedy: with one shard the fleet balancer must
-// reproduce the flat sched.GreedyPolicy placement sequence byte-identically
+// reproduce the flat greedy scan (oracle_test.go) placement sequence byte-identically
 // across interleaved arrivals and departures — the acceptance criterion
 // that pins the sharded plane to the validated single-loop dispatcher.
 func TestGoldenMatchesFlatGreedy(t *testing.T) {
@@ -54,7 +53,7 @@ func TestGoldenMatchesFlatGreedy(t *testing.T) {
 	}
 	defer c.Close()
 
-	flat := sched.GreedyPolicy(synthScore, max)
+	flat := flatGreedy(synthScore, max)
 	contents := make([][]int, servers)
 	bySID := map[int]int{} // fleet session id -> game (mirror bookkeeping)
 	active := []int{}
@@ -436,7 +435,7 @@ func TestFullCacheDeterminism(t *testing.T) {
 }
 
 // TestModeLeastLoaded: the interference-blind mode must track the flat
-// LeastLoadedPolicy at shard count 1.
+// least-loaded scan (oracle_test.go) at shard count 1.
 func TestModeLeastLoaded(t *testing.T) {
 	const servers, max = 12, 2
 	c, err := New(Config{
@@ -449,7 +448,7 @@ func TestModeLeastLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	flat := sched.LeastLoadedPolicy(max)
+	flat := flatLeastLoaded(max)
 	contents := make([][]int, servers)
 	for i := 0; i < servers*max; i++ {
 		want, wantOK := flat.Place(contents, i%4)
@@ -589,5 +588,87 @@ func TestNewValidation(t *testing.T) {
 	defer c.Close()
 	if c.nShards != 2 {
 		t.Fatalf("shard count not clamped to fleet size: %d", c.nShards)
+	}
+}
+
+// TestGenTagRetiresStaleScoresOnSwap is the regression the generation tag
+// guards: shards memoize scores by occupancy hash, so a model hot swap that
+// does NOT bump the generation keeps serving the old model's scores
+// forever. The tag folds the swap counter into every cache key, retiring
+// the whole memo at once.
+func TestGenTagRetiresStaleScoresOnSwap(t *testing.T) {
+	var gen atomic.Uint64
+	// bonus decides whether game 3 prefers game 1's server — the stand-in
+	// for "which model is serving". 1 and 2 clash, so they sit apart.
+	var bonus atomic.Int64
+	bonus.Store(10)
+	score := func(g []int) float64 {
+		s := 0.0
+		has := map[int]bool{}
+		for _, id := range g {
+			s += float64(id)
+			has[id] = true
+		}
+		if has[1] && has[3] {
+			s += float64(bonus.Load())
+		}
+		if has[1] && has[2] {
+			s -= 100
+		}
+		return s
+	}
+	c, err := New(Config{NumServers: 2, MaxPerServer: 4, Scorer: ScorerFunc(score), Gen: gen.Load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Place(1)
+	if pl, _ := c.Place(2); pl.Server != 1 {
+		t.Fatalf("setup: game 2 on server %d, want 1", pl.Server)
+	}
+	probe := func() int {
+		pl, ok := c.Place(3)
+		if !ok || !c.Remove(pl.Session) {
+			t.Fatalf("probe placement failed: %+v %v", pl, ok)
+		}
+		return pl.Server
+	}
+	// Model A prefers colocating 3 with 1 → server 0.
+	if s := probe(); s != 0 {
+		t.Fatalf("warm-up placement on server %d, want 0", s)
+	}
+	// The model changes under the hood but the generation does not: the
+	// stale cached scores keep winning. This is the failure mode the tag
+	// exists to close — assert it so the next check is meaningful.
+	bonus.Store(-10)
+	if s := probe(); s != 0 {
+		t.Fatalf("cache should still serve stale scores without a generation bump, got server %d", s)
+	}
+	// A hot swap bumps the generation; the very next placement must see
+	// model B's preference → server 1.
+	gen.Add(1)
+	if s := probe(); s != 1 {
+		t.Fatalf("placement after generation bump on server %d, want 1", s)
+	}
+	// Rolling back is a NEW generation, not a return to the old tag: the
+	// shard re-scores rather than resurrecting generation-0 entries that
+	// could have been evicted meanwhile.
+	bonus.Store(10)
+	gen.Add(1)
+	if s := probe(); s != 0 {
+		t.Fatalf("placement after rollback bump on server %d, want 0", s)
+	}
+}
+
+func TestInsertSorted(t *testing.T) {
+	got := insertSorted([]int{1, 3, 5}, 4)
+	want := []int{1, 3, 4, 5}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("insertSorted = %v", got)
+		}
+	}
+	if got := insertSorted(nil, 7); len(got) != 1 || got[0] != 7 {
+		t.Errorf("insertSorted into empty = %v", got)
 	}
 }

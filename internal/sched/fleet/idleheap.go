@@ -9,7 +9,7 @@ package fleet
 //
 // The (occupancy, index) order makes top() deterministic: among equally
 // empty servers the lowest local index wins, matching the scan order of
-// the flat LeastLoadedPolicy.
+// a flat least-loaded scan.
 type idleHeap struct {
 	items []idleItem
 	pos   []int // local server index -> heap slot, -1 when absent (full server)

@@ -6,7 +6,10 @@ import "fmt"
 // ground truth and returns the first discrepancy: every session lives
 // exactly where the session table says, once; per-shard loads and the
 // per-server occupancy ledger match shard contents and stay within
-// capacity; the counters conserve sessions; commit tickets are dense.
+// capacity; a down server holds no sessions, sits in no state group and not
+// in the idle heap, and its slots are out of its shard's capacity; every
+// other server is in exactly the group its contents name; the counters
+// conserve sessions; commit tickets are dense.
 //
 // It holds the commit lock throughout and quiesces every shard first
 // (commits are fire-and-forget), so no mutation can be in flight while it
@@ -23,9 +26,25 @@ func CheckInvariants(c *Cluster) error {
 	total := 0
 	seen := make(map[int]bool, len(c.sessions))
 	for si, sh := range c.shards {
-		load := 0
+		load, up := 0, 0
 		for local, slots := range sh.slots {
 			server := sh.lo + local
+			g := sh.groups[multisetHash(sh.contents[local])]
+			grouped := g != nil && sh.pos[local] < len(g.members) && g.members[sh.pos[local]] == local
+			if c.down[server] {
+				if len(slots) > 0 || grouped || sh.idle.pos[local] >= 0 || c.occ[server] != c.max {
+					return fmt.Errorf("down server %d: %d sessions, grouped %v, idle slot %d, ledger %d",
+						server, len(slots), grouped, sh.idle.pos[local], c.occ[server])
+				}
+				continue
+			}
+			up++
+			if !grouped {
+				return fmt.Errorf("server %d is not in the state group of its contents %v", server, sh.contents[local])
+			}
+			if inHeap := sh.idle.pos[local] >= 0; inHeap != (len(slots) < c.max) {
+				return fmt.Errorf("server %d: %d/%d sessions but idle-heap membership %v", server, len(slots), c.max, inHeap)
+			}
 			if len(slots) != len(sh.contents[local]) {
 				return fmt.Errorf("server %d: %d slots vs %d contents", server, len(slots), len(sh.contents[local]))
 			}
@@ -52,6 +71,9 @@ func CheckInvariants(c *Cluster) error {
 		}
 		if load != c.loads[si] {
 			return fmt.Errorf("shard %d: balancer load %d, actual %d", si, c.loads[si], load)
+		}
+		if c.caps[si] != up*c.max {
+			return fmt.Errorf("shard %d: capacity %d with %d servers up at %d each", si, c.caps[si], up, c.max)
 		}
 		total += load
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"gaugur/internal/sched"
 	"gaugur/internal/sim"
 )
 
@@ -18,10 +17,15 @@ import (
 //   - a state-group index: servers bucketed by occupant multiset, so a
 //     scoring pass costs O(distinct states), not O(servers) — at fleet
 //     scale thousands of servers collapse into a few dozen states,
-//   - its own generation-keyed score cache (hot swaps invalidate by
-//     key-tagging, exactly like sched.GreedyPolicyVersioned),
+//   - its own generation-keyed score cache: every key carries the model
+//     generation, so a hot swap makes stale entries unreachable with no
+//     flush and no locking on the placement path,
 //   - an idle heap over its non-full servers (O(1) capacity check and
 //     emptiest-server lookup).
+//
+// A server that is down (Cluster.FailServer) or masked (Cluster.Migrate
+// scoring around a session's own server) is simply in neither index, so
+// no probe can answer with it and the scoring code never tests for it.
 //
 // Scoring is three-phase: one pass over the state groups looks every
 // needed score up in the cache and queues the uncached states, one
@@ -41,6 +45,9 @@ const (
 	opCommit
 	opRemove
 	opVictims
+	opFail
+	opMask
+	opUnmask
 	opSnapshot
 	opBarrier
 )
@@ -52,7 +59,7 @@ type shardReq struct {
 	games  []int // score-batch: deduped games, scored in one scorer call
 	genTag uint64
 	sid    int
-	server int // global server id (commit/remove)
+	server int // global server id (commit/remove/fail/mask/unmask)
 	n      int // victims: batch size
 	seed   int64
 	// resp, when non-nil, receives this request's reply instead of the
@@ -123,7 +130,7 @@ type shard struct {
 	slots    [][]int // local idx -> session ids aligned with contents
 	groups   map[uint64]*group
 	idle     *idleHeap
-	cache    *sched.ScoreCache
+	cache    *scoreCache
 
 	// scoring scratch, reused across requests. pendIdx indexes pendKeys
 	// by key: a batched probe gathers games × groups states, so membership
@@ -151,7 +158,7 @@ func newShard(id, lo, hi, max int, mode Mode, scorer BatchScorer, cacheCap int) 
 		slots:    make([][]int, n),
 		groups:   map[uint64]*group{},
 		idle:     newIdleHeap(n),
-		cache:    sched.NewScoreCache(cacheCap),
+		cache:    newScoreCache(cacheCap),
 		pendIdx:  map[uint64]int{},
 		pos:      make([]int, n),
 	}
@@ -252,6 +259,13 @@ func (sh *shard) run() {
 			out <- shardResp{ok: sh.remove(req.sid, req.server-sh.lo)}
 		case opVictims:
 			out <- shardResp{ok: true, victims: sh.pickVictims(req.n, req.seed)}
+		case opFail:
+			out <- shardResp{ok: true, victims: sh.fail(req.server - sh.lo)}
+		case opMask:
+			// Fire-and-forget like opCommit: FIFO orders the probe behind it.
+			sh.mask(req.server - sh.lo)
+		case opUnmask:
+			sh.unmask(req.server - sh.lo)
 		case opSnapshot:
 			snap := make([][]int, len(sh.contents))
 			for i, c := range sh.contents {
@@ -436,24 +450,59 @@ func (sh *shard) scoreBatch(games []int, genTag uint64) []shardResp {
 // regroup moves local server idx from its current multiset group to the
 // one matching its (already mutated) contents.
 func (sh *shard) regroup(local int, oldHash uint64) {
-	og := sh.groups[oldHash]
-	sh.heapRemove(og, local)
-	if len(og.members) == 0 {
-		delete(sh.groups, oldHash)
-	}
-	newHash := sched.MultisetHash(sh.contents[local])
-	ng := sh.groups[newHash]
-	if ng == nil {
-		ng = &group{games: append([]int(nil), sh.contents[local]...)}
-		sh.groups[newHash] = ng
-	}
-	sh.heapPush(ng, local)
+	sh.leaveGroup(local, oldHash)
+	sh.joinGroup(local)
 	sh.statesN = len(sh.groups)
+}
+
+// leaveGroup takes local server idx out of the group keyed hash.
+func (sh *shard) leaveGroup(local int, hash uint64) {
+	g := sh.groups[hash]
+	sh.heapRemove(g, local)
+	if len(g.members) == 0 {
+		delete(sh.groups, hash)
+	}
+}
+
+// joinGroup files local server idx under the group matching its contents.
+func (sh *shard) joinGroup(local int) {
+	hash := multisetHash(sh.contents[local])
+	g := sh.groups[hash]
+	if g == nil {
+		g = &group{games: append([]int(nil), sh.contents[local]...)}
+		sh.groups[hash] = g
+	}
+	sh.heapPush(g, local)
+}
+
+// mask takes local server idx out of the placement index — its state group
+// and the idle heap — leaving its contents alone: no probe can answer with
+// it until unmask files it back under whatever it then holds.
+func (sh *shard) mask(local int) {
+	sh.leaveGroup(local, multisetHash(sh.contents[local]))
+	sh.idle.update(local, sh.max, sh.max)
+}
+
+func (sh *shard) unmask(local int) {
+	sh.joinGroup(local)
+	sh.idle.update(local, len(sh.contents[local]), sh.max)
+}
+
+// fail crashes local server idx: it leaves the placement index and its
+// sessions are evicted and returned in slot order. unmask brings it back.
+func (sh *shard) fail(local int) []victim {
+	sh.mask(local)
+	out := make([]victim, len(sh.slots[local]))
+	for i, sid := range sh.slots[local] {
+		out[i] = victim{sid: sid, game: sh.contents[local][i], server: sh.lo + local}
+	}
+	sh.contents[local], sh.slots[local] = sh.contents[local][:0], sh.slots[local][:0]
+	return out
 }
 
 // commit admits session sid running game onto local server idx.
 func (sh *shard) commit(game, sid, local int) {
-	oldHash := sched.MultisetHash(sh.contents[local])
+	oldHash := multisetHash(sh.contents[local])
 	i := sort.SearchInts(sh.contents[local], game)
 	sh.contents[local] = insertAt(sh.contents[local], i, game)
 	sh.slots[local] = insertAt(sh.slots[local], i, sid)
@@ -474,7 +523,7 @@ func (sh *shard) remove(sid, local int) bool {
 	if at < 0 {
 		return false
 	}
-	oldHash := sched.MultisetHash(sh.contents[local])
+	oldHash := multisetHash(sh.contents[local])
 	sh.contents[local] = append(sh.contents[local][:at], sh.contents[local][at+1:]...)
 	sh.slots[local] = append(sh.slots[local][:at], sh.slots[local][at+1:]...)
 	sh.regroup(local, oldHash)

@@ -6,6 +6,7 @@ import (
 
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
+	"gaugur/internal/sched/fleet"
 )
 
 // countingSink is a pure AuditSink: it tallies callbacks without feeding
@@ -24,8 +25,8 @@ func (s *countingSink) Dropped(sid int)                   { s.dropped++ }
 // reproduce them bit for bit when no faults or resilience knobs are
 // configured — proving the fault-tolerance machinery is zero-cost when
 // idle (same seeds, same event order, same rng consumption). Each run
-// carries a live metrics registry, a live tracer (with the traced greedy
-// policy), and an audit sink: instrumentation must never perturb
+// carries a live metrics registry, a live tracer (shared with the greedy
+// cluster), and an audit sink: instrumentation must never perturb
 // simulation state, so the goldens hold with observability enabled.
 func TestRunOnlineMatchesSeedGolden(t *testing.T) {
 	type golden struct {
@@ -33,11 +34,11 @@ func TestRunOnlineMatchesSeedGolden(t *testing.T) {
 		rejected, completed int
 		peakActive          int
 	}
-	cfgs := []OnlineConfig{
-		{NumServers: 6, MaxPerServer: 2, ArrivalRate: 2, MeanDuration: 3, Sessions: 200, GameIDs: []int{1, 2, 3}, Seed: 1},
-		{NumServers: 3, MaxPerServer: 4, ArrivalRate: 5, MeanDuration: 2, Sessions: 500, GameIDs: []int{1, 2, 3, 4}, Seed: 42},
-		{NumServers: 1, MaxPerServer: 1, ArrivalRate: 100, MeanDuration: 10, Sessions: 50, GameIDs: []int{1}, Seed: 7},
-		{NumServers: 10, MaxPerServer: 3, ArrivalRate: 9, MeanDuration: 1.5, Sessions: 1000, GameIDs: []int{1, 2, 3}, Seed: 99},
+	cfgs := []churnCfg{
+		{NumServers: 6, MaxPerServer: 2, OnlineConfig: OnlineConfig{ArrivalRate: 2, MeanDuration: 3, Sessions: 200, GameIDs: []int{1, 2, 3}, Seed: 1}},
+		{NumServers: 3, MaxPerServer: 4, OnlineConfig: OnlineConfig{ArrivalRate: 5, MeanDuration: 2, Sessions: 500, GameIDs: []int{1, 2, 3, 4}, Seed: 42}},
+		{NumServers: 1, MaxPerServer: 1, OnlineConfig: OnlineConfig{ArrivalRate: 100, MeanDuration: 10, Sessions: 50, GameIDs: []int{1}, Seed: 7}},
+		{NumServers: 10, MaxPerServer: 3, OnlineConfig: OnlineConfig{ArrivalRate: 9, MeanDuration: 1.5, Sessions: 1000, GameIDs: []int{1, 2, 3}, Seed: 99}},
 	}
 	want := map[string]golden{
 		"cfg0/greedy": {89.5339291843384, 0.0424524283986546, 1, 199, 12},
@@ -53,18 +54,18 @@ func TestRunOnlineMatchesSeedGolden(t *testing.T) {
 	for i, cfg := range cfgs {
 		tracer := trace.New(trace.Config{Seed: cfg.Seed})
 		for _, pol := range []struct {
-			name string
-			p    PlacementPolicy
+			name  string
+			fleet fleet.Config
 		}{
-			{"greedy", GreedyPolicyTraced(toyScore, cfg.MaxPerServer, tracer)},
-			{"ll", LeastLoadedPolicy(cfg.MaxPerServer)},
+			{"greedy", fleet.Config{Mode: fleet.ModeGreedy, Scorer: fleet.ScorerFunc(toyScore), Tracer: tracer}},
+			{"ll", fleet.Config{Mode: fleet.ModeLeastLoaded}},
 		} {
 			key := names[i] + "/" + pol.name
 			cfg.Metrics = obs.New()
 			cfg.Tracer = tracer
 			sink := &countingSink{}
 			cfg.Audit = sink
-			res, err := RunOnline(cfg, pol.p, toyEval, 60)
+			res, err := runOn(cfg, pol.fleet, toyEval, 60)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}

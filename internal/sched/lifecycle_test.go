@@ -1,108 +1,8 @@
 package sched
 
 import (
-	"sync/atomic"
 	"testing"
 )
-
-// The regression this guards: the greedy policy memoizes scores by
-// occupancy hash, so a model hot swap that does NOT bump the generation
-// keeps serving the old model's scores forever. The generation tag folds
-// the swap counter into every cache key, retiring the whole memo at once.
-func TestGreedyPolicyVersionedInvalidatesOnSwap(t *testing.T) {
-	var gen atomic.Uint64
-	// A score function whose preference between servers is controlled by
-	// `bonus` — the stand-in for "which model is serving".
-	bonus := 10.0
-	score := func(g []int) float64 {
-		s := 0.0
-		has1, has3 := false, false
-		for _, id := range g {
-			s += float64(id)
-			has1 = has1 || id == 1
-			has3 = has3 || id == 3
-		}
-		if has1 && has3 {
-			s += bonus
-		}
-		return s
-	}
-	policy := GreedyPolicyVersioned(score, 4, gen.Load)
-	contents := [][]int{{1}, {2}}
-
-	// Model A prefers colocating 3 with 1 → server 0.
-	if s, ok := policy.Place(contents, 3); !ok || s != 0 {
-		t.Fatalf("warm-up placement = (%d, %v), want server 0", s, ok)
-	}
-	// The model changes under the hood but the generation does not: the
-	// stale cached scores keep winning. This is the failure mode the tag
-	// exists to close — assert it so the next check is meaningful.
-	bonus = -10
-	if s, _ := policy.Place(contents, 3); s != 0 {
-		t.Fatalf("cache should still serve stale scores without a generation bump, got server %d", s)
-	}
-	// A hot swap bumps the generation; the very next placement must see
-	// model B's preference → server 1.
-	gen.Add(1)
-	if s, ok := policy.Place(contents, 3); !ok || s != 1 {
-		t.Fatalf("placement after generation bump = (%d, %v), want server 1", s, ok)
-	}
-	// Rolling back is a NEW generation, not a return to the old tag: the
-	// policy re-scores rather than resurrecting generation-0 entries that
-	// could have been evicted meanwhile.
-	bonus = 10
-	gen.Add(1)
-	if s, ok := policy.Place(contents, 3); !ok || s != 0 {
-		t.Fatalf("placement after rollback bump = (%d, %v), want server 0", s, ok)
-	}
-}
-
-// The generation tag must not cost the cached-hit path its zero-alloc
-// property: tagging is arithmetic on the existing hash.
-func TestGreedyPolicyVersionedCachedHitNoAllocs(t *testing.T) {
-	var gen atomic.Uint64
-	gen.Store(7)
-	policy := GreedyPolicyVersioned(toyScore, 4, gen.Load)
-	contents := [][]int{{1, 2}, {2, 3}, {1}, {}, {3, 3, 4}}
-	assertWarmHitsFree := func(when string) {
-		for _, g := range []int{1, 2, 3, 4} {
-			policy.Place(contents, g)
-		}
-		for _, g := range []int{1, 2, 3, 4} {
-			g := g
-			if n := testing.AllocsPerRun(100, func() {
-				policy.Place(contents, g)
-			}); n != 0 {
-				t.Errorf("%s: cached-hit Place(game=%d) allocates %.1f times per call, want 0", when, g, n)
-			}
-		}
-	}
-	assertWarmHitsFree("before swap")
-	// A swap invalidates the memo; once the new generation is re-warmed the
-	// hit path must be just as free — swaps cost a refill, not a regression.
-	gen.Add(1)
-	assertWarmHitsFree("after swap")
-}
-
-// With the generation pinned at zero, the versioned policy is bit-identical
-// to the plain GreedyPolicy — the lifecycle wiring is invisible until the
-// first swap, which is what keeps golden snapshots stable.
-func TestGreedyPolicyVersionedZeroGenMatchesPlain(t *testing.T) {
-	cfg := baseCfg()
-	cfg.GameIDs = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	var gen atomic.Uint64
-	versioned, err := RunOnline(cfg, GreedyPolicyVersioned(toyScore, 2, gen.Load), toyEval, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if versioned != plain {
-		t.Errorf("zero-generation versioned policy diverges from plain:\n%+v\nvs\n%+v", versioned, plain)
-	}
-}
 
 // The lifecycle tick runs at the top of the loop, before the event that
 // advances the clock is chosen: every placement in an iteration sees the
@@ -118,7 +18,7 @@ func TestRunOnlineTicksLifecycleBeforeEvents(t *testing.T) {
 		}
 		lastTick = now
 	})
-	res, err := RunOnline(cfg, GreedyPolicy(toyScore, cfg.MaxPerServer), toyEval, 60)
+	res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,7 @@ import (
 // loop's own end-of-run counters, fault machinery included.
 func TestOnlineMetricsMirrorResult(t *testing.T) {
 	reg := obs.New()
-	cfg := OnlineConfig{
-		NumServers:   4,
-		MaxPerServer: 2,
+	cfg := churnCfg{NumServers: 4, MaxPerServer: 2, OnlineConfig: OnlineConfig{
 		ArrivalRate:  6,
 		MeanDuration: 3,
 		Sessions:     400,
@@ -28,8 +26,8 @@ func TestOnlineMetricsMirrorResult(t *testing.T) {
 		WatchdogWindow:  0.5,
 		ShedUtilization: 0.9,
 		Metrics:         reg,
-	}
-	res, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+	}}
+	res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +76,16 @@ func TestOnlineMetricsMirrorResult(t *testing.T) {
 // without a registry: the simulation outputs must be bit-identical, the
 // invariant the golden snapshot test depends on.
 func TestOnlineMetricsDoNotPerturbResults(t *testing.T) {
-	cfg := OnlineConfig{
-		NumServers: 5, MaxPerServer: 3, ArrivalRate: 4, MeanDuration: 2,
+	cfg := churnCfg{NumServers: 5, MaxPerServer: 3, OnlineConfig: OnlineConfig{
+		ArrivalRate: 4, MeanDuration: 2,
 		Sessions: 600, GameIDs: []int{1, 2, 3, 4}, Seed: 11,
-	}
-	bare, err := RunOnline(cfg, GreedyPolicy(toyScore, 3), toyEval, 60)
+	}}
+	bare, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Metrics = obs.New()
-	instr, err := RunOnline(cfg, GreedyPolicy(toyScore, 3), toyEval, 60)
+	instr, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +101,11 @@ func TestOnlineMetricsDeterministicWithManualClock(t *testing.T) {
 	run := func() obs.Snapshot {
 		clk := obs.NewManualClock(0, 100*time.Microsecond)
 		reg := obs.NewWithClock(clk.Now)
-		cfg := OnlineConfig{
-			NumServers: 4, MaxPerServer: 2, ArrivalRate: 5, MeanDuration: 2,
+		cfg := churnCfg{NumServers: 4, MaxPerServer: 2, OnlineConfig: OnlineConfig{
+			ArrivalRate: 5, MeanDuration: 2,
 			Sessions: 300, GameIDs: []int{1, 2, 3}, Seed: 21, Metrics: reg,
-		}
-		if _, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60); err != nil {
+		}}
+		if _, err := runGreedy(cfg, toyScore, nil, toyEval, 60); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot()
@@ -126,17 +124,17 @@ func TestOnlineMetricsDeterministicWithManualClock(t *testing.T) {
 
 // overheadCfg is the workload the overhead budget is measured on: enough
 // servers and sessions that placement scoring dominates, as in real runs.
-func overheadCfg(reg *obs.Registry) OnlineConfig {
-	return OnlineConfig{
-		NumServers: 40, MaxPerServer: 4, ArrivalRate: 20, MeanDuration: 4,
+func overheadCfg(reg *obs.Registry) churnCfg {
+	return churnCfg{NumServers: 40, MaxPerServer: 4, OnlineConfig: OnlineConfig{
+		ArrivalRate: 20, MeanDuration: 4,
 		Sessions: 1500, GameIDs: []int{1, 2, 3, 4, 5}, Seed: 3, Metrics: reg,
-	}
+	}}
 }
 
 func timeOnline(t *testing.T, reg *obs.Registry) time.Duration {
 	t.Helper()
 	start := time.Now()
-	if _, err := RunOnline(overheadCfg(reg), GreedyPolicy(toyScore, 4), toyEval, 60); err != nil {
+	if _, err := runGreedy(overheadCfg(reg), toyScore, nil, toyEval, 60); err != nil {
 		t.Fatal(err)
 	}
 	return time.Since(start)
@@ -173,7 +171,7 @@ func TestObsOverheadUnderBudget(t *testing.T) {
 }
 
 // timeOnlineTraced runs the overhead workload with the whole observability
-// stack attached: registry, tracer, traced greedy policy, audit sink.
+// stack attached: registry, tracer shared with the cluster, audit sink.
 func timeOnlineTraced(t *testing.T) time.Duration {
 	t.Helper()
 	tracer := trace.New(trace.Config{Seed: 3})
@@ -181,7 +179,7 @@ func timeOnlineTraced(t *testing.T) time.Duration {
 	cfg.Tracer = tracer
 	cfg.Audit = &countingSink{}
 	start := time.Now()
-	if _, err := RunOnline(cfg, GreedyPolicyTraced(toyScore, 4, tracer), toyEval, 60); err != nil {
+	if _, err := runGreedy(cfg, toyScore, tracer, toyEval, 60); err != nil {
 		t.Fatal(err)
 	}
 	return time.Since(start)
@@ -230,20 +228,20 @@ func TestTraceOverheadUnderBudget(t *testing.T) {
 }
 
 // TestOnlineDecisionTraces pins the shape of what the loop records: one
-// trace per decision, named by kind, with the policy's scoring span nested
+// trace per decision, named by kind, with the cluster's scoring spans nested
 // under placements and outcomes annotated on the root.
 func TestOnlineDecisionTraces(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 9})
-	cfg := OnlineConfig{
-		NumServers: 3, MaxPerServer: 2, ArrivalRate: 8, MeanDuration: 4,
+	cfg := churnCfg{NumServers: 3, MaxPerServer: 2, OnlineConfig: OnlineConfig{
+		ArrivalRate: 8, MeanDuration: 4,
 		Sessions: 120, GameIDs: []int{1, 2, 3}, Seed: 17,
 		Tracer: tracer,
 		Faults: []sim.FaultEvent{
 			{At: 2, Kind: sim.FaultCrash, Server: 0, Duration: 1},
 		},
 		ShedUtilization: 0.8,
-	}
-	res, err := RunOnline(cfg, GreedyPolicyTraced(toyScore, 2, tracer), toyEval, 60)
+	}}
+	res, err := runGreedy(cfg, toyScore, tracer, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,7 @@ func TestOnlineDecisionTraces(t *testing.T) {
 	for _, tr := range tracer.Store().Recent(0) {
 		byName[tr.Name]++
 		for _, sp := range tr.Spans {
-			if sp.Name == "score-candidates" {
+			if sp.Name == "score-shard" {
 				withScoring++
 			}
 			if sp.SpanID == tr.Root {
@@ -268,6 +266,9 @@ func TestOnlineDecisionTraces(t *testing.T) {
 	if byName["placement"] == 0 {
 		t.Error("no placement traces recorded")
 	}
+	if n := byName["fleet-placement"]; n != 0 {
+		t.Errorf("%d decisions opened a second root in the cluster; scoring must nest under the driver's trace", n)
+	}
 	if res.Crashes > 0 && byName["migration"] == 0 {
 		t.Error("crash occurred but no migration traces recorded")
 	}
@@ -275,7 +276,7 @@ func TestOnlineDecisionTraces(t *testing.T) {
 		t.Error("arrivals shed but no shed traces recorded")
 	}
 	if withScoring == 0 {
-		t.Error("no score-candidates spans nested under decisions")
+		t.Error("no score-shard spans nested under decisions")
 	}
 	if outcomes["placed"] == 0 {
 		t.Errorf("no placed outcomes annotated; outcomes = %v", outcomes)

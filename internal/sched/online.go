@@ -5,28 +5,37 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
 // Online session churn: the Section 5 experiments place a fixed batch of
 // requests, but a production dispatcher faces a stream — sessions arrive,
 // play for a while, and leave, and every placement decision must respect
-// the games ALREADY running on each server. This simulator drives any
-// placement policy through such a stream and reports time-averaged
-// quality, which is where interference-aware placement pays off most: a
-// bad pairing hurts for the whole overlap of two sessions.
+// the games ALREADY running on each server. This simulator drives a
+// fleet.Cluster — the one placement engine, greedy or least-loaded by its
+// Mode — through such a stream and reports time-averaged quality, which is
+// where interference-aware placement pays off most: a bad pairing hurts for
+// the whole overlap of two sessions.
+//
+// The loop is a driver: it owns the event heap, the RNG streams, the
+// ground-truth world the evaluator scores (which the cluster must agree
+// with, see RunOnline), fault injection, shedding, retry/backoff and the
+// result integrals; where a session goes is the cluster's decision alone.
 //
 // The loop is also fault-tolerant: an optional sim.FaultEvent schedule
-// injects whole-server crashes (sessions orphaned, then re-placed via the
-// active policy with bounded retry and exponential backoff), noisy-neighbor
+// injects whole-server crashes (Cluster.FailServer evicts the sessions, which
+// are re-placed with bounded retry and exponential backoff), noisy-neighbor
 // pressure spikes (scored through the real physics via SpikeEval), and
 // prediction-pipeline dropouts (surfaced through OnOutage so a fallback
 // predictor can trip its circuit breaker). A QoS watchdog migrates the
-// worst victim off servers that violate the floor for a sustained window,
+// worst victim (Cluster.Migrate) off servers that violate the floor for a
+// sustained window,
 // and load-shedding admission control rejects arrivals outright when the
 // live fleet is saturated. With no faults configured and the resilience
 // knobs at their zero values, the loop is bit-for-bit identical to the
@@ -34,10 +43,6 @@ import (
 
 // OnlineConfig parameterizes the churn simulation.
 type OnlineConfig struct {
-	// NumServers is the fleet size.
-	NumServers int
-	// MaxPerServer caps colocation size; <= 0 defaults to 4.
-	MaxPerServer int
 	// ArrivalRate is the mean session arrivals per unit time (Poisson).
 	ArrivalRate float64
 	// MeanDuration is the mean session length (exponential).
@@ -70,7 +75,7 @@ type OnlineConfig struct {
 	// disables the watchdog.
 	WatchdogWindow float64
 	// ShedUtilization sheds arrivals (rejecting them without consulting
-	// the policy) when running sessions reach this fraction of the live
+	// the cluster) when running sessions reach this fraction of the live
 	// fleet's slot capacity; 0 disables load shedding.
 	ShedUtilization float64
 	// OnOutage, if set, is called when a prediction-pipeline dropout
@@ -84,11 +89,11 @@ type OnlineConfig struct {
 	Metrics *obs.Registry
 
 	// Tracer, when non-nil, records one trace per scheduling decision
-	// (placement, migration, watchdog eviction, shed) with child spans for
-	// the policy call; it is also installed as the ambient trace context so
-	// traced policies (GreedyPolicyTraced) and fallback predictors attach
-	// their own spans under the decision. Like Metrics, tracing never feeds
-	// back into simulation state.
+	// (placement, migration, watchdog eviction, shed); it is also installed
+	// as the ambient trace context, so a cluster built on the same tracer
+	// hangs its score-shard spans, and a fallback predictor its stage spans,
+	// under the decision. Like Metrics, tracing never feeds back into
+	// simulation state.
 	Tracer *trace.Tracer
 	// Audit, when non-nil, receives session-lifecycle callbacks (see
 	// AuditSink) so a prediction audit log can resolve placement-time
@@ -106,127 +111,6 @@ func (c OnlineConfig) resilient() bool {
 	return len(c.Faults) > 0 || c.WatchdogWindow > 0 || c.ShedUtilization > 0
 }
 
-// PlacementPolicy picks a server for an arriving session given the current
-// contents of every server (nil slice = idle). Returning ok=false rejects
-// the session (no capacity or deliberate admission control).
-type PlacementPolicy interface {
-	Place(contents [][]int, game int) (server int, ok bool)
-}
-
-// PolicyFunc adapts a function to PlacementPolicy.
-type PolicyFunc func(contents [][]int, game int) (int, bool)
-
-// Place implements PlacementPolicy.
-func (f PolicyFunc) Place(contents [][]int, game int) (int, bool) { return f(contents, game) }
-
-// GreedyPolicy places each arrival on the server maximizing the predicted
-// total-FPS delta, honoring the capacity cap — the online form of the
-// Section 5.2 dispatcher. Scores are memoized per game multiset: with a
-// small catalog the same states recur across thousands of arrivals, so the
-// cache turns most placements into hash lookups.
-func GreedyPolicy(score Scorer, maxPerServer int) PlacementPolicy {
-	return greedyPolicy(score, maxPerServer, nil, nil)
-}
-
-// GreedyPolicyTraced is GreedyPolicy with span emission: each Place call
-// adds a "score-candidates" child span under the tracer's ambient context
-// (the decision trace RunOnline installs), and every score-cache miss — the
-// only time the underlying predictor actually runs — gets its own "predict"
-// span. Cache hits emit nothing, so span volume is bounded by distinct
-// colocation states, not by arrivals. A nil tracer degrades to GreedyPolicy.
-func GreedyPolicyTraced(score Scorer, maxPerServer int, t *trace.Tracer) PlacementPolicy {
-	return greedyPolicy(score, maxPerServer, t, nil)
-}
-
-// GreedyPolicyVersioned is GreedyPolicy bound to a swappable model: gen
-// reports the serving model's generation counter, and every cache key is
-// tagged with it, so a hot swap implicitly invalidates all memoized scores
-// — stale entries become unreachable the instant the generation changes,
-// with no flush and no locking on the placement path. A nil gen degrades
-// to GreedyPolicy (all keys tagged zero).
-func GreedyPolicyVersioned(score Scorer, maxPerServer int, gen func() uint64) PlacementPolicy {
-	return greedyPolicy(score, maxPerServer, nil, gen)
-}
-
-func greedyPolicy(score Scorer, maxPerServer int, t *trace.Tracer, gen func() uint64) PlacementPolicy {
-	if maxPerServer <= 0 {
-		maxPerServer = 4
-	}
-	cache := NewScoreCache(greedyCacheCap)
-	return PolicyFunc(func(contents [][]int, game int) (int, bool) {
-		span := t.Current().StartSpan("score-candidates", trace.Int("game", game))
-		evaluated, misses := 0, 0
-		// genTag folds the model generation into every cache key. Mix64
-		// spreads consecutive generations across the word so a bumped
-		// generation cannot collide with a nearby state hash. Read once per
-		// Place call: a swap mid-call at worst re-scores one placement.
-		var genTag uint64
-		if gen != nil {
-			if g := gen(); g != 0 {
-				genTag = sim.Mix64(g)
-			}
-		}
-		// scoreState answers one memoized score. The candidate colocation
-		// (occupants plus the arriving game) is identified by hash alone —
-		// hash(occ)+Mix64(game), order-invariant — so on a hit nothing is
-		// materialized and nothing allocates; only a miss builds the sorted
-		// slice the scorer needs.
-		scoreState := func(h uint64, occ []int, insert bool) float64 {
-			evaluated++
-			return cache.Get(h, func() float64 {
-				misses++
-				games := occ
-				if insert {
-					games = insertSorted(occ, game)
-				}
-				sp := span.StartSpan("predict", trace.String("state", stateKey(games)))
-				v := score(games)
-				sp.End(trace.Float("fps_total", v))
-				return v
-			})
-		}
-		gh := sim.Mix64(uint64(game))
-		best, bestDelta, found := -1, 0.0, false
-		for s, occ := range contents {
-			if len(occ) >= maxPerServer {
-				continue
-			}
-			oh := MultisetHash(occ) + genTag
-			delta := scoreState(oh+gh, occ, true)
-			if len(occ) > 0 {
-				delta -= scoreState(oh, occ, false)
-			}
-			if !found || delta > bestDelta {
-				found, best, bestDelta = true, s, delta
-			}
-		}
-		span.End(
-			trace.Int("evaluated", evaluated),
-			trace.Int("cache_misses", misses),
-			trace.Int("server", best),
-			trace.Bool("placed", found),
-		)
-		return best, found
-	})
-}
-
-// LeastLoadedPolicy places each arrival on the server with the fewest
-// sessions — the interference-blind strawman.
-func LeastLoadedPolicy(maxPerServer int) PlacementPolicy {
-	if maxPerServer <= 0 {
-		maxPerServer = 4
-	}
-	return PolicyFunc(func(contents [][]int, game int) (int, bool) {
-		best, bestN := -1, maxPerServer
-		for s, occ := range contents {
-			if len(occ) < bestN {
-				best, bestN = s, len(occ)
-			}
-		}
-		return best, best >= 0
-	})
-}
-
 // FPSEvaluator returns the actual frame rate of every session on a server
 // given its game multiset (the ground-truth oracle the simulator scores
 // with; experiments pass lab-backed evaluators).
@@ -239,7 +123,7 @@ type OnlineResult struct {
 	// ViolationFraction is the fraction of session-time spent below the
 	// QoS floor.
 	ViolationFraction float64
-	// Rejected counts arrivals the policy could not place (including shed
+	// Rejected counts arrivals the cluster could not place (including shed
 	// arrivals).
 	Rejected int
 	// Completed counts sessions that ran to their natural end.
@@ -304,7 +188,8 @@ func (h *eventHeap) Pop() any {
 
 // session is one admitted request's lifetime state.
 type session struct {
-	id       int
+	id       int // the simulator's id: what AuditSink sees, stable for life
+	csid     int // the cluster's id for the current placement
 	game     int
 	server   int // -1 while orphaned
 	departAt float64
@@ -318,21 +203,37 @@ type session struct {
 	audited bool
 }
 
-// RunOnline drives the policy through a churn stream and scores it with
-// the evaluator against the QoS floor.
-func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos float64) (OnlineResult, error) {
-	if cfg.NumServers <= 0 {
-		return OnlineResult{}, fmt.Errorf("sched: online needs at least one server")
+// RunChurn builds the cluster fc describes, drives it through one churn
+// stream (see RunOnline) and closes it. A stealing cluster is refused here
+// rather than found out at exit.
+func RunChurn(cfg OnlineConfig, fc fleet.Config, eval FPSEvaluator, qos float64) (OnlineResult, error) {
+	if fc.StealThreshold > 0 {
+		return OnlineResult{}, fmt.Errorf("sched: online cannot drive a stealing cluster")
 	}
+	c, err := fleet.New(fc)
+	if err != nil {
+		return OnlineResult{}, err
+	}
+	defer c.Close()
+	return RunOnline(cfg, c, eval, qos)
+}
+
+// RunOnline drives the cluster — empty, and not stealing: a steal move is
+// one the simulator's world would never hear of — through a churn stream and
+// scores the outcome with the evaluator against the QoS floor. Fleet size,
+// the per-server cap and the live capacity that shedding reads are the
+// cluster's. At exit the cluster must pass fleet.CheckInvariants and hold
+// exactly the simulator's world; either failing is returned as an error.
+func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos float64) (OnlineResult, error) {
+	if cluster == nil {
+		return OnlineResult{}, fmt.Errorf("sched: online needs a cluster to drive")
+	}
+	numServers := cluster.NumServers()
 	if cfg.Sessions <= 0 || len(cfg.GameIDs) == 0 {
 		return OnlineResult{}, fmt.Errorf("sched: online needs sessions and a game mix")
 	}
 	if cfg.ArrivalRate <= 0 || cfg.MeanDuration <= 0 {
 		return OnlineResult{}, fmt.Errorf("sched: online needs positive rates")
-	}
-	effMax := cfg.MaxPerServer
-	if effMax <= 0 {
-		effMax = 4
 	}
 	migRetries := cfg.MigrationRetries
 	if migRetries <= 0 {
@@ -349,7 +250,7 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 			if ev.Kind == sim.FaultSpike && cfg.SpikeEval == nil {
 				return OnlineResult{}, fmt.Errorf("sched: fault schedule contains pressure spikes but SpikeEval is nil")
 			}
-			if (ev.Kind == sim.FaultCrash || ev.Kind == sim.FaultSpike) && (ev.Server < 0 || ev.Server >= cfg.NumServers) {
+			if (ev.Kind == sim.FaultCrash || ev.Kind == sim.FaultSpike) && (ev.Server < 0 || ev.Server >= numServers) {
 				return OnlineResult{}, fmt.Errorf("sched: fault targets invalid server %d", ev.Server)
 			}
 		}
@@ -361,9 +262,9 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 	tr := cfg.Tracer // nil-safe: every method on a nil Tracer is a no-op
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	contents := make([][]int, cfg.NumServers)
-	slots := make([][]int, cfg.NumServers) // session ids aligned with contents
-	serverFPS := make([][]float64, cfg.NumServers)
+	contents := make([][]int, numServers)
+	slots := make([][]int, numServers) // session ids aligned with contents
+	serverFPS := make([][]float64, numServers)
 
 	var events eventHeap
 	heap.Init(&events)
@@ -387,8 +288,8 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 	var violating []bool
 	var violGen []int
 	if watchdogOn {
-		violating = make([]bool, cfg.NumServers)
-		violGen = make([]int, cfg.NumServers)
+		violating = make([]bool, numServers)
+		violGen = make([]int, numServers)
 	}
 
 	updateViolation := func(s int) {
@@ -515,45 +416,11 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 		om.active.Set(float64(active))
 	}
 
-	// validatePlacement applies the invalid-server, crashed-server, and
-	// full-server checks to a policy decision.
-	validatePlacement := func(server int) error {
-		if server < 0 || server >= cfg.NumServers {
-			return fmt.Errorf("sched: policy placed on invalid server %d", server)
-		}
-		if inj != nil && inj.ServerDown(server) {
-			return fmt.Errorf("sched: policy placed on crashed server %d", server)
-		}
-		if len(contents[server]) >= effMax {
-			return fmt.Errorf("sched: policy placed on full server %d (%d/%d sessions)", server, len(contents[server]), effMax)
-		}
-		return nil
-	}
-
-	// policyView masks crashed servers (and optionally one excluded
-	// server) as full so policies cannot choose them. The blocked slice is
-	// shared — policies must not mutate their input, which none do.
-	blocked := make([]int, effMax)
-	view := make([][]int, cfg.NumServers)
-	policyView := func(exclude int) [][]int {
-		if inj == nil && exclude < 0 {
-			return contents
-		}
-		for s := range contents {
-			if s == exclude || (inj != nil && inj.ServerDown(s)) {
-				view[s] = blocked
-			} else {
-				view[s] = contents[s]
-			}
-		}
-		return view
-	}
-
 	// tryMigrate attempts to re-place an orphan, scheduling a backoff
 	// retry or dropping it when the budget is exhausted.
-	tryMigrate := func(sess *session) error {
+	tryMigrate := func(sess *session) {
 		if sess.done || sess.server >= 0 {
-			return nil
+			return
 		}
 		tctx := tr.StartTrace("migration",
 			trace.Int("session", sess.id),
@@ -562,41 +429,41 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 		)
 		tr.SetCurrent(tctx)
 		span := om.placeSec.Start()
-		server, ok := policy.Place(policyView(-1), sess.game)
+		pl, ok := cluster.Place(sess.game)
 		span.Stop()
 		tr.ClearCurrent()
 		if ok {
-			if err := validatePlacement(server); err != nil {
-				tctx.End(trace.String("outcome", "error"))
-				return err
-			}
-			place(sess, server)
+			sess.csid = pl.Session
+			place(sess, pl.Server)
 			res.Migrated++
 			om.migrations.Inc()
 			recoverSum += now - sess.orphanedAt
 			recoverN++
 			om.recovery.Observe(now - sess.orphanedAt)
-			tctx.End(trace.String("outcome", "migrated"), trace.Int("server", server))
-			return nil
+			tctx.End(trace.String("outcome", "migrated"), trace.Int("server", pl.Server))
+			return
 		}
 		if sess.retries >= migRetries {
 			dropSession(sess)
 			tctx.End(trace.String("outcome", "dropped"))
-			return nil
+			return
 		}
 		sess.retries++
 		delay := migBackoff * math.Pow(2, float64(sess.retries-1))
 		push(event{at: now + delay, kind: evRetry, sid: sess.id})
 		tctx.End(trace.String("outcome", "retry"))
-		return nil
 	}
 
-	// crash orphans every session on s and starts their migration.
-	crash := func(s int) error {
+	// crash starts the migration of the sessions the cluster evicted when
+	// server s failed — which must be the ones the world has there.
+	crash := func(s int, evicted []fleet.Evicted) error {
 		res.Crashes++
 		om.crashes.Inc()
 		flushObservations(s)
-		orphans := append([]int(nil), slots[s]...)
+		orphans := slots[s]
+		if !slices.EqualFunc(orphans, evicted, func(sid int, e fleet.Evicted) bool { return sessions[sid].csid == e.Session }) {
+			return fmt.Errorf("sched: server %d crashed holding sessions %v, the cluster evicted %+v", s, orphans, evicted)
+		}
 		contents[s], slots[s], serverFPS[s] = nil, nil, nil
 		if watchdogOn && violating[s] {
 			violating[s] = false
@@ -613,21 +480,24 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 				dropSession(sess)
 				continue
 			}
-			if err := tryMigrate(sess); err != nil {
-				return err
-			}
+			tryMigrate(sess)
 		}
 		return nil
 	}
 
-	// handleTransition applies one fault state change.
-	handleTransition := func(tr sim.FaultTransition) error {
+	// handleTransition applies one fault state change; evicted is what the
+	// cluster took off the server when the transition starts a crash.
+	handleTransition := func(tr sim.FaultTransition, evicted []fleet.Evicted) error {
 		switch tr.Event.Kind {
 		case sim.FaultCrash:
 			if tr.Started {
-				return crash(tr.Event.Server)
+				return crash(tr.Event.Server, evicted)
 			}
-			// Server returns empty; nothing to recompute.
+			// The server returns empty once no overlapping crash window
+			// still covers it; nothing to recompute.
+			if !inj.ServerDown(tr.Event.Server) {
+				cluster.RestoreServer(tr.Event.Server)
+			}
 		case sim.FaultSpike:
 			if !(inj != nil && inj.ServerDown(tr.Event.Server)) {
 				recompute(tr.Event.Server)
@@ -638,20 +508,6 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 			}
 		}
 		return nil
-	}
-
-	// liveCapacity counts placeable slots for load shedding.
-	liveCapacity := func() int {
-		if inj == nil {
-			return cfg.NumServers * effMax
-		}
-		up := 0
-		for s := 0; s < cfg.NumServers; s++ {
-			if !inj.ServerDown(s) {
-				up++
-			}
-		}
-		return up * effMax
 	}
 
 	nextArrival := now + rng.ExpFloat64()/cfg.ArrivalRate
@@ -691,8 +547,18 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 		now = eventAt
 
 		if takeFault {
-			for _, tr := range inj.AdvanceTo(now) {
-				if err := handleTransition(tr); err != nil {
+			// Every server that fails at this instant leaves the cluster before
+			// any orphan is re-placed, so none lands on a server about to be
+			// wiped in the same batch.
+			trs := inj.AdvanceTo(now)
+			evicted := make([][]fleet.Evicted, len(trs))
+			for i, tr := range trs {
+				if tr.Event.Kind == sim.FaultCrash && tr.Started {
+					evicted[i] = cluster.FailServer(tr.Event.Server)
+				}
+			}
+			for i, tr := range trs {
+				if err := handleTransition(tr, evicted[i]); err != nil {
 					return res, err
 				}
 			}
@@ -712,14 +578,15 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 					dropSession(sess)
 					break
 				}
+				if !cluster.Remove(sess.csid) {
+					return res, fmt.Errorf("sched: departing session %d is unknown to the cluster", sess.id)
+				}
 				unplace(sess)
 				sess.done = true
 				res.Completed++
 				om.departures.Inc()
 			case evRetry:
-				if err := tryMigrate(sessions[e.sid]); err != nil {
-					return res, err
-				}
+				tryMigrate(sessions[e.sid])
 			case evWatchdog:
 				s := e.srv
 				if !watchdogOn || !violating[s] || e.gen != violGen[s] {
@@ -742,14 +609,10 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 					)
 					tr.SetCurrent(tctx)
 					span := om.placeSec.Start()
-					target, ok := policy.Place(policyView(s), victim.game)
+					target, ok := cluster.Migrate(victim.csid)
 					span.Stop()
 					tr.ClearCurrent()
 					if ok {
-						if err := validatePlacement(target); err != nil {
-							tctx.End(trace.String("outcome", "error"))
-							return res, err
-						}
 						unplace(victim)
 						place(victim, target)
 						res.Migrated++
@@ -771,7 +634,7 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 		// Arrival.
 		game := cfg.GameIDs[rng.Intn(len(cfg.GameIDs))]
 		if cfg.ShedUtilization > 0 {
-			if capacity := liveCapacity(); capacity == 0 || float64(active) >= cfg.ShedUtilization*float64(capacity) {
+			if capacity := cluster.Capacity(); capacity == 0 || float64(active) >= cfg.ShedUtilization*float64(capacity) {
 				tctx := tr.StartTrace("shed",
 					trace.Int("game", game),
 					trace.Int("active", active),
@@ -790,23 +653,19 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 		tctx := tr.StartTrace("placement", trace.Int("game", game))
 		tr.SetCurrent(tctx)
 		span := om.placeSec.Start()
-		server, ok := policy.Place(policyView(-1), game)
+		pl, ok := cluster.Place(game)
 		span.Stop()
 		tr.ClearCurrent()
 		if ok {
-			if err := validatePlacement(server); err != nil {
-				tctx.End(trace.String("outcome", "error"))
-				return res, err
-			}
-			sess := &session{id: len(sessions), game: game, server: -1}
+			sess := &session{id: len(sessions), csid: pl.Session, game: game, server: -1}
 			sessions = append(sessions, sess)
-			place(sess, server)
+			place(sess, pl.Server)
 			dur := rng.ExpFloat64() * cfg.MeanDuration
 			sess.departAt = now + dur
 			push(event{at: sess.departAt, kind: evDeparture, sid: sess.id})
 			tctx.End(
 				trace.String("outcome", "placed"),
-				trace.Int("server", server),
+				trace.Int("server", pl.Server),
 				trace.Int("session", sess.id),
 			)
 		} else {
@@ -829,6 +688,14 @@ func RunOnline(cfg OnlineConfig, policy PlacementPolicy, eval FPSEvaluator, qos 
 	}
 	if math.IsNaN(res.MeanFPS) {
 		return res, fmt.Errorf("sched: online produced NaN metrics")
+	}
+	if err := fleet.CheckInvariants(cluster); err != nil {
+		return res, fmt.Errorf("sched: cluster invariants broken after the run: %w", err)
+	}
+	for s, games := range cluster.Snapshot() {
+		if !slices.Equal(games, contents[s]) {
+			return res, fmt.Errorf("sched: server %d holds %v in the cluster, %v in the simulator", s, games, contents[s])
+		}
 	}
 	return res, nil
 }

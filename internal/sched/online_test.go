@@ -2,6 +2,9 @@ package sched
 
 import (
 	"testing"
+
+	"gaugur/internal/obs/trace"
+	"gaugur/internal/sched/fleet"
 )
 
 // toyEval gives each game 100 FPS solo and subtracts 30 per cohabitant,
@@ -33,20 +36,46 @@ func toyScore(games []int) float64 {
 	return s
 }
 
-func baseCfg() OnlineConfig {
-	return OnlineConfig{
+// churnCfg is one test run: the churn stream plus the fleet it lands on.
+type churnCfg struct {
+	OnlineConfig
+	NumServers, MaxPerServer int
+}
+
+func baseCfg() churnCfg {
+	return churnCfg{
 		NumServers:   6,
 		MaxPerServer: 2,
-		ArrivalRate:  2,
-		MeanDuration: 3,
-		Sessions:     200,
-		GameIDs:      []int{1, 2, 3},
-		Seed:         1,
+		OnlineConfig: OnlineConfig{
+			ArrivalRate:  2,
+			MeanDuration: 3,
+			Sessions:     200,
+			GameIDs:      []int{1, 2, 3},
+			Seed:         1,
+		},
 	}
 }
 
+// runOn drives a fresh single-shard cluster, built from fc at cfg's fleet
+// size, through cfg's stream.
+func runOn(cfg churnCfg, fc fleet.Config, eval FPSEvaluator, qos float64) (OnlineResult, error) {
+	fc.NumServers, fc.MaxPerServer = cfg.NumServers, cfg.MaxPerServer
+	return RunChurn(cfg.OnlineConfig, fc, eval, qos)
+}
+
+// runGreedy runs the Section 5.2 rule scored by score; tr, when non-nil,
+// also traces the cluster's scoring.
+func runGreedy(cfg churnCfg, score Scorer, tr *trace.Tracer, eval FPSEvaluator, qos float64) (OnlineResult, error) {
+	return runOn(cfg, fleet.Config{Scorer: fleet.ScorerFunc(score), Tracer: tr}, eval, qos)
+}
+
+// runLeastLoaded runs the interference-blind strawman.
+func runLeastLoaded(cfg churnCfg, eval FPSEvaluator, qos float64) (OnlineResult, error) {
+	return runOn(cfg, fleet.Config{Mode: fleet.ModeLeastLoaded}, eval, qos)
+}
+
 func TestRunOnlineBasicAccounting(t *testing.T) {
-	res, err := RunOnline(baseCfg(), GreedyPolicy(toyScore, 2), toyEval, 60)
+	res, err := runGreedy(baseCfg(), toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +95,11 @@ func TestRunOnlineBasicAccounting(t *testing.T) {
 
 func TestGreedyAvoidsToxicPairsOnline(t *testing.T) {
 	cfg := baseCfg()
-	greedy, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+	greedy, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	blind, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +113,11 @@ func TestGreedyAvoidsToxicPairsOnline(t *testing.T) {
 }
 
 func TestRunOnlineDeterministic(t *testing.T) {
-	a, err := RunOnline(baseCfg(), LeastLoadedPolicy(2), toyEval, 60)
+	a, err := runLeastLoaded(baseCfg(), toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOnline(baseCfg(), LeastLoadedPolicy(2), toyEval, 60)
+	b, err := runLeastLoaded(baseCfg(), toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +132,7 @@ func TestRunOnlineRejectsWhenFull(t *testing.T) {
 	cfg.MaxPerServer = 1
 	cfg.ArrivalRate = 100 // swamp the single slot
 	cfg.MeanDuration = 10
-	res, err := RunOnline(cfg, LeastLoadedPolicy(1), toyEval, 60)
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,35 +144,25 @@ func TestRunOnlineRejectsWhenFull(t *testing.T) {
 func TestRunOnlineValidation(t *testing.T) {
 	bad := baseCfg()
 	bad.NumServers = 0
-	if _, err := RunOnline(bad, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(bad, toyEval, 60); err == nil {
 		t.Error("zero servers should fail")
 	}
 	bad = baseCfg()
 	bad.Sessions = 0
-	if _, err := RunOnline(bad, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(bad, toyEval, 60); err == nil {
 		t.Error("zero sessions should fail")
 	}
 	bad = baseCfg()
 	bad.ArrivalRate = 0
-	if _, err := RunOnline(bad, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(bad, toyEval, 60); err == nil {
 		t.Error("zero arrival rate should fail")
 	}
 	bad = baseCfg()
 	bad.GameIDs = nil
-	if _, err := RunOnline(bad, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(bad, toyEval, 60); err == nil {
 		t.Error("empty game mix should fail")
 	}
-}
-
-func TestGreedyPolicyRespectsCap(t *testing.T) {
-	p := GreedyPolicy(toyScore, 1)
-	contents := [][]int{{1}, {2}}
-	if _, ok := p.Place(contents, 3); ok {
-		t.Error("full fleet must reject")
-	}
-	contents = [][]int{{1}, nil}
-	s, ok := p.Place(contents, 3)
-	if !ok || s != 1 {
-		t.Errorf("should place on the empty server, got (%d, %v)", s, ok)
+	if _, err := runOn(baseCfg(), fleet.Config{Mode: fleet.ModeLeastLoaded, ShardCount: 2, StealThreshold: 0.5}, toyEval, 60); err == nil {
+		t.Error("a stealing cluster should be refused up front")
 	}
 }

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -21,7 +23,7 @@ func toySpikeEval(games []int, extra sim.Vector) []float64 {
 	return out
 }
 
-func resilientCfg() OnlineConfig {
+func resilientCfg() churnCfg {
 	cfg := baseCfg()
 	cfg.SpikeEval = toySpikeEval
 	return cfg
@@ -36,7 +38,7 @@ func TestRunOnlineCrashOrphansAndMigrates(t *testing.T) {
 		{At: 5, Kind: sim.FaultCrash, Server: 0, Duration: 20},
 		{At: 30, Kind: sim.FaultCrash, Server: 1, Duration: 20},
 	}
-	res, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+	res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,77 @@ func TestRunOnlineCrashOrphansAndMigrates(t *testing.T) {
 	}
 }
 
+// Overlapping crash windows on one server: it stays down until the LAST
+// window covering it ends, so the run must equal one with a single window
+// spanning their union in everything but the crash count. (On a one-server
+// fleet a restore at the first window's end would admit arrivals the union
+// run rejects.)
+func TestRunOnlineOverlappingCrashWindows(t *testing.T) {
+	run := func(faults ...sim.FaultEvent) OnlineResult {
+		cfg := churnCfg{NumServers: 1, MaxPerServer: 2, OnlineConfig: OnlineConfig{
+			ArrivalRate: 2, MeanDuration: 1, Sessions: 120, GameIDs: []int{3}, Seed: 9,
+			Faults: faults, SpikeEval: toySpikeEval,
+		}}
+		res, err := runLeastLoaded(cfg, toyEval, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	overlap := run(
+		sim.FaultEvent{At: 5, Kind: sim.FaultCrash, Server: 0, Duration: 10},
+		sim.FaultEvent{At: 10, Kind: sim.FaultCrash, Server: 0, Duration: 20},
+	)
+	union := run(sim.FaultEvent{At: 5, Kind: sim.FaultCrash, Server: 0, Duration: 25})
+	if overlap.Crashes != 2 || union.Crashes != 1 {
+		t.Fatalf("crashes applied: overlap %d, union %d; want 2 and 1", overlap.Crashes, union.Crashes)
+	}
+	overlap.Crashes = union.Crashes
+	if overlap != union {
+		t.Errorf("overlapping windows differ from their union:\n%+v\nvs\n%+v", overlap, union)
+	}
+	if union.Rejected == 0 || union.Completed == 0 {
+		t.Errorf("weak scenario: the outage should reject some arrivals and spare others: %+v", union)
+	}
+}
+
+// Servers crashing at the same instant are all gone before the first orphan
+// is re-placed. Six long sessions sit two per server when servers 0 and 1
+// fail together; server 2 has room for all four orphans, so each moves
+// exactly once. (Re-placing server 0's orphans while server 1 still looks up
+// would send them there — least-loaded, lowest id — only to be evicted again.)
+// A zero-length crash of server 2 in the same batch evicts too, and the server
+// is back only after the batch: all six orphans wait out one backoff.
+func TestRunOnlineSimultaneousCrashes(t *testing.T) {
+	run := func(faults ...sim.FaultEvent) OnlineResult {
+		cfg := churnCfg{NumServers: 3, MaxPerServer: 6, OnlineConfig: OnlineConfig{
+			ArrivalRate: 10, MeanDuration: 1e6, Sessions: 6, GameIDs: []int{3}, Seed: 5,
+			Faults: faults, MigrationBackoff: 0.25,
+		}}
+		res, err := runLeastLoaded(cfg, toyEval, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	two := []sim.FaultEvent{
+		{At: 10, Kind: sim.FaultCrash, Server: 0, Duration: 5},
+		{At: 10, Kind: sim.FaultCrash, Server: 1, Duration: 5},
+	}
+	if res := run(two...); res.Crashes != 2 || res.Migrated != 4 || res.Dropped != 0 || res.MeanTimeToRecover != 0 {
+		t.Errorf("want 2 crashes, 4 sessions moved once each at the crash instant, none dropped: %+v", res)
+	}
+	three := append(two, sim.FaultEvent{At: 10, Kind: sim.FaultCrash, Server: 2})
+	if res := run(three...); res.Crashes != 3 || res.Migrated != 6 || res.Dropped != 0 || res.MeanTimeToRecover != 0.25 {
+		t.Errorf("want 3 crashes, all 6 sessions back on server 2 after one backoff: %+v", res)
+	}
+}
+
 func TestRunOnlineMigrationDisabledDropsOrphans(t *testing.T) {
 	cfg := resilientCfg()
 	cfg.Faults = []sim.FaultEvent{{At: 10, Kind: sim.FaultCrash, Server: 0, Duration: 5}}
 	cfg.DisableMigration = true
-	res, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +146,7 @@ func TestRunOnlineRetryBackoffAndDrop(t *testing.T) {
 	// Single server: a crash orphans everything and there is nowhere to
 	// migrate while it is down. With a downtime longer than the full
 	// backoff budget, every orphan must be dropped after its retries.
-	cfg := OnlineConfig{
-		NumServers:   1,
-		MaxPerServer: 4,
+	cfg := churnCfg{NumServers: 1, MaxPerServer: 4, OnlineConfig: OnlineConfig{
 		ArrivalRate:  5,
 		MeanDuration: 50,
 		Sessions:     4,
@@ -91,8 +157,8 @@ func TestRunOnlineRetryBackoffAndDrop(t *testing.T) {
 		},
 		MigrationRetries: 2,
 		MigrationBackoff: 0.5,
-	}
-	res, err := RunOnline(cfg, LeastLoadedPolicy(4), toyEval, 60)
+	}}
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +175,7 @@ func TestRunOnlineRetryBackoffAndDrop(t *testing.T) {
 
 func TestRunOnlineSpikeRaisesViolations(t *testing.T) {
 	cfg := resilientCfg()
-	clean, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	clean, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +185,7 @@ func TestRunOnlineSpikeRaisesViolations(t *testing.T) {
 			At: 1, Kind: sim.FaultSpike, Server: s, Resource: sim.MemBW, Magnitude: 1.0, Duration: 80,
 		})
 	}
-	spiked, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	spiked, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +201,11 @@ func TestRunOnlineSpikeRaisesViolations(t *testing.T) {
 func TestRunOnlineSpikeRequiresSpikeEval(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Faults = []sim.FaultEvent{{At: 1, Kind: sim.FaultSpike, Server: 0, Resource: sim.MemBW, Magnitude: 0.5, Duration: 5}}
-	if _, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(cfg, toyEval, 60); err == nil {
 		t.Error("spike faults without SpikeEval should fail fast")
 	}
 	cfg.Faults = []sim.FaultEvent{{At: 1, Kind: sim.FaultCrash, Server: 99, Duration: 5}}
-	if _, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60); err == nil {
+	if _, err := runLeastLoaded(cfg, toyEval, 60); err == nil {
 		t.Error("fault targeting an invalid server should fail fast")
 	}
 }
@@ -155,7 +221,7 @@ func TestRunOnlineWatchdogMigratesVictims(t *testing.T) {
 			{At: 2, Kind: sim.FaultSpike, Server: 0, Resource: sim.MemBW, Magnitude: 2.0, Duration: 60},
 			{At: 2, Kind: sim.FaultSpike, Server: 1, Resource: sim.MemBW, Magnitude: 2.0, Duration: 60},
 		}
-		res, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+		res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +242,7 @@ func TestRunOnlineLoadSheddingCapsAdmission(t *testing.T) {
 	cfg := baseCfg()
 	cfg.ArrivalRate = 50 // heavy overload
 	cfg.ShedUtilization = 0.5
-	res, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +266,7 @@ func TestRunOnlineOutageCallback(t *testing.T) {
 		{At: 40, Kind: sim.FaultDropout, Duration: 5},
 	}
 	cfg.OnOutage = func(down bool) { calls = append(calls, down) }
-	if _, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60); err != nil {
+	if _, err := runLeastLoaded(cfg, toyEval, 60); err != nil {
 		t.Fatal(err)
 	}
 	want := []bool{true, false, true, false}
@@ -225,7 +291,7 @@ func TestRunOnlineDeterministicUnderFaults(t *testing.T) {
 			SpikeRate: 0.1, SpikeDuration: 5, SpikeMagnitude: 1.2,
 			DropoutRate: 0.02, DropoutDuration: 5,
 		})
-		res, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+		res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +316,7 @@ func TestRunOnlineFaultsBeyondHorizon(t *testing.T) {
 	cfg.Faults = []sim.FaultEvent{
 		{At: 1e9, Kind: sim.FaultCrash, Server: 0, Duration: 10},
 	}
-	res, err := RunOnline(cfg, LeastLoadedPolicy(2), toyEval, 60)
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,188 +328,48 @@ func TestRunOnlineFaultsBeyondHorizon(t *testing.T) {
 	}
 }
 
-// Bounded-memo satellite: the greedy score cache must not grow without
-// limit, and eviction must not change results.
-func TestScoreCacheCapHolds(t *testing.T) {
-	misses := 0
-	c := NewScoreCache(4)
-	get := func(k uint64) float64 {
-		return c.Get(k, func() float64 { misses++; return float64(k) })
-	}
-	for k := uint64(1); k <= 10; k++ {
-		get(k)
-	}
-	if c.Len() > 4 {
-		t.Fatalf("cache holds %d entries, cap is 4", c.Len())
-	}
-	if misses != 10 {
-		t.Fatalf("misses %d, want 10 distinct inserts", misses)
-	}
-	// The most recent keys are resident; the oldest were evicted and miss
-	// again (recomputing the same value).
-	get(10)
-	if misses != 10 {
-		t.Error("recent key should hit")
-	}
-	if v := get(1); v != 1 {
-		t.Errorf("recomputed value %v, want 1", v)
-	}
-	if misses != 11 {
-		t.Error("evicted key should miss")
-	}
-	if c.Len() > 4 {
-		t.Errorf("cache grew past cap after churn: %d", c.Len())
-	}
-}
-
-// A cache at capacity must keep serving hits for every resident key —
-// eviction replaces exactly the oldest entry and touches nothing else.
-func TestScoreCacheFullStillServesHits(t *testing.T) {
-	const cap = 8
-	c := NewScoreCache(cap)
-	misses := 0
-	get := func(k uint64) float64 {
-		return c.Get(k, func() float64 { misses++; return float64(k * 3) })
-	}
-	for k := uint64(1); k <= cap; k++ {
-		get(k)
-	}
-	if c.Len() != cap || misses != cap {
-		t.Fatalf("warmup: len %d misses %d, want %d each", c.Len(), misses, cap)
-	}
-	// Every resident key hits, repeatedly, with the cache full.
-	for round := 0; round < 3; round++ {
-		for k := uint64(1); k <= cap; k++ {
-			if v := get(k); v != float64(k*3) {
-				t.Fatalf("full-cache hit for %d returned %v", k, v)
-			}
-		}
-	}
-	if misses != cap {
-		t.Fatalf("full-cache hits recomputed: %d misses, want %d", misses, cap)
-	}
-	// One insert past cap evicts exactly the oldest key (1); all others
-	// still hit.
-	get(100)
-	if v := get(2); v != 6 || misses != cap+1 {
-		t.Fatalf("post-evict hit broken: v=%v misses=%d", v, misses)
-	}
-	get(1) // evicted → miss
-	if misses != cap+2 {
-		t.Fatalf("oldest key should have been evicted: misses=%d", misses)
-	}
-	if c.Len() > cap {
-		t.Fatalf("cache len %d past cap %d", c.Len(), cap)
-	}
-}
-
-// Eviction is O(1) in-place ring overwrite: no auxiliary structure grows
-// with churn, however far past the cap the stream runs.
-func TestScoreCacheEvictionConstantSpace(t *testing.T) {
-	c := NewScoreCache(3)
-	for i := uint64(0); i < 1000; i++ {
-		k := i
-		c.Get(k, func() float64 { return float64(k) })
-	}
-	if c.Len() > 3 {
-		t.Errorf("cache len %d after heavy churn, cap 3", c.Len())
-	}
-	if len(c.ring) != 3 || cap(c.ring) > 8 {
-		t.Errorf("ring grew with churn: len %d cap %d, want len 3", len(c.ring), cap(c.ring))
-	}
-	if c.head < 0 || c.head >= 3 {
-		t.Errorf("ring head out of range: %d", c.head)
-	}
-}
-
-// The greedy cached-hit path is allocation-free: once every candidate
-// state is memoized, a Place call allocates nothing per candidate — the
-// order-invariant hash identifies the insert-candidate without building
-// its slice.
-func TestGreedyPolicyCachedHitNoAllocs(t *testing.T) {
-	policy := GreedyPolicy(toyScore, 4)
-	contents := [][]int{{1, 2}, {2, 3}, {1}, {}, {3, 3, 4}}
-	// Warm every (occupancy, candidate) state the placement touches.
-	for _, g := range []int{1, 2, 3, 4} {
-		policy.Place(contents, g)
-	}
-	for _, g := range []int{1, 2, 3, 4} {
-		g := g
-		if n := testing.AllocsPerRun(100, func() {
-			policy.Place(contents, g)
-		}); n != 0 {
-			t.Errorf("cached-hit Place(game=%d) allocates %.1f times per call, want 0", g, n)
-		}
-	}
-}
-
-func TestGreedyPolicyBoundedCacheKeepsResults(t *testing.T) {
-	// Same policy logic through a tiny cache (indirectly, via many distinct
-	// states): results must match an uncached oracle run exactly.
-	cfg := baseCfg()
-	cfg.GameIDs = []int{1, 2, 3, 4, 5, 6, 7, 8}
-	cached, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+// World-agreement satellite: the cluster decides where sessions go, so the
+// one thing the loop must catch is its own world drifting from the
+// cluster's. A cluster that already holds a session the simulator never
+// placed must fail the exit check.
+func TestRunOnlineRejectsClusterItDisagreesWith(t *testing.T) {
+	c, err := fleet.New(fleet.Config{NumServers: 6, MaxPerServer: 2, Mode: fleet.ModeLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := RunOnline(cfg, PolicyFunc(func(contents [][]int, game int) (int, bool) {
-		best, bestDelta, found := -1, 0.0, false
-		for s, occ := range contents {
-			if len(occ) >= 2 {
-				continue
-			}
-			cand := insertSorted(occ, game)
-			delta := toyScore(cand)
-			if len(occ) > 0 {
-				delta -= toyScore(occ)
-			}
-			if !found || delta > bestDelta {
-				found, best, bestDelta = true, s, delta
-			}
-		}
-		return best, found
-	}), toyEval, 60)
-	if err != nil {
-		t.Fatal(err)
+	defer c.Close()
+	if _, ok := c.Place(3); !ok {
+		t.Fatal("setup placement failed")
 	}
-	if cached != uncached {
-		t.Errorf("cached and uncached greedy diverge:\n%+v\nvs\n%+v", cached, uncached)
-	}
-}
-
-// Capacity-validation satellite: a buggy policy that overfills a server
-// must be rejected with a descriptive error.
-func TestRunOnlineRejectsOverCapacityPlacement(t *testing.T) {
-	cfg := baseCfg()
-	cfg.MaxPerServer = 1
-	always0 := PolicyFunc(func(contents [][]int, game int) (int, bool) { return 0, true })
-	_, err := RunOnline(cfg, always0, toyEval, 60)
+	_, err = RunOnline(baseCfg().OnlineConfig, c, toyEval, 60)
 	if err == nil {
-		t.Fatal("placing onto a full server must error")
+		t.Fatal("a cluster holding a session the simulator does not know must error")
 	}
-	if got := err.Error(); !contains(got, "full server") {
-		t.Errorf("error %q should mention the full server", got)
+	if got := err.Error(); !strings.Contains(got, "in the cluster") {
+		t.Errorf("error %q should name the disagreement", got)
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	if _, err := RunOnline(baseCfg().OnlineConfig, nil, toyEval, 60); err == nil {
+		t.Error("a nil cluster must error")
 	}
-	return false
 }
 
 func TestRunOnlineAllArrivalsRejected(t *testing.T) {
+	// A fleet with every server down has nowhere to put anyone.
 	cfg := baseCfg()
-	never := PolicyFunc(func(contents [][]int, game int) (int, bool) { return 0, false })
-	res, err := RunOnline(cfg, never, toyEval, 60)
+	c, err := fleet.New(fleet.Config{NumServers: cfg.NumServers, MaxPerServer: cfg.MaxPerServer, Mode: fleet.ModeLeastLoaded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for s := 0; s < cfg.NumServers; s++ {
+		c.FailServer(s)
+	}
+	res, err := RunOnline(cfg.OnlineConfig, c, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rejected != cfg.Sessions || res.Completed != 0 {
-		t.Errorf("always-reject policy: rejected %d completed %d, want %d and 0",
+		t.Errorf("all-down fleet: rejected %d completed %d, want %d and 0",
 			res.Rejected, res.Completed, cfg.Sessions)
 	}
 	if res.MeanFPS != 0 || res.ViolationFraction != 0 || res.PeakActive != 0 {
@@ -454,7 +380,7 @@ func TestRunOnlineAllArrivalsRejected(t *testing.T) {
 func TestRunOnlineNearZeroDurations(t *testing.T) {
 	cfg := baseCfg()
 	cfg.MeanDuration = 1e-12 // sessions depart essentially instantly
-	res, err := RunOnline(cfg, GreedyPolicy(toyScore, 2), toyEval, 60)
+	res, err := runGreedy(cfg, toyScore, nil, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,9 +396,7 @@ func TestRunOnlineMTTRReflectsBackoff(t *testing.T) {
 	// Two servers, capacity 1 each; both full when server 0 crashes. The
 	// orphan cannot land anywhere until a departure frees a slot, so its
 	// recovery time must be positive (backoff retries did the work).
-	cfg := OnlineConfig{
-		NumServers:   2,
-		MaxPerServer: 1,
+	cfg := churnCfg{NumServers: 2, MaxPerServer: 1, OnlineConfig: OnlineConfig{
 		ArrivalRate:  3,
 		MeanDuration: 6,
 		Sessions:     40,
@@ -483,8 +407,8 @@ func TestRunOnlineMTTRReflectsBackoff(t *testing.T) {
 		},
 		MigrationRetries: 10,
 		MigrationBackoff: 0.25,
-	}
-	res, err := RunOnline(cfg, LeastLoadedPolicy(1), toyEval, 60)
+	}}
+	res, err := runLeastLoaded(cfg, toyEval, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

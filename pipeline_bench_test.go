@@ -6,7 +6,7 @@ import (
 
 	"gaugur/internal/core"
 	"gaugur/internal/profile"
-	"gaugur/internal/sched"
+	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -131,11 +131,11 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlinePlacement measures the dispatcher's end-to-end placement
-// rate: 64 sessions greedily placed onto a 16-server fleet per iteration,
-// scored by the compiled RM through the batch API. The score cache stays
-// warm across iterations, so after the first pass this is the steady-state
-// cached-hit path the online dispatcher lives on.
+// BenchmarkOnlinePlacement measures the churn driver's placement engine end
+// to end: 64 sessions placed by Cluster.Place onto a 16-server single-shard
+// fleet and departed again per iteration, scored by the compiled RM. The
+// score cache stays warm across iterations, so after the first pass this is
+// the steady-state cached-hit path sched.RunOnline lives on.
 func BenchmarkOnlinePlacement(b *testing.B) {
 	env := benchEnv(b)
 	p, err := env.GAugur(env.Cfg.QoSHigh)
@@ -150,23 +150,35 @@ func BenchmarkOnlinePlacement(b *testing.B) {
 		}
 		return p.PredictTotalFPS(c)
 	}
-	policy := sched.GreedyPolicy(score, 4)
-	const servers, arrivals = 16, 64
-	contents := make([][]int, servers)
-	for i := range contents {
-		contents[i] = make([]int, 0, 4)
+	placeAndClear(b, fleet.Config{NumServers: 16, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score)}, ids, nil)
+}
+
+// placeAndClear times b.N rounds of 64 arrivals placed onto the cluster fc
+// describes and then departed again, so every round starts from an empty
+// fleet with whatever the score caches have kept; before, when non-nil, runs
+// at the top of each round.
+func placeAndClear(b *testing.B, fc fleet.Config, ids []int, before func(round int)) {
+	c, err := fleet.New(fc)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer c.Close()
+	const arrivals = 64
+	sids := make([]int, 0, arrivals)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for s := range contents {
-			contents[s] = contents[s][:0]
+		if before != nil {
+			before(i)
 		}
 		for a := 0; a < arrivals; a++ {
-			g := ids[a%len(ids)]
-			if s, ok := policy.Place(contents, g); ok {
-				contents[s] = append(contents[s], g)
+			if pl, ok := c.Place(ids[a%len(ids)]); ok {
+				sids = append(sids, pl.Session)
 			}
 		}
+		for _, sid := range sids {
+			c.Remove(sid)
+		}
+		sids = sids[:0]
 	}
 }
 
@@ -187,8 +199,8 @@ func clonePredictor(b *testing.B, p *core.Predictor) *core.Predictor {
 
 // BenchmarkHotSwap measures the serving cost of a model promotion: each
 // iteration atomically swaps the serving handle and then re-places a
-// 64-session batch on a 16-server fleet through the generation-tagged
-// greedy policy. This is the worst case for the swap — every cached score
+// 64-session batch on a 16-server fleet through a generation-tagged
+// cluster. This is the worst case for the swap — every cached score
 // is invalidated at once and the whole batch re-scores against the new
 // model — so it bounds the latency bubble a promotion can inject into the
 // dispatcher.
@@ -208,24 +220,7 @@ func BenchmarkHotSwap(b *testing.B) {
 		}
 		return h.Load().PredictTotalFPS(c)
 	}
-	policy := sched.GreedyPolicyVersioned(score, 4, h.Generation)
-	const servers, arrivals = 16, 64
-	contents := make([][]int, servers)
-	for i := range contents {
-		contents[i] = make([]int, 0, 4)
-	}
 	models := [2]*core.Predictor{p1, p2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Swap(models[i%2])
-		for s := range contents {
-			contents[s] = contents[s][:0]
-		}
-		for a := 0; a < arrivals; a++ {
-			g := ids[a%len(ids)]
-			if s, ok := policy.Place(contents, g); ok {
-				contents[s] = append(contents[s], g)
-			}
-		}
-	}
+	placeAndClear(b, fleet.Config{NumServers: 16, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score), Gen: h.Generation},
+		ids, func(round int) { h.Swap(models[round%2]) })
 }
