@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -374,6 +376,12 @@ func TestDeterministicReplay(t *testing.T) {
 // needed and silently skip that server group. Two tiny-cache clusters fed
 // one stream must agree with each other on everything, and with a cluster
 // whose cache never evicts on every placement.
+//
+// The stream holds the 120 slots at least 90% full once they have filled, so
+// it is also where "a change to the probe moved only time" is pinned: every
+// placement (as a digest) and the probe-side counters are asserted against
+// the values this test produced before the shard's open-group slice replaced
+// the walk over the groups map.
 func TestFullCacheDeterminism(t *testing.T) {
 	run := func(cacheCap int) ([]Placement, Stats) {
 		c, err := New(Config{
@@ -393,8 +401,8 @@ func TestFullCacheDeterminism(t *testing.T) {
 		var out []Placement
 		var active []int
 		for i := 0; i < 600; i++ {
-			if i > 60 && rng.Intn(2) == 0 {
-				for n := 0; n < 2 && len(active) > 0; n++ {
+			if len(active) >= 110 && rng.Intn(2) == 0 {
+				for n := 0; n < 2; n++ {
 					j := rng.Intn(len(active))
 					c.Remove(active[j])
 					active = append(active[:j], active[j+1:]...)
@@ -415,6 +423,14 @@ func TestFullCacheDeterminism(t *testing.T) {
 		verifyInvariants(t, c)
 		return out, c.Stats()
 	}
+	digest := func(ps []Placement) uint64 {
+		h := fnv.New64a()
+		for _, p := range ps {
+			binary.Write(h, binary.LittleEndian,
+				[]uint64{uint64(p.Session), uint64(p.Server), uint64(p.Shard), math.Float64bits(p.Delta), p.Seq})
+		}
+		return h.Sum64()
+	}
 	a, sa := run(8)
 	b, sb := run(8)
 	big, sbig := run(1 << 20)
@@ -430,6 +446,22 @@ func TestFullCacheDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] || a[i] != big[i] {
 			t.Fatalf("placement %d: tiny caches %+v and %+v, unbounded %+v", i, a[i], b[i], big[i])
+		}
+	}
+	if len(a) != 623 || digest(a) != 0xeffd56e3f3f8da71 {
+		t.Errorf("placements moved: %d with digest %#x", len(a), digest(a))
+	}
+	for _, pin := range []struct {
+		name                         string
+		got                          Stats
+		scanned, cacheMisses, probes int
+	}{
+		{"tiny cache", sa, 7950, 10179, 1720},
+		{"unbounded cache", sbig, 7950, 2069, 1720},
+	} {
+		if pin.got.Scanned != pin.scanned || pin.got.CacheMisses != pin.cacheMisses || pin.got.ScoreProbes != pin.probes {
+			t.Errorf("%s: scanned %d, cache misses %d, score probes %d; pinned %d, %d, %d", pin.name,
+				pin.got.Scanned, pin.got.CacheMisses, pin.got.ScoreProbes, pin.scanned, pin.cacheMisses, pin.probes)
 		}
 	}
 }

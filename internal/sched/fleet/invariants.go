@@ -8,8 +8,10 @@ import "fmt"
 // per-server occupancy ledger match shard contents and stay within
 // capacity; a down server holds no sessions, sits in no state group and not
 // in the idle heap, and its slots are out of its shard's capacity; every
-// other server is in exactly the group its contents name; the counters
-// conserve sessions; commit tickets are dense.
+// other server is in exactly the group its contents name; each shard's open
+// slice holds exactly the map's groups with room, each once, at the position
+// the group records, and the map holds no empty group; the counters conserve
+// sessions; commit tickets are dense.
 //
 // It holds the commit lock throughout and quiesces every shard first
 // (commits are fire-and-forget), so no mutation can be in flight while it
@@ -69,6 +71,9 @@ func CheckInvariants(c *Cluster) error {
 				}
 			}
 		}
+		if err := sh.checkGroupIndex(); err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
 		if load != c.loads[si] {
 			return fmt.Errorf("shard %d: balancer load %d, actual %d", si, c.loads[si], load)
 		}
@@ -84,6 +89,37 @@ func CheckInvariants(c *Cluster) error {
 	}
 	if int(c.commitSeq) != st.Placed {
 		return fmt.Errorf("commit tickets not dense: next seq %d, placed %d", c.commitSeq, st.Placed)
+	}
+	return nil
+}
+
+// checkGroupIndex verifies the shard's two group structures against each
+// other: the by-hash map files every group under the hash of its state and
+// holds none without a member; open holds exactly the map's groups with room
+// for another game, each at the position it records. A group emptied by a
+// departure, a crash or a mask is therefore in neither, and a full one only
+// in the map.
+func (sh *shard) checkGroupIndex() error {
+	for h, g := range sh.groups {
+		switch {
+		case g.hash != h || multisetHash(g.games) != h:
+			return fmt.Errorf("group %v filed under hash %#x, records %#x", g.games, h, g.hash)
+		case len(g.members) == 0:
+			return fmt.Errorf("empty group %v left in the map", g.games)
+		case len(g.games) >= sh.max:
+			if g.at != -1 {
+				return fmt.Errorf("full group %v claims open position %d", g.games, g.at)
+			}
+		default:
+			if g.at < 0 || g.at >= len(sh.open) || sh.open[g.at] != g {
+				return fmt.Errorf("group %v has room but open[%d] is not it", g.games, g.at)
+			}
+		}
+	}
+	for i, g := range sh.open {
+		if g == nil || g.at != i || sh.groups[g.hash] != g {
+			return fmt.Errorf("open[%d] is not a live group recording that position", i)
+		}
 	}
 	return nil
 }

@@ -16,7 +16,12 @@ import (
 //   - per-server contents (sorted game multisets) and session slots,
 //   - a state-group index: servers bucketed by occupant multiset, so a
 //     scoring pass costs O(distinct states), not O(servers) — at fleet
-//     scale thousands of servers collapse into a few dozen states,
+//     scale thousands of servers collapse into a few dozen states. It is two
+//     structures: a by-hash map answers "where does this server's new state
+//     live" when a commit or departure regroups it, and the dense open slice
+//     holds exactly the groups a probe may answer with (a member, and room
+//     for one more game), so the probe never visits a full group and never
+//     pays Go's map iteration,
 //   - its own generation-keyed score cache: every key carries the model
 //     generation, so a hot swap makes stale entries unreachable with no
 //     flush and no locking on the placement path,
@@ -33,8 +38,9 @@ import (
 // forest), the reduce picks the best (delta, lowest global server id)
 // candidate from what the first pass noted, and only then are the new
 // scores memoized, in sorted key order. The reduce is order-independent and
-// no Put lands between the lookups and it, so Go's random map iteration
-// changes neither the answer nor what a full cache evicts.
+// no Put lands between the lookups and it, so the order the open slice
+// happens to hold its groups in changes neither the answer nor what a full
+// cache evicts.
 
 // shardOp enumerates the balancer->shard requests.
 type shardOp int
@@ -100,8 +106,14 @@ type shardResp struct {
 // cost O(log n) instead of the O(n) memmove a fully sorted slice pays on
 // every commit (group sizes reach servers-per-shard; at fleet scale that
 // was the single most expensive step of a placement).
+//
+// A group lives from its first member to its last: the by-hash map never
+// holds an empty one. hash is its key there; at is its position in
+// shard.open, or -1 for a full group, which no probe may answer with.
 type group struct {
 	games   []int
+	hash    uint64
+	at      int
 	members []int // min-heap by local index; heap positions in shard.pos
 }
 
@@ -116,19 +128,19 @@ type scan struct {
 }
 
 type shard struct {
-	id      int
-	lo, hi  int // global server ids [lo, hi)
-	max     int
-	mode    Mode
-	scorer  BatchScorer
-	greedy  bool
-	reqs    chan shardReq
-	resp    chan shardResp
-	statesN int // steady count of distinct states, for diagnostics
+	id     int
+	lo, hi int // global server ids [lo, hi)
+	max    int
+	mode   Mode
+	scorer BatchScorer
+	greedy bool
+	reqs   chan shardReq
+	resp   chan shardResp
 
 	contents [][]int // local idx -> sorted game multiset
 	slots    [][]int // local idx -> session ids aligned with contents
 	groups   map[uint64]*group
+	open     []*group // the groups with room, dense: what a probe walks
 	idle     *idleHeap
 	cache    *scoreCache
 
@@ -164,12 +176,12 @@ func newShard(id, lo, hi, max int, mode Mode, scorer BatchScorer, cacheCap int) 
 	}
 	// All servers start in the empty group (hash 0); an ascending array is
 	// already a valid min-heap with pos[i] = i.
-	g := &group{games: nil, members: make([]int, n)}
+	g := sh.newGroup(nil, 0)
+	g.members = make([]int, n)
 	for i := range g.members {
 		g.members[i] = i
 		sh.pos[i] = i
 	}
-	sh.groups[0] = g
 	return sh
 }
 
@@ -327,14 +339,11 @@ func (sh *shard) leastLoadedBest() shardResp {
 func (sh *shard) gatherGame(game int, genTag uint64) int {
 	gh := sim.Mix64(uint64(game))
 	from := len(sh.scans)
-	for h, g := range sh.groups {
-		if len(g.members) == 0 || len(g.games) >= sh.max {
-			continue
-		}
+	for _, g := range sh.open {
 		e := scan{srv: g.members[0], baseAt: -1}
-		e.cand, e.candAt = sh.lookup(h+gh+genTag, func() []int { return insertSorted(g.games, game) })
+		e.cand, e.candAt = sh.lookup(g.hash+gh+genTag, func() []int { return insertSorted(g.games, game) })
 		if len(g.games) > 0 {
-			e.base, e.baseAt = sh.lookup(h+genTag, func() []int { return g.games })
+			e.base, e.baseAt = sh.lookup(g.hash+genTag, func() []int { return g.games })
 		}
 		sh.scans = append(sh.scans, e)
 	}
@@ -452,15 +461,36 @@ func (sh *shard) scoreBatch(games []int, genTag uint64) []shardResp {
 func (sh *shard) regroup(local int, oldHash uint64) {
 	sh.leaveGroup(local, oldHash)
 	sh.joinGroup(local)
-	sh.statesN = len(sh.groups)
 }
 
-// leaveGroup takes local server idx out of the group keyed hash.
+// newGroup files an empty group for the state games under hash, and in the
+// open slice when the state has room for another game.
+func (sh *shard) newGroup(games []int, hash uint64) *group {
+	g := &group{games: games, hash: hash, at: -1}
+	sh.groups[hash] = g
+	if len(games) < sh.max {
+		g.at = len(sh.open)
+		sh.open = append(sh.open, g)
+	}
+	return g
+}
+
+// leaveGroup takes local server idx out of the group keyed hash. The last
+// member out deletes the group from both structures: the open slice's last
+// group takes its place.
 func (sh *shard) leaveGroup(local int, hash uint64) {
 	g := sh.groups[hash]
 	sh.heapRemove(g, local)
-	if len(g.members) == 0 {
-		delete(sh.groups, hash)
+	if len(g.members) > 0 {
+		return
+	}
+	delete(sh.groups, hash)
+	if g.at >= 0 {
+		last := len(sh.open) - 1
+		moved := sh.open[last]
+		sh.open[g.at], moved.at = moved, g.at
+		sh.open[last] = nil
+		sh.open = sh.open[:last]
 	}
 }
 
@@ -469,8 +499,7 @@ func (sh *shard) joinGroup(local int) {
 	hash := multisetHash(sh.contents[local])
 	g := sh.groups[hash]
 	if g == nil {
-		g = &group{games: append([]int(nil), sh.contents[local]...)}
-		sh.groups[hash] = g
+		g = sh.newGroup(append([]int(nil), sh.contents[local]...), hash)
 	}
 	sh.heapPush(g, local)
 }

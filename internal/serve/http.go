@@ -31,6 +31,16 @@ type ServerConfig struct {
 	DrainTimeout time.Duration
 }
 
+// What a client may make the admission server hold open or read. A request's
+// headers must arrive within readHeaderTimeout of its first byte and a
+// keep-alive connection may sit idle for idleTimeout; admit and leave bodies
+// are a few dozen bytes, so maxBodyBytes is already generous.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 4 << 10
+)
+
 // Server exposes the admission API over HTTP/JSON, with the obs runtime
 // surface on the same mux, plus an optional length-prefixed binary
 // listener for clients that can't afford JSON on the hot path.
@@ -69,6 +79,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/leave", s.handleLeave)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
+	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 
@@ -84,7 +95,6 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s.mux}
 	go s.http.Serve(ln)
 	return nil
 }
@@ -107,14 +117,11 @@ func (s *Server) Shutdown() error {
 	// refuse. closeOnce makes the later Close a pure wait.
 	s.cfg.Pipeline.closed.Store(true)
 
-	var err error
-	if s.http != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-		err = s.http.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			s.http.Close()
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	err := s.http.Shutdown(ctx)
+	cancel()
+	if err != nil {
+		s.http.Close()
 	}
 	s.closeBinary()
 	s.cfg.Pipeline.Close()
@@ -187,10 +194,26 @@ func writeErr(w http.ResponseWriter, err error) {
 	}
 }
 
+// decodeBody reads a JSON request body of at most maxBodyBytes into v. It
+// answers a longer one with 413 and a malformed one with 400, and reports
+// whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errResp{Error: "bad request: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req admitReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pl, err := s.cfg.Pipeline.AdmitTraced(req.Game, headerTraceID(r))
@@ -205,8 +228,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req leaveReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResp{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.cfg.Pipeline.LeaveTraced(req.Session, headerTraceID(r)); err != nil {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,5 +186,54 @@ func TestHTTPShutdownDrain(t *testing.T) {
 	}
 	if st := p.Stats(); st.Placed != 1 || st.Active != 1 {
 		t.Fatalf("stats after drain: %+v", st)
+	}
+}
+
+// TestHTTPSlowHeaderClosed: a client that opens a connection and never
+// finishes its request headers is cut off after ReadHeaderTimeout instead of
+// holding a connection and a goroutine for as long as it likes.
+func TestHTTPSlowHeaderClosed(t *testing.T) {
+	p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.http.ReadHeaderTimeout = 50 * time.Millisecond
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/admit HTTP/1.1\r\nHost: gaugur\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The test's own patience, far beyond the server's: hitting it means
+	// the server was still waiting for the blank line.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept a connection with unfinished headers open: %v", err)
+	}
+}
+
+// TestHTTPOversizedBodyRefused: a body past the cap is refused with 413
+// before the decoder has buffered it, and nothing is placed or removed.
+func TestHTTPOversizedBodyRefused(t *testing.T) {
+	ts, p := newHTTPFixture(t, PipelineConfig{})
+	pad := strings.Repeat(" ", 1<<20)
+	for path, body := range map[string]string{"/v1/admit": `{"game": 3}`, "/v1/leave": `{"session": 0}`} {
+		resp, out := postJSON(t, ts.URL+path, pad+body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 1 MB body: status %d %v, want 413", path, resp.StatusCode, out)
+		}
+	}
+	if st := p.Stats(); st.Placed != 0 || st.Removed != 0 {
+		t.Fatalf("refused bodies reached the fleet: %+v", st)
 	}
 }
