@@ -8,8 +8,8 @@ import (
 )
 
 // cmdFleet drives a flash-crowd arrival stream through the sharded
-// dispatch plane: k-choices balancing across per-shard dispatchers, with
-// optional work stealing, against the trained predictor.
+// dispatch plane: k-choices balancing across per-shard dispatchers, against
+// the trained predictor.
 func cmdFleet(args []string) error {
 	fs := newFlagSet("fleet")
 	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
@@ -26,8 +26,7 @@ func cmdFleet(args []string) error {
 	crowdX := fs.Float64("crowd-factor", 3.5, "flash crowd rate multiplier (<= 1 disables)")
 	horizon := fs.Float64("horizon", 24, "simulated duration (time units)")
 	duration := fs.Float64("duration", 8, "mean session duration (time units)")
-	steal := fs.Float64("steal-threshold", 0, "donor utilization that triggers work stealing (0 disables)")
-	seed := fs.Int64("seed", 17, "balancer seed (sampling + victim selection)")
+	seed := fs.Int64("seed", 17, "balancer seed (shard sampling)")
 	workSeed := fs.Int64("workload-seed", 29, "arrival stream seed")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, and pprof on this address during the run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after the run")
@@ -62,15 +61,14 @@ func cmdFleet(args []string) error {
 
 	const maxPer = 4
 	c, err := fleet.New(fleet.Config{
-		NumServers:     *servers,
-		ShardCount:     *shards,
-		MaxPerServer:   maxPer,
-		K:              *k,
-		Seed:           *seed,
-		Scorer:         fleet.NewPredictorScorer(p),
-		StealThreshold: *steal,
-		Metrics:        reg,
-		Tracer:         tracer,
+		NumServers:   *servers,
+		ShardCount:   *shards,
+		MaxPerServer: maxPer,
+		K:            *k,
+		Seed:         *seed,
+		Scorer:       fleet.NewPredictorScorer(p),
+		Metrics:      reg,
+		Tracer:       tracer,
 	})
 	if err != nil {
 		return err
@@ -102,8 +100,7 @@ func cmdFleet(args []string) error {
 	fmt.Printf("arrivals %d  placed %d  rejected %d  peak active %d  mean ΔFPS %.1f\n",
 		res.Arrivals, res.Placed, res.Rejected, res.PeakActive, res.MeanDelta)
 	fmt.Printf("placement latency p50 %s  p99 %s\n", res.P50, res.P99)
-	fmt.Printf("escapes %d  steal plans %d  stolen %d  aborted plans %d\n",
-		st.Escapes, st.StealPlans, st.StolenSessions, st.StealAborts)
+	fmt.Printf("escapes %d\n", st.Escapes)
 	fmt.Printf("score probes %d  state groups scanned %d  cache misses %d\n",
 		st.ScoreProbes, st.Scanned, st.CacheMisses)
 	stopProfiles()

@@ -55,45 +55,6 @@ func TestStartMetricsBadAddr(t *testing.T) {
 	}
 }
 
-// TestServeMetricsCommand drives the full serve-metrics command on an
-// ephemeral port: rounds run, the registry summary reflects real activity,
-// and the endpoint address is announced.
-func TestServeMetricsCommand(t *testing.T) {
-	out := captureStdout(t, func() error {
-		return cmdServeMetrics([]string{
-			"-addr", "127.0.0.1:0",
-			"-rounds", "1",
-			"-servers", "10",
-			"-sessions", "300",
-			"-hold", "0",
-		})
-	})
-	for _, frag := range []string{
-		"metrics: serving",
-		"/metrics",
-		"round 0: mean FPS",
-		"registry:",
-		"placement spans",
-	} {
-		if !bytes.Contains([]byte(out), []byte(frag)) {
-			t.Errorf("serve-metrics output missing %q:\n%s", frag, out)
-		}
-	}
-	if bytes.Contains([]byte(out), []byte("registry: 0 placements")) {
-		t.Errorf("rounds ran but registry recorded no placements:\n%s", out)
-	}
-}
-
-// TestServeMetricsZeroRounds serves an idle registry and exits cleanly.
-func TestServeMetricsZeroRounds(t *testing.T) {
-	out := captureStdout(t, func() error {
-		return cmdServeMetrics([]string{"-addr", "127.0.0.1:0", "-rounds", "0", "-hold", "0"})
-	})
-	if !bytes.Contains([]byte(out), []byte("registry: 0 placements")) {
-		t.Errorf("idle run should report an empty registry:\n%s", out)
-	}
-}
-
 // TestTraceCommand runs the self-contained trace dump: traces listed, span
 // trees expanded, quality summary printed, and the Chrome export written.
 func TestTraceCommand(t *testing.T) {

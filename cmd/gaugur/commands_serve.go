@@ -35,7 +35,6 @@ func cmdServe(args []string) error {
 	shards := fs.Int("shards", 8, "shard count")
 	k := fs.Int("k", 2, "shards sampled per arrival")
 	maxPer := fs.Int("max-per-server", 4, "colocation cap per server")
-	steal := fs.Float64("steal-threshold", 0, "donor utilization that triggers work stealing (0 disables)")
 	seed := fs.Int64("seed", 17, "balancer seed")
 	window := fs.Int("batch-window", 16, "max arrivals coalesced per dispatch (1 = singleton submission)")
 	delay := fs.Duration("batch-delay", 200*time.Microsecond, "how long to wait filling a batch (0 = drain-only)")
@@ -71,6 +70,10 @@ func cmdServe(args []string) error {
 	rec := flight.New(*flightCap, clock)
 
 	var scorer fleet.BatchScorer
+	// knownGame stays nil under -demo: the demo physics scores any id. The
+	// predictor can only score a profiled game, so anything else is refused
+	// at the admission boundary instead of reaching a shard.
+	var knownGame func(game int) bool
 	if *demo {
 		scorer = fleet.ScorerFunc(func(games []int) float64 {
 			total := 0.0
@@ -89,6 +92,7 @@ func cmdServe(args []string) error {
 			return err
 		}
 		scorer = fleet.NewPredictorScorer(p)
+		knownGame = func(game int) bool { return p.Profiles.Get(game) != nil }
 	}
 
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
@@ -97,16 +101,15 @@ func cmdServe(args []string) error {
 	}
 
 	c, err := fleet.New(fleet.Config{
-		NumServers:     *servers,
-		ShardCount:     *shards,
-		MaxPerServer:   *maxPer,
-		K:              *k,
-		Seed:           *seed,
-		Scorer:         scorer,
-		StealThreshold: *steal,
-		Metrics:        reg,
-		Tracer:         tracer,
-		Flight:         rec,
+		NumServers:   *servers,
+		ShardCount:   *shards,
+		MaxPerServer: *maxPer,
+		K:            *k,
+		Seed:         *seed,
+		Scorer:       scorer,
+		Metrics:      reg,
+		Tracer:       tracer,
+		Flight:       rec,
 	})
 	if err != nil {
 		return err
@@ -115,6 +118,7 @@ func cmdServe(args []string) error {
 
 	pipe, err := serve.NewPipeline(serve.PipelineConfig{
 		Cluster:     c,
+		KnownGame:   knownGame,
 		Lanes:       *lanes,
 		BatchWindow: *window,
 		BatchDelay:  *delay,
@@ -189,8 +193,8 @@ func cmdServe(args []string) error {
 	st := pipe.Stats()
 	fmt.Printf("drained clean: placed %d  rejected %d  removed %d  still active %d\n",
 		st.Placed, st.Rejected, st.Removed, st.Active)
-	fmt.Printf("escapes %d  stolen %d  score probes %d  cache misses %d\n",
-		st.Escapes, st.StolenSessions, st.ScoreProbes, st.CacheMisses)
+	fmt.Printf("escapes %d  score probes %d  cache misses %d\n",
+		st.Escapes, st.ScoreProbes, st.CacheMisses)
 	fmt.Printf("flight recorder: %d events (%d dropped)  traces kept %d of %d\n",
 		rec.Total(), rec.Dropped(), tracer.Store().Len(), tracer.Store().Total())
 	return nil

@@ -128,7 +128,7 @@ func TestProfileTrainPredictRoundTripOnDisk(t *testing.T) {
 	err = cmdFleet([]string{
 		"-profiles", profiles, "-model", model, "-games", "Dota2,Borderland2",
 		"-servers", "64", "-shards", "4", "-horizon", "6",
-		"-crowd-at", "2", "-crowd-duration", "2", "-steal-threshold", "0.6",
+		"-crowd-at", "2", "-crowd-duration", "2",
 	})
 	w.Close()
 	os.Stdout = old

@@ -53,8 +53,6 @@ func main() {
 		err = cmdServe(args)
 	case "loadgen":
 		err = cmdLoadgen(args)
-	case "serve-metrics":
-		err = cmdServeMetrics(args)
 	case "trace":
 		err = cmdTrace(args)
 	case "flightrec":
@@ -81,7 +79,7 @@ commands:
   dispatch  dispatch requests onto a fixed fleet maximizing average FPS
   churn     simulate an online arrival/departure stream against the model
   fleet     drive a flash-crowd stream through the sharded dispatch plane
-            (k-choices balancing, per-shard dispatchers, work stealing)
+            (k-choices balancing, per-shard dispatchers)
   serve     run the streaming admission front end: HTTP/JSON (+ optional
             binary) API over the sharded fleet, coalescing concurrent
             arrivals into full-width batch-kernel dispatches
@@ -92,8 +90,6 @@ commands:
             incremental retrain, shadow evaluation, hot swap, rollback
   onboard   profile a new game cheaply via probes + matrix completion
 
-  serve-metrics  run an instrumented demo workload and serve /metrics,
-                 /metrics.json, expvar, pprof, and /debug/traces over HTTP
   trace          drive a traced + audited demo workload and dump recent
                  decision traces plus the model-quality summary
   flightrec      read a flight-recorder dump (from a file or a live
@@ -101,9 +97,10 @@ commands:
                  timeline and retained trace trees
 
 profile, train, pack, dispatch, churn, fleet, faults, and lifecycle accept
--metrics-addr to expose the same endpoint (metrics + traces) live during a
-real run. dispatch and faults accept -registry to serve the active version
-a lifecycle run promoted instead of a flat -model file.
+-metrics-addr to serve /metrics, /metrics.json, expvar, pprof, and
+/debug/traces over HTTP during the run. dispatch and faults accept
+-registry to serve the active version a lifecycle run promoted instead of
+a flat -model file.
 
 run "gaugur <command> -h" for the command's flags`)
 }

@@ -7,8 +7,8 @@ import (
 
 // ExtFleet drives a flash-crowd arrival stream through the sharded
 // dispatch plane at several balancer configurations: the full-scan flat
-// baseline (one shard), power-of-k sampling, sampling plus work stealing,
-// and the interference-blind least-loaded strawman. The workload stream
+// baseline (one shard), power-of-k sampling, and the interference-blind
+// least-loaded strawman. The workload stream
 // (a non-homogeneous Poisson process with a mid-run crowd spike) is
 // identical across rows, so differences are pure placement policy.
 func ExtFleet(env *Env) (*Table, error) {
@@ -37,16 +37,15 @@ func ExtFleet(env *Env) (*Table, error) {
 	}
 	games := env.TenGames()
 
-	run := func(shardCount, k int, mode fleet.Mode, stealThresh float64) (fleet.DriveResult, error) {
+	run := func(shardCount, k int, mode fleet.Mode) (fleet.DriveResult, error) {
 		c, err := fleet.New(fleet.Config{
-			NumServers:     servers,
-			ShardCount:     shardCount,
-			MaxPerServer:   4,
-			K:              k,
-			Seed:           17,
-			Scorer:         scorer,
-			Mode:           mode,
-			StealThreshold: stealThresh,
+			NumServers:   servers,
+			ShardCount:   shardCount,
+			MaxPerServer: 4,
+			K:            k,
+			Seed:         17,
+			Scorer:       scorer,
+			Mode:         mode,
 		})
 		if err != nil {
 			return fleet.DriveResult{}, err
@@ -66,21 +65,19 @@ func ExtFleet(env *Env) (*Table, error) {
 		ID:    "ext-fleet",
 		Title: "Sharded fleet dispatch under a flash crowd: k-choices vs. full scan",
 		Columns: []string{"balancer", "placed", "rejected", "mean ΔFPS",
-			"escapes", "stolen", "p99 place"},
+			"escapes", "p99 place"},
 	}
 	rows := []struct {
-		name        string
-		shards, k   int
-		mode        fleet.Mode
-		stealThresh float64
+		name      string
+		shards, k int
+		mode      fleet.Mode
 	}{
-		{"flat greedy (1 shard, full scan)", 1, 1, fleet.ModeGreedy, 0},
-		{"sharded greedy, k=2", shards, 2, fleet.ModeGreedy, 0},
-		{"sharded greedy, k=2 + stealing", shards, 2, fleet.ModeGreedy, 0.7},
-		{"sharded least-loaded, k=2", shards, 2, fleet.ModeLeastLoaded, 0},
+		{"flat greedy (1 shard, full scan)", 1, 1, fleet.ModeGreedy},
+		{"sharded greedy, k=2", shards, 2, fleet.ModeGreedy},
+		{"sharded least-loaded, k=2", shards, 2, fleet.ModeLeastLoaded},
 	}
 	for _, r := range rows {
-		res, err := run(r.shards, r.k, r.mode, r.stealThresh)
+		res, err := run(r.shards, r.k, r.mode)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +87,7 @@ func ExtFleet(env *Env) (*Table, error) {
 			delta = f1(res.MeanDelta)
 		}
 		t.AddRow(r.name, d0(res.Placed), d0(res.Rejected), delta,
-			d0(res.Escapes), d0(res.Stolen), res.P99.String())
+			d0(res.Escapes), res.P99.String())
 	}
 	t.AddNote("%d servers in %d shards; flash crowd at t=10 (x%.1f for %.0fs); identical seeded workload per row",
 		servers, shards, crowd.Peaks[0].Factor, crowd.Peaks[0].Duration)

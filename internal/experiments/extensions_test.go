@@ -238,10 +238,10 @@ func TestExtLifecycleSelfHeals(t *testing.T) {
 
 func TestExtFleetShardedDispatch(t *testing.T) {
 	tab := runFig(t, "ext-fleet")
-	if len(tab.Rows) != 4 {
-		t.Fatalf("want 4 rows, got %d", len(tab.Rows))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("want 3 rows, got %d", len(tab.Rows))
 	}
-	// Rows: 0 flat full scan, 1 sharded k=2, 2 k=2+stealing, 3 least-loaded.
+	// Rows: 0 flat full scan, 1 sharded k=2, 2 least-loaded.
 	for i := range tab.Rows {
 		if placed := cellFloat(t, tab, i, 1); placed == 0 {
 			t.Errorf("row %d placed nothing", i)

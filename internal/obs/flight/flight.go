@@ -1,10 +1,10 @@
 // Package flight is the always-on flight recorder for the serving plane: a
 // bounded ring of recent structured events (admissions, rejections, drains,
-// steals, generation swaps) that costs almost nothing while the system is
-// healthy and answers "what just happened" the moment it is not. A dump
-// pairs the event ring with the last-N tail-kept traces from the span
-// tracer, so one artifact carries both the event timeline and the span
-// detail behind it.
+// server failures, generation swaps) that costs almost nothing while the
+// system is healthy and answers "what just happened" the moment it is not.
+// A dump pairs the event ring with the last-N tail-kept traces from the
+// span tracer, so one artifact carries both the event timeline and the
+// span detail behind it.
 //
 // Same house rules as internal/obs and internal/obs/trace: standard
 // library only, every method nil-safe, timestamps through an injectable
@@ -35,8 +35,7 @@ type Event struct {
 	NS int64 `json:"ns"`
 	// Kind names the event: "admit", "reject-queue", "reject-capacity",
 	// "reject-draining", "leave", "leave-unknown", "drain-begin",
-	// "drain-end", "steal-plan", "steal-move", "steal-abort", "escape",
-	// "gen-swap".
+	// "drain-end", "escape", "server-fail", "server-restore", "gen-swap".
 	Kind    string `json:"kind"`
 	Game    int    `json:"game,omitempty"`
 	Session int    `json:"session,omitempty"`

@@ -94,14 +94,14 @@ func TestDumpRoundTripWithTraces(t *testing.T) {
 
 func TestHandlerServesDump(t *testing.T) {
 	r := New(8, stepClock(0, 1))
-	r.Record(Event{Kind: "steal-move", Shard: 3, Session: 44})
+	r.Record(Event{Kind: "server-fail", Shard: 3, Server: 44})
 	rec := httptest.NewRecorder()
 	Handler(r, nil, 4).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flightrecorder", nil))
 	var d Dump
 	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
 		t.Fatalf("bad dump JSON: %v\n%s", err, rec.Body.String())
 	}
-	if len(d.Events) != 1 || d.Events[0].Kind != "steal-move" {
+	if len(d.Events) != 1 || d.Events[0].Kind != "server-fail" {
 		t.Errorf("served dump = %+v", d)
 	}
 }

@@ -18,11 +18,11 @@ import (
 //     on the shard request queues without mixing up answers, and each batch
 //     scores all its arrivals' candidates in one kernel pass per shard.
 //   - Commits are sequenced: every balancer-side mutation (session booking,
-//     per-server occupancy, removal, steal moves, stats) holds the cluster
-//     commit lock and draws a monotone ticket (Placement.Seq), so two lanes
-//     admitting onto the same server resolve in a defined total order and
-//     an Admit observed by a client strictly precedes any Leave for the
-//     session it returned.
+//     per-server occupancy, removal, stats) holds the cluster commit lock
+//     and draws a monotone ticket (Placement.Seq), so two lanes admitting
+//     onto the same server resolve in a defined total order and an Admit
+//     observed by a client strictly precedes any Leave for the session it
+//     returned.
 //   - Capacity is revalidated at commit time against the balancer-side
 //     occupancy ledger: a probe answer that went stale while another lane
 //     filled the chosen server fails the commit and the lane re-probes
@@ -65,9 +65,9 @@ type Caller struct {
 	// Per-batch probe scratch. games[s] lists the games shard s was asked
 	// to score for this batch and resps[s] its answers, installed lazily by
 	// collect while pending[s] says the reply is still in flight. dirty[s]
-	// marks answers THIS caller has invalidated (its own commits and steal
-	// moves) — other lanes' commits leave them stale too, which the
-	// commit-time occupancy check makes safe.
+	// marks answers THIS caller has invalidated (its own commits) — other
+	// lanes' commits leave them stale too, which the commit-time occupancy
+	// check makes safe.
 	games   [][]int
 	resps   [][]shardResp
 	dirty   []bool
@@ -175,9 +175,9 @@ func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 // BatchScorer call — this is where the compiled forest kernel runs at full
 // 16-wide occupancy instead of one underfilled pass per arrival — and the
 // batch then drains in arrival order, re-probing only shards this caller's
-// earlier commits or steal moves dirtied. A clean answer is exactly what a
-// fresh probe would return as far as this caller's own mutations go, which
-// is why batched and one-at-a-time submission place identically; only the
+// earlier commits dirtied. A clean answer is exactly what a fresh probe
+// would return as far as this caller's own mutations go, which is why
+// batched and one-at-a-time submission place identically; only the
 // probe-side counters differ. The model generation is pinned once per
 // batch, so a lifecycle hot swap takes effect at the next batch boundary.
 //
@@ -201,7 +201,6 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	c := cl.c
 
 	c.mu.Lock()
-	c.applySteal(cl)
 	genTag := c.genTag()
 	c.mu.Unlock()
 	c.met.batches.Inc()
@@ -254,12 +253,6 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	}
 	var untimed BatchTiming // breadcrumbs nobody reads when the caller passed no times
 	for i, g := range games {
-		if i > 0 && c.cfg.StealThreshold > 0 {
-			// One steal move per arrival, as one-at-a-time calls drain it.
-			c.mu.Lock()
-			c.applySteal(cl)
-			c.mu.Unlock()
-		}
 		dspan := c.met.decision.Start()
 		tm := &untimed
 		var tctx trace.Ctx
@@ -471,7 +464,6 @@ func (cl *Caller) commitLocked(game, shard int, best shardResp, tm *BatchTiming)
 	c.met.placements.Inc()
 	c.met.active.Set(float64(c.stats.Active))
 	c.met.shardSessions[shard].Set(float64(c.loads[shard]))
-	c.maybePlanSteal(shard)
 	return Placement{Session: sid, Server: best.server, Shard: shard, Delta: best.delta, Seq: seq}
 }
 
@@ -515,7 +507,6 @@ func (cl *Caller) Migrate(sid int) (server int, ok bool) {
 func (cl *Caller) Remove(sid int) bool {
 	c := cl.c
 	c.mu.Lock()
-	c.applySteal(cl)
 	loc, ok := c.sessions[sid]
 	if !ok {
 		c.mu.Unlock()

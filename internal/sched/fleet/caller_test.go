@@ -18,14 +18,12 @@ import (
 func TestConcurrentCallersChurn(t *testing.T) {
 	const nCallers, steps = 4, 300
 	c, err := New(Config{
-		NumServers:     64,
-		ShardCount:     8,
-		MaxPerServer:   4,
-		K:              2,
-		Seed:           17,
-		Scorer:         ScorerFunc(synthScore),
-		StealThreshold: 0.7,
-		StealBatch:     4,
+		NumServers:   64,
+		ShardCount:   8,
+		MaxPerServer: 4,
+		K:            2,
+		Seed:         17,
+		Scorer:       ScorerFunc(synthScore),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +222,12 @@ func TestConcurrentCallersSaturation(t *testing.T) {
 // this is the proof that there is no second path left to mix with.
 func TestClusterMethodsAndCallerMixed(t *testing.T) {
 	c, err := New(Config{
-		NumServers:     48,
-		ShardCount:     6,
-		MaxPerServer:   3,
-		K:              2,
-		Seed:           13,
-		Scorer:         ScorerFunc(synthScore),
-		StealThreshold: 0.5,
-		StealGap:       0.1,
-		StealBatch:     3,
+		NumServers:   48,
+		ShardCount:   6,
+		MaxPerServer: 3,
+		K:            2,
+		Seed:         13,
+		Scorer:       ScorerFunc(synthScore),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +278,8 @@ func TestClusterMethodsAndCallerMixed(t *testing.T) {
 		}
 		verifyInvariants(t, c)
 	}
-	if st := c.Stats(); st.CommitConflicts != 0 || st.LockedProbes != 0 || st.StolenSessions == 0 {
-		t.Fatalf("taking turns: lost races or idle stealing: %+v", st)
+	if st := c.Stats(); st.CommitConflicts != 0 || st.LockedProbes != 0 {
+		t.Fatalf("taking turns: lost races: %+v", st)
 	}
 
 	var drivers sync.WaitGroup
@@ -322,8 +317,7 @@ func TestClusterMethodsAndCallerMixed(t *testing.T) {
 			c.Stats()
 			c.Active()
 			c.Locate(sid % 64)
-			c.Utilization(sid % 6)
-			c.StealPending()
+			c.Capacity()
 			if err := CheckInvariants(c); err != nil {
 				t.Errorf("mid-flight: %v", err)
 				return

@@ -36,9 +36,9 @@ type DriveResult struct {
 	// MeanDelta is the average predicted total-FPS delta of admitted
 	// placements — the quality signal the balancer optimizes.
 	MeanDelta float64
-	// Escapes and Stolen are copied from the cluster's counters for the
-	// run (deltas, not lifetime values).
-	Escapes, Stolen int
+	// Escapes is the cluster's counter over the run (a delta, not the
+	// lifetime value).
+	Escapes int
 	// P50 and P99 are wall-clock placement-decision latencies.
 	P50, P99 time.Duration
 }
@@ -156,7 +156,6 @@ func Drive(cfg DriveConfig) (DriveResult, error) {
 	end := c.Stats()
 	res.PeakActive = end.PeakActive
 	res.Escapes = end.Escapes - base.Escapes
-	res.Stolen = end.StolenSessions - base.StolenSessions
 	if res.Placed > 0 {
 		res.MeanDelta = sumDelta / float64(res.Placed)
 	}

@@ -7,9 +7,8 @@
 // takes the best predicted-QoS placement among the candidates — every
 // candidate is still scored through the interference predictor, never
 // blind bin-packing — and falls back to a full-scan escape hatch when all
-// k sampled shards reject. When a shard saturates, bounded steal batches
-// rebalance sessions toward the emptiest shard, with seeded-deterministic
-// victim selection.
+// k sampled shards reject. A placed session changes server only through
+// Migrate or a crash (FailServer).
 //
 // The balancer is the Caller (caller.go): the cluster owns one, which its
 // Place/PlaceBatch/Remove methods delegate to, and hands out more for
@@ -18,14 +17,12 @@
 // race detector, with metrics and tracing on. With ShardCount=1 the
 // candidate set degenerates to a full scan and the placement sequence is
 // bit-identical to a flat scan of every server (the test oracle); with
-// K >= ShardCount (full fan-out, stealing off) it is bit-identical across
-// ANY shard count.
+// K >= ShardCount (full fan-out) it is bit-identical across ANY shard count.
 //
 // The cluster is also the one world the churn simulator (sched.RunOnline)
 // drives: FailServer and RestoreServer take a crashed server out of the
 // placement index and bring it back, and Migrate moves a session to the best
-// server other than its own — each sequenced under the commit lock like a
-// steal move.
+// server other than its own — each sequenced under the commit lock.
 package fleet
 
 import (
@@ -113,7 +110,7 @@ type Config struct {
 	// K >= ShardCount scans every shard (and consumes no randomness, so
 	// results are shard-count invariant).
 	K int
-	// Seed drives shard sampling and steal victim selection.
+	// Seed drives shard sampling.
 	Seed int64
 	// Scorer predicts the total FPS of a hypothetical server state;
 	// required in ModeGreedy.
@@ -127,15 +124,6 @@ type Config struct {
 	// CacheCap bounds each shard's score cache; <= 0 uses the default.
 	CacheCap int
 
-	// StealThreshold is the utilization at which a shard becomes a steal
-	// donor; <= 0 disables work stealing entirely.
-	StealThreshold float64
-	// StealGap is the minimum donor-target utilization gap for a steal
-	// plan to start (and to keep running); <= 0 defaults to 0.2.
-	StealGap float64
-	// StealBatch bounds the sessions per steal plan; <= 0 defaults to 8.
-	StealBatch int
-
 	// Metrics and Tracer are nil-safe and never feed back into placement
 	// decisions. While the tracer carries an ambient decision context (the
 	// one sched.RunOnline installs) scoring spans nest under it; otherwise
@@ -143,7 +131,7 @@ type Config struct {
 	Metrics *obs.Registry
 	Tracer  *trace.Tracer
 	// Flight, when non-nil, receives the dispatch plane's flight-recorder
-	// events (escapes, steal plans/moves/aborts, generation swaps). The
+	// events (escapes, server failures, generation swaps). The
 	// balancer records via TryRecord only — under ring-lock contention an
 	// event is counted dropped rather than stalling every queued arrival.
 	Flight *flight.Recorder
@@ -172,8 +160,7 @@ type BatchResult struct {
 // the balancer goroutine for callers that materialize trace spans after the
 // fact (the admission pipeline's deferred tracing: three clock reads here
 // instead of span bookkeeping on the single-threaded hot loop). Timestamps
-// come from the tracer clock (Tracer.Now; all zero with no tracer) and
-// exclude steal-plan drainage.
+// come from the tracer clock (Tracer.Now; all zero with no tracer).
 type BatchTiming struct {
 	// StartNS/EndNS bracket the decision; CommitNS is the instant the
 	// winning placement was chosen (probe reduced, commit about to book).
@@ -193,8 +180,6 @@ type BatchTiming struct {
 type Stats struct {
 	Placed, Rejected, Removed         int
 	Escapes                           int
-	StealPlans, StolenSessions        int
-	StealAborts                       int
 	Active, PeakActive                int
 	Scanned, CacheMisses, ScoreProbes int
 	// CommitConflicts counts commits that lost the capacity race: another
@@ -210,14 +195,6 @@ type Stats struct {
 
 type sessionLoc struct {
 	shard, server, game int
-}
-
-// stealPlan is a pending bounded steal batch: moves drain one per
-// subsequent Place/Remove call, so a batch never blows up one decision's
-// latency and arrivals genuinely interleave with it.
-type stealPlan struct {
-	from, to int
-	moves    []victim
 }
 
 // Cluster is the sharded dispatch plane. Its Place, PlaceBatch,
@@ -247,8 +224,6 @@ type Cluster struct {
 	masks     uint64 // Migrate probes that hid a server, see mutations
 	commitSeq uint64
 	nCallers  int
-	stealSeq  int64
-	plan      *stealPlan
 	stats     Stats
 
 	// lastGenTag/genSeen detect model hot swaps for the flight recorder:
@@ -257,9 +232,6 @@ type Cluster struct {
 	genSeen    bool
 
 	self *Caller // what the Cluster's own placement methods drive
-
-	stealGap   float64
-	stealBatch int
 
 	met    fleetMetrics
 	tr     *trace.Tracer
@@ -296,32 +268,22 @@ func New(cfg Config) (*Cluster, error) {
 	if k > shardCount {
 		k = shardCount
 	}
-	gap := cfg.StealGap
-	if gap <= 0 {
-		gap = 0.2
-	}
-	batch := cfg.StealBatch
-	if batch <= 0 {
-		batch = 8
-	}
 
 	ranges := sim.Partition(cfg.NumServers, shardCount)
 	c := &Cluster{
-		cfg:        cfg,
-		nShards:    shardCount,
-		max:        max,
-		k:          k,
-		ranges:     ranges,
-		sessions:   map[int]sessionLoc{},
-		loads:      make([]int, shardCount),
-		caps:       make([]int, shardCount),
-		occ:        make([]int, cfg.NumServers),
-		down:       make([]bool, cfg.NumServers),
-		stealGap:   gap,
-		stealBatch: batch,
-		met:        newFleetMetrics(cfg.Metrics, shardCount),
-		tr:         cfg.Tracer,
-		flight:     cfg.Flight,
+		cfg:      cfg,
+		nShards:  shardCount,
+		max:      max,
+		k:        k,
+		ranges:   ranges,
+		sessions: map[int]sessionLoc{},
+		loads:    make([]int, shardCount),
+		caps:     make([]int, shardCount),
+		occ:      make([]int, cfg.NumServers),
+		down:     make([]bool, cfg.NumServers),
+		met:      newFleetMetrics(cfg.Metrics, shardCount),
+		tr:       cfg.Tracer,
+		flight:   cfg.Flight,
 	}
 	c.all = make([]int, shardCount)
 	c.shards = make([]*shard, shardCount)
@@ -395,24 +357,8 @@ func (c *Cluster) Stats() Stats {
 // Active reports the number of placed sessions.
 func (c *Cluster) Active() int { return c.Stats().Active }
 
-// Utilization reports a shard's occupied-slot fraction.
-func (c *Cluster) Utilization(shard int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.util(shard)
-}
-
-// util treats a shard whose servers are all down as full: nothing can be
-// placed there, and neither side of a steal should pick it.
-func (c *Cluster) util(shard int) float64 {
-	if c.caps[shard] == 0 {
-		return 1
-	}
-	return float64(c.loads[shard]) / float64(c.caps[shard])
-}
-
-// Locate reports where a session currently runs (work stealing may have
-// moved it since placement).
+// Locate reports where a session currently runs (Migrate may have moved it
+// since placement).
 func (c *Cluster) Locate(sid int) (server int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -421,12 +367,11 @@ func (c *Cluster) Locate(sid int) (server int, ok bool) {
 }
 
 // mutations counts every change to what a probe can see — commits, removals
-// (evictions included), steal moves, migrations and Migrate's masking — so
-// two equal readings under the lock prove no shard's index moved in between.
-// A restored server only adds room, which a reject taken before it may miss.
+// (evictions included), migrations and Migrate's masking — so two equal
+// readings under the lock prove no shard's index moved in between. A
+// restored server only adds room, which a reject taken before it may miss.
 func (c *Cluster) mutations() uint64 {
-	return c.commitSeq + c.masks +
-		uint64(c.stats.Removed) + uint64(c.stats.StolenSessions) + uint64(c.stats.Migrated)
+	return c.commitSeq + c.masks + uint64(c.stats.Removed) + uint64(c.stats.Migrated)
 }
 
 // genTag folds the model generation into score-cache keys, read once per
@@ -448,120 +393,6 @@ func (c *Cluster) genTag() uint64 {
 	}
 	c.genSeen, c.lastGenTag = true, tag
 	return tag
-}
-
-// maybePlanSteal starts a bounded steal batch when the just-committed
-// shard crossed the saturation threshold and a meaningfully emptier shard
-// exists. Victims are nominated immediately (seeded-deterministically, by
-// the donor) and drained one move per subsequent decision. The caller
-// holds c.mu; the round trip rides the donor's default reply channel.
-func (c *Cluster) maybePlanSteal(donor int) {
-	if c.cfg.StealThreshold <= 0 || c.plan != nil || c.nShards < 2 {
-		return
-	}
-	du := c.util(donor)
-	if du < c.cfg.StealThreshold {
-		return
-	}
-	target := -1
-	for i := 0; i < c.nShards; i++ {
-		if i == donor || c.caps[i] == 0 {
-			continue
-		}
-		if target < 0 || c.loads[i]*c.caps[target] < c.loads[target]*c.caps[i] {
-			target = i
-		}
-	}
-	if target < 0 || du-c.util(target) < c.stealGap {
-		return
-	}
-	n := (c.loads[donor] - c.loads[target]) / 2
-	if n > c.stealBatch {
-		n = c.stealBatch
-	}
-	free := c.caps[target] - c.loads[target]
-	if n > free {
-		n = free
-	}
-	if n <= 0 {
-		return
-	}
-	seed := sim.DeriveSeed(c.cfg.Seed, "fleet-steal", c.stealSeq)
-	c.stealSeq++
-	sh := c.shards[donor]
-	sh.reqs <- shardReq{op: opVictims, n: n, seed: seed}
-	r := <-sh.resp
-	if len(r.victims) == 0 {
-		return
-	}
-	c.plan = &stealPlan{from: donor, to: target, moves: r.victims}
-	c.stats.StealPlans++
-	c.met.stealPlans.Inc()
-	c.flight.TryRecord(flight.Event{Kind: "steal-plan", Shard: donor,
-		Detail: fmt.Sprintf("target=%d moves=%d", target, len(r.victims))})
-}
-
-// applySteal drains at most one move of the pending steal plan. Each move
-// re-validates against live state — the session may have departed or the
-// balance may have shifted since the plan was cut — and the plan is
-// dropped (never half-applied onto a full shard) the moment it stops
-// making sense. A session is committed on the target before it is removed
-// from the donor, so no interleaving can orphan it. The caller holds c.mu
-// on behalf of cl, whose batched answers for the two shards go stale.
-func (c *Cluster) applySteal(cl *Caller) {
-	if c.plan == nil {
-		return
-	}
-	p := c.plan
-	for len(p.moves) > 0 {
-		m := p.moves[0]
-		p.moves = p.moves[1:]
-		loc, ok := c.sessions[m.sid]
-		if !ok || loc.shard != p.from || loc.server != m.server {
-			// Departed or already moved since nomination; skip silently.
-			continue
-		}
-		if c.util(p.from)-c.util(p.to) < c.stealGap {
-			// Balance reached (arrivals landed elsewhere, departures
-			// drained the donor); the rest of the batch is moot.
-			c.plan = nil
-			c.stats.StealAborts++
-			c.met.stealAborts.Inc()
-			c.flight.TryRecord(flight.Event{Kind: "steal-abort", Shard: p.from, Detail: "balance-reached"})
-			return
-		}
-		genTag := c.genTag()
-		tctx := c.tr.StartTrace("steal-move",
-			trace.Int("session", m.sid),
-			trace.Int("from_shard", p.from),
-			trace.Int("to_shard", p.to),
-		)
-		target := c.shards[p.to]
-		target.reqs <- shardReq{op: opScore, game: m.game, genTag: genTag}
-		r := <-target.resp
-		if !r.ok {
-			// Target filled up mid-batch: abort the plan, leave the
-			// session untouched on the donor.
-			c.plan = nil
-			c.stats.StealAborts++
-			c.met.stealAborts.Inc()
-			c.flight.TryRecord(flight.Event{Kind: "steal-abort", Shard: p.to, Detail: "target-full"})
-			tctx.End(trace.String("outcome", "aborted"))
-			return
-		}
-		c.moveLocked(m.sid, loc, p.to, r.server)
-		cl.dirty[p.from], cl.dirty[p.to] = true, true
-		c.stats.StolenSessions++
-		c.met.stolen.Inc()
-		c.flight.TryRecord(flight.Event{Kind: "steal-move",
-			Session: m.sid, Server: r.server, Shard: p.to, Game: m.game})
-		tctx.End(trace.String("outcome", "moved"), trace.Int("server", r.server))
-		if len(p.moves) == 0 {
-			c.plan = nil
-		}
-		return // one move per decision: bounded latency
-	}
-	c.plan = nil
 }
 
 // moveLocked relocates placed session sid from loc to (shard, server). It is
@@ -607,13 +438,12 @@ func (c *Cluster) FailServer(server int) []Evicted {
 	c.down[server] = true
 	c.occ[server] = c.max
 	c.caps[si] -= c.max
-	c.loads[si] -= len(r.victims)
-	c.stats.Removed += len(r.victims)
-	c.stats.Active -= len(r.victims)
-	out := make([]Evicted, len(r.victims))
-	for i, v := range r.victims {
-		delete(c.sessions, v.sid)
-		out[i] = Evicted{Session: v.sid, Game: v.game}
+	out := r.evicted
+	c.loads[si] -= len(out)
+	c.stats.Removed += len(out)
+	c.stats.Active -= len(out)
+	for _, e := range out {
+		delete(c.sessions, e.Session)
 	}
 	c.met.active.Set(float64(c.stats.Active))
 	c.met.shardSessions[si].Set(float64(c.loads[si]))
@@ -663,13 +493,6 @@ func (c *Cluster) Capacity() int {
 		total += n
 	}
 	return total
-}
-
-// StealPending reports whether a steal batch is still draining.
-func (c *Cluster) StealPending() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.plan != nil
 }
 
 // Snapshot assembles the global server contents (sorted multisets; nil

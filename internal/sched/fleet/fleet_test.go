@@ -106,9 +106,9 @@ func TestGoldenMatchesFlatGreedy(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariance: with full fan-out (K >= ShardCount) and
-// stealing off, no randomness is consumed and the reduce is global, so the
-// exact placement sequence must be identical at ANY shard count.
+// TestShardCountInvariance: with full fan-out (K >= ShardCount) no
+// randomness is consumed and the reduce is global, so the exact placement
+// sequence must be identical at ANY shard count.
 func TestShardCountInvariance(t *testing.T) {
 	type step struct {
 		server int
@@ -196,142 +196,17 @@ func TestEscapeHatch(t *testing.T) {
 	verifyInvariants(t, c)
 }
 
-// TestStealChurnInvariants runs a skewed k=1 churn with stealing enabled
-// and checks the global bookkeeping after every operation: arrivals land
-// mid-steal-batch, sessions depart while nominated, and nothing may ever
-// be orphaned or double-placed.
-func TestStealChurnInvariants(t *testing.T) {
-	c, err := New(Config{
-		NumServers:     16,
-		ShardCount:     2,
-		MaxPerServer:   2,
-		K:              1,
-		Seed:           5,
-		Scorer:         ScorerFunc(synthScore),
-		StealThreshold: 0.4,
-		StealGap:       0.1,
-		StealBatch:     4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	rng := rand.New(rand.NewSource(21))
-	var active []int
-	arrivalDuringSteal := false
-	for i := 0; i < 500; i++ {
-		if len(active) > 0 && rng.Intn(3) == 0 {
-			j := rng.Intn(len(active))
-			if !c.Remove(active[j]) {
-				t.Fatalf("step %d: Remove(%d) failed", i, active[j])
-			}
-			active = append(active[:j], active[j+1:]...)
-		} else {
-			if c.StealPending() {
-				arrivalDuringSteal = true
-			}
-			if pl, ok := c.Place(rng.Intn(10)); ok {
-				active = append(active, pl.Session)
-			}
-		}
-		verifyInvariants(t, c)
-	}
-	st := c.Stats()
-	if st.StealPlans == 0 || st.StolenSessions == 0 {
-		t.Fatalf("steal machinery never engaged: %+v", st)
-	}
-	if !arrivalDuringSteal {
-		t.Fatal("no arrival ever landed during a draining steal batch")
-	}
-	// Moved sessions must still be locatable where the shards hold them
-	// (verifyInvariants proved the deep consistency each step).
-	for _, sid := range active {
-		if _, ok := c.Locate(sid); !ok {
-			t.Fatalf("live session %d unlocatable", sid)
-		}
-	}
-}
-
-// TestStealSkipsDepartedVictims: sessions that depart between victim
-// nomination and move application are skipped, and the batch aborts once
-// the imbalance closes — never touching a session that is gone.
-func TestStealSkipsDepartedVictims(t *testing.T) {
-	c, err := New(Config{
-		NumServers:     8,
-		ShardCount:     2,
-		MaxPerServer:   2,
-		K:              64,
-		Scorer:         ScorerFunc(synthScore),
-		StealThreshold: 0.5,
-		StealGap:       0.1,
-		StealBatch:     4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Fill the fleet, then empty shard 1 to create a hard imbalance.
-	var placed []Placement
-	for i := 0; i < 16; i++ {
-		pl, ok := c.Place(i % 5)
-		if !ok {
-			t.Fatalf("fill placement %d rejected", i)
-		}
-		placed = append(placed, pl)
-	}
-	var donorSessions []int
-	for _, pl := range placed {
-		if pl.Shard == 1 {
-			c.Remove(pl.Session)
-		} else {
-			donorSessions = append(donorSessions, pl.Session)
-		}
-	}
-	c.maybePlanSteal(0)
-	if c.plan == nil {
-		t.Fatal("no steal plan against a fully skewed fleet")
-	}
-	// Kill the first nominated victim before the move applies.
-	first := c.plan.moves[0].sid
-	if !c.Remove(first) {
-		t.Fatalf("could not remove nominated victim %d", first)
-	}
-	for i := 0; i < 16 && c.plan != nil; i++ {
-		c.applySteal(c.self)
-		verifyInvariants(t, c)
-	}
-	st := c.Stats()
-	if st.StolenSessions == 0 {
-		t.Fatalf("no session stolen: %+v", st)
-	}
-	for _, sid := range donorSessions {
-		if sid == first {
-			continue
-		}
-		if _, ok := c.Locate(sid); !ok {
-			t.Fatalf("session %d orphaned by stealing", sid)
-		}
-	}
-	verifyInvariants(t, c)
-}
-
 // TestDeterministicReplay: two identical runs (same config, same op
-// sequence, stealing and sampling on) must agree exactly, including the
-// steal counters.
+// sequence, sampling on) must agree exactly, counters included.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() ([]Placement, Stats) {
 		c, err := New(Config{
-			NumServers:     32,
-			ShardCount:     4,
-			MaxPerServer:   2,
-			K:              2,
-			Seed:           9,
-			Scorer:         ScorerFunc(synthScore),
-			StealThreshold: 0.4,
-			StealGap:       0.1,
-			StealBatch:     3,
+			NumServers:   32,
+			ShardCount:   4,
+			MaxPerServer: 2,
+			K:            2,
+			Seed:         9,
+			Scorer:       ScorerFunc(synthScore),
 		})
 		if err != nil {
 			t.Fatal(err)

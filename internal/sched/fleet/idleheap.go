@@ -4,8 +4,8 @@ package fleet
 // by (occupancy, local index). It answers two questions in O(1): "does
 // this shard have any capacity at all?" (empty check — the fast reject on
 // the scoring path) and "which server is emptiest?" (the least-loaded
-// placement rule and the steal-target probe). Updates are O(log n) via
-// position tracking, so occupancy changes never rebuild the heap.
+// placement rule). Updates are O(log n) via position tracking, so occupancy
+// changes never rebuild the heap.
 //
 // The (occupancy, index) order makes top() deterministic: among equally
 // empty servers the lowest local index wins, matching the scan order of

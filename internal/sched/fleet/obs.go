@@ -11,14 +11,11 @@ import (
 // contract as the rest of the repo), and nothing here ever feeds back
 // into placement decisions.
 type fleetMetrics struct {
-	placements  *obs.Counter
-	rejected    *obs.Counter
-	escapes     *obs.Counter
-	stealPlans  *obs.Counter
-	stolen      *obs.Counter
-	stealAborts *obs.Counter
-	batches     *obs.Counter
-	reprobes    *obs.Counter
+	placements *obs.Counter
+	rejected   *obs.Counter
+	escapes    *obs.Counter
+	batches    *obs.Counter
+	reprobes   *obs.Counter
 	// conflicts and lockedProbes count the one place lanes can fight: a
 	// commit that lost the capacity race, and a full-fleet probe repeated
 	// under the commit lock.
@@ -48,12 +45,6 @@ func newFleetMetrics(r *obs.Registry, shards int) fleetMetrics {
 			"arrivals no shard could take, escape hatch included"),
 		escapes: r.Counter("gaugur_fleet_escapes_total",
 			"full-scan escape hatch activations (all k sampled shards rejected)"),
-		stealPlans: r.Counter("gaugur_fleet_steal_plans_total",
-			"steal batches planned against a saturated shard"),
-		stolen: r.Counter("gaugur_fleet_stolen_sessions_total",
-			"sessions moved across shards by work stealing"),
-		stealAborts: r.Counter("gaugur_fleet_steal_aborts_total",
-			"steal plans dropped before completion (target filled or balance reached)"),
 		batches: r.Counter("gaugur_fleet_batches_total",
 			"coalesced placement batches submitted through PlaceBatch"),
 		reprobes: r.Counter("gaugur_fleet_batch_reprobes_total",

@@ -222,93 +222,6 @@ func TestMigrateOnlyOwnServerHasRoom(t *testing.T) {
 	verifyInvariants(t, c)
 }
 
-// TestFailServerDuringStealPlan lands a crash on both ends of a pending
-// steal plan: a donor server whose occupant is nominated (the move must be
-// skipped, the session having left the cluster) and then the whole target
-// shard (the plan must abort rather than move anyone onto a down server),
-// after which an all-down shard must neither divide by zero nor be picked
-// as a steal target again.
-func TestFailServerDuringStealPlan(t *testing.T) {
-	c, err := New(Config{
-		NumServers: 8, ShardCount: 2, MaxPerServer: 2, K: 64,
-		Scorer: ScorerFunc(synthScore), StealThreshold: 0.5, StealGap: 0.1, StealBatch: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var placed []Placement
-	for i := 0; i < 16; i++ {
-		pl, ok := c.Place(i % 5)
-		if !ok {
-			t.Fatalf("fill placement %d rejected", i)
-		}
-		placed = append(placed, pl)
-	}
-	for _, pl := range placed {
-		if pl.Shard == 1 {
-			c.Remove(pl.Session)
-		}
-	}
-	c.maybePlanSteal(0)
-	if c.plan == nil {
-		t.Fatal("no steal plan against a fully skewed fleet")
-	}
-	first := c.plan.moves[0]
-	evicted := c.FailServer(first.server)
-	hit := false
-	for _, e := range evicted {
-		hit = hit || e.Session == first.sid
-	}
-	if !hit {
-		t.Fatalf("crashing donor server %d evicted %v, not nominated session %d", first.server, evicted, first.sid)
-	}
-	verifyInvariants(t, c)
-	c.applySteal(c.self) // skips the evicted victim, moves the next one
-	verifyInvariants(t, c)
-	if _, ok := c.Locate(first.sid); ok {
-		t.Fatalf("steal move resurrected evicted session %d", first.sid)
-	}
-	stolen := c.Stats().StolenSessions
-
-	for s := c.ranges[1][0]; s < c.ranges[1][1]; s++ {
-		for _, e := range c.FailServer(s) {
-			if _, ok := c.Locate(e.Session); ok {
-				t.Fatalf("evicted session %d still located", e.Session)
-			}
-		}
-	}
-	if u := c.Utilization(1); u != 1 {
-		t.Fatalf("all-down shard utilization = %v, want 1 (full)", u)
-	}
-	for i := 0; i < 8 && c.plan != nil; i++ {
-		c.applySteal(c.self)
-		verifyInvariants(t, c)
-	}
-	if c.plan != nil {
-		t.Fatal("steal plan survived its target shard going down")
-	}
-	if st := c.Stats(); st.StolenSessions != stolen {
-		t.Fatalf("sessions stolen onto a down shard: %d -> %d", stolen, st.StolenSessions)
-	}
-	c.maybePlanSteal(0)
-	if c.plan != nil {
-		t.Fatalf("steal planned onto all-down shard: %+v", c.plan)
-	}
-	// Overlapping crash windows: a second failure of a down server evicts
-	// nothing, and one restore brings it back, empty and placeable.
-	s := c.ranges[1][0]
-	if got := c.FailServer(s); got != nil {
-		t.Fatalf("failing a down server evicted %v", got)
-	}
-	c.RestoreServer(s)
-	c.RestoreServer(s)
-	verifyInvariants(t, c)
-	if got, want := c.caps[1], c.max; got != want {
-		t.Fatalf("shard 1 capacity after one restore = %d, want %d", got, want)
-	}
-}
-
 // TestFaultOpsUnderConcurrentCallers: one goroutine crashes, restores and
 // migrates while admission lanes place and remove. Whatever the
 // interleaving, every session a lane admitted is accounted for exactly once

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -50,7 +49,6 @@ const (
 	opScoreBatch
 	opCommit
 	opRemove
-	opVictims
 	opFail
 	opMask
 	opUnmask
@@ -66,21 +64,12 @@ type shardReq struct {
 	genTag uint64
 	sid    int
 	server int // global server id (commit/remove/fail/mask/unmask)
-	n      int // victims: batch size
-	seed   int64
 	// resp, when non-nil, receives this request's reply instead of the
 	// shard's default channel — how concurrent Callers interleave requests
 	// to one shard without mixing up each other's answers. The default
 	// channel carries only traffic sent under the cluster's commit lock
-	// (steal moves, victim nomination, snapshots, barriers).
+	// (moves, crashes, snapshots, barriers).
 	resp chan shardResp
-}
-
-// victim is one session nominated for a steal move.
-type victim struct {
-	sid    int
-	game   int
-	server int // global server id it currently occupies
 }
 
 // shardResp is the shard's answer, sent on its dedicated reply channel.
@@ -88,9 +77,9 @@ type shardResp struct {
 	ok      bool
 	server  int // global server id of the best candidate
 	delta   float64
-	scanned int // state groups considered
-	misses  int // scorer invocations (uncached states)
-	victims []victim
+	scanned int       // state groups considered
+	misses  int       // scorer invocations (uncached states)
+	evicted []Evicted // fail: the crashed server's sessions, in slot order
 	snap    [][]int
 	// batch carries one per-game answer for opScoreBatch, aligned with the
 	// request's games slice. The kernel misses of the whole batch are
@@ -153,7 +142,6 @@ type shard struct {
 	pendVals   []float64
 	pendIdx    map[uint64]int
 	putOrder   []uint64 // memoize scratch: pendKeys sorted
-	order      []int    // victim selection scratch
 	pos        []int    // local idx -> position in its current group's member heap
 }
 
@@ -269,10 +257,8 @@ func (sh *shard) run() {
 			sh.commit(req.game, req.sid, req.server-sh.lo)
 		case opRemove:
 			out <- shardResp{ok: sh.remove(req.sid, req.server-sh.lo)}
-		case opVictims:
-			out <- shardResp{ok: true, victims: sh.pickVictims(req.n, req.seed)}
 		case opFail:
-			out <- shardResp{ok: true, victims: sh.fail(req.server - sh.lo)}
+			out <- shardResp{ok: true, evicted: sh.fail(req.server - sh.lo)}
 		case opMask:
 			// Fire-and-forget like opCommit: FIFO orders the probe behind it.
 			sh.mask(req.server - sh.lo)
@@ -519,11 +505,11 @@ func (sh *shard) unmask(local int) {
 
 // fail crashes local server idx: it leaves the placement index and its
 // sessions are evicted and returned in slot order. unmask brings it back.
-func (sh *shard) fail(local int) []victim {
+func (sh *shard) fail(local int) []Evicted {
 	sh.mask(local)
-	out := make([]victim, len(sh.slots[local]))
+	out := make([]Evicted, len(sh.slots[local]))
 	for i, sid := range sh.slots[local] {
-		out[i] = victim{sid: sid, game: sh.contents[local][i], server: sh.lo + local}
+		out[i] = Evicted{Session: sid, Game: sh.contents[local][i]}
 	}
 	sh.contents[local], sh.slots[local] = sh.contents[local][:0], sh.slots[local][:0]
 	return out
@@ -540,7 +526,7 @@ func (sh *shard) commit(game, sid, local int) {
 }
 
 // remove evicts session sid from local server idx; false when the session
-// is not there (a steal move racing a departure — the caller skips it).
+// is not there.
 func (sh *shard) remove(sid, local int) bool {
 	at := -1
 	for i, id := range sh.slots[local] {
@@ -558,41 +544,6 @@ func (sh *shard) remove(sid, local int) bool {
 	sh.regroup(local, oldHash)
 	sh.idle.update(local, len(sh.contents[local]), sh.max)
 	return true
-}
-
-// pickVictims nominates up to n sessions for a steal batch: servers are
-// visited from most to least loaded (lowest index first on ties) and the
-// evicted occupant on each is drawn by the seeded rng — deterministic for
-// a given (seed, shard state), so steal traffic replays byte-identically.
-func (sh *shard) pickVictims(n int, seed int64) []victim {
-	rng := rand.New(rand.NewSource(seed))
-	sh.order = sh.order[:0]
-	for i, c := range sh.contents {
-		if len(c) > 0 {
-			sh.order = append(sh.order, i)
-		}
-	}
-	sort.Slice(sh.order, func(a, b int) bool {
-		oa, ob := sh.order[a], sh.order[b]
-		if len(sh.contents[oa]) != len(sh.contents[ob]) {
-			return len(sh.contents[oa]) > len(sh.contents[ob])
-		}
-		return oa < ob
-	})
-	var out []victim
-	for _, local := range sh.order {
-		if len(out) >= n {
-			break
-		}
-		occ := len(sh.slots[local])
-		pick := rng.Intn(occ)
-		out = append(out, victim{
-			sid:    sh.slots[local][pick],
-			game:   sh.contents[local][pick],
-			server: sh.lo + local,
-		})
-	}
-	return out
 }
 
 // insertSorted returns a new sorted slice with g inserted.

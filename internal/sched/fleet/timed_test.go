@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gaugur/internal/obs/flight"
@@ -26,16 +27,13 @@ func stepClock() trace.Clock {
 func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 	mk := func(tr *trace.Tracer) *Cluster {
 		c, err := New(Config{
-			NumServers:     32,
-			ShardCount:     4,
-			MaxPerServer:   2,
-			K:              2,
-			Seed:           9,
-			Scorer:         ScorerFunc(synthScore),
-			StealThreshold: 0.4,
-			StealGap:       0.1,
-			StealBatch:     3,
-			Tracer:         tr,
+			NumServers:   32,
+			ShardCount:   4,
+			MaxPerServer: 2,
+			K:            2,
+			Seed:         9,
+			Scorer:       ScorerFunc(synthScore),
+			Tracer:       tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -101,13 +99,12 @@ func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 	}
 	ss, bs := seq.Stats(), bat.Stats()
 	if ss.Placed != bs.Placed || ss.Rejected != bs.Rejected ||
-		ss.Escapes != bs.Escapes || ss.StolenSessions != bs.StolenSessions {
+		ss.Escapes != bs.Escapes {
 		t.Fatalf("decision stats diverged:\nsequential: %+v\ntimed:      %+v", ss, bs)
 	}
 	// Timed mode suppresses the fleet's own per-arrival traces — the caller
-	// owns those — but background steal-move traces still belong to the
-	// fleet on both sides. The sequential side must have recorded (a
-	// sampled subset of) its placement traces; the timed side none.
+	// owns those. The sequential side must have recorded (a sampled subset
+	// of) its placement traces; the timed side none.
 	if seq.tr.Store().Total() == 0 {
 		t.Error("sequential side recorded no traces despite an enabled tracer")
 	}
@@ -119,24 +116,21 @@ func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 }
 
 // TestFleetFlightEvents drives the cluster through escapes, a model hot
-// swap, and an active steal batch, and asserts each leaves its event kind
-// in the flight recorder without a single drop (single-threaded balancer:
-// TryRecord never contends here).
+// swap, and a server crash and restore, and asserts each leaves its event
+// kind in the flight recorder without a single drop (single-threaded
+// balancer: TryRecord never contends here).
 func TestFleetFlightEvents(t *testing.T) {
 	rec := flight.New(256, nil)
 	gen := uint64(1)
 	c, err := New(Config{
-		NumServers:     32,
-		ShardCount:     4,
-		MaxPerServer:   2,
-		K:              2,
-		Seed:           9,
-		Scorer:         ScorerFunc(synthScore),
-		Gen:            func() uint64 { return gen },
-		StealThreshold: 0.4,
-		StealGap:       0.1,
-		StealBatch:     3,
-		Flight:         rec,
+		NumServers:   32,
+		ShardCount:   4,
+		MaxPerServer: 2,
+		K:            2,
+		Seed:         9,
+		Scorer:       ScorerFunc(synthScore),
+		Gen:          func() uint64 { return gen },
+		Flight:       rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +142,12 @@ func TestFleetFlightEvents(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		if step == 200 {
 			gen = 2 // hot swap mid-run
+		}
+		if step == 300 {
+			for _, e := range c.FailServer(0) {
+				active = slices.DeleteFunc(active, func(sid int) bool { return sid == e.Session })
+			}
+			c.RestoreServer(0)
 		}
 		if len(active) > 0 && rng.Intn(4) == 0 {
 			j := rng.Intn(len(active))
@@ -166,16 +166,16 @@ func TestFleetFlightEvents(t *testing.T) {
 	}
 	st := c.Stats()
 	for kind, want := range map[string]bool{
-		"escape":     st.Escapes > 0,
-		"steal-plan": st.StealPlans > 0,
-		"steal-move": st.StolenSessions > 0,
-		"gen-swap":   true,
+		"escape":         st.Escapes > 0,
+		"server-fail":    true,
+		"server-restore": true,
+		"gen-swap":       true,
 	} {
 		if want && kinds[kind] == 0 {
 			t.Errorf("no %q event recorded (stats %+v, kinds %v)", kind, st, kinds)
 		}
 	}
-	if st.Escapes == 0 || st.StealPlans == 0 {
+	if st.Escapes == 0 {
 		t.Fatalf("degenerate run exercised nothing: %+v", st)
 	}
 	if kinds["gen-swap"] != 1 {

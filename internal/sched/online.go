@@ -204,12 +204,8 @@ type session struct {
 }
 
 // RunChurn builds the cluster fc describes, drives it through one churn
-// stream (see RunOnline) and closes it. A stealing cluster is refused here
-// rather than found out at exit.
+// stream (see RunOnline) and closes it.
 func RunChurn(cfg OnlineConfig, fc fleet.Config, eval FPSEvaluator, qos float64) (OnlineResult, error) {
-	if fc.StealThreshold > 0 {
-		return OnlineResult{}, fmt.Errorf("sched: online cannot drive a stealing cluster")
-	}
 	c, err := fleet.New(fc)
 	if err != nil {
 		return OnlineResult{}, err
@@ -218,9 +214,8 @@ func RunChurn(cfg OnlineConfig, fc fleet.Config, eval FPSEvaluator, qos float64)
 	return RunOnline(cfg, c, eval, qos)
 }
 
-// RunOnline drives the cluster — empty, and not stealing: a steal move is
-// one the simulator's world would never hear of — through a churn stream and
-// scores the outcome with the evaluator against the QoS floor. Fleet size,
+// RunOnline drives the cluster, which must be empty, through a churn stream
+// and scores the outcome with the evaluator against the QoS floor. Fleet size,
 // the per-server cap and the live capacity that shedding reads are the
 // cluster's. At exit the cluster must pass fleet.CheckInvariants and hold
 // exactly the simulator's world; either failing is returned as an error.

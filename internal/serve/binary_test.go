@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-func newBinaryFixture(t *testing.T) (*Server, *Pipeline) {
+func newBinaryFixture(t *testing.T, pcfg PipelineConfig) (*Server, *Pipeline) {
 	t.Helper()
-	c := testCluster(t, 16, 4, 2, nil)
-	p, err := NewPipeline(PipelineConfig{Cluster: c})
+	if pcfg.Cluster == nil {
+		pcfg.Cluster = testCluster(t, 16, 4, 2, nil)
+	}
+	p, err := NewPipeline(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func newBinaryFixture(t *testing.T) (*Server, *Pipeline) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	s, p := newBinaryFixture(t)
+	s, p := newBinaryFixture(t, PipelineConfig{})
 	cl, err := DialBinary(s.BinaryAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 // op) or a dropped connection (oversized frame) — never a hang or a
 // giant allocation.
 func TestBinaryBadFrames(t *testing.T) {
-	s, _ := newBinaryFixture(t)
+	s, _ := newBinaryFixture(t, PipelineConfig{})
 
 	cl, err := DialBinary(s.BinaryAddr())
 	if err != nil {
@@ -90,7 +92,7 @@ func TestBinaryBadFrames(t *testing.T) {
 // TestBinaryDrainingStatus: after drain begins, binary clients get the
 // draining status in-band.
 func TestBinaryDraining(t *testing.T) {
-	s, p := newBinaryFixture(t)
+	s, p := newBinaryFixture(t, PipelineConfig{})
 	cl, err := DialBinary(s.BinaryAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -99,5 +101,38 @@ func TestBinaryDraining(t *testing.T) {
 	p.closed.Store(true)
 	if _, _, err := cl.Admit(1); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admit while draining: %v", err)
+	}
+}
+
+// TestBinaryUnknownGameRefused: the binary wire reaches the same scorer, so
+// it gets the same refusal — the bad-request status, traced admits included,
+// on a connection that stays usable.
+func TestBinaryUnknownGameRefused(t *testing.T) {
+	s, p := newBinaryFixture(t, profiledOnly(t))
+	cl, err := DialBinary(s.BinaryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, game := range []int64{123456, -1} {
+		for _, trace := range [][]uint64{nil, {0xfeed}} {
+			op := byte(binOpAdmit)
+			if trace != nil {
+				op = binOpAdmitTraced
+			}
+			frame, err := cl.roundTrip(op, game, trace...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frame[0] != BinBadRequest {
+				t.Errorf("admit of game %d (op %d): status %d, want %d", game, op, frame[0], BinBadRequest)
+			}
+		}
+	}
+	if st := p.Stats(); st.Placed != 0 {
+		t.Fatalf("an unknown game was placed: %+v", st)
+	}
+	if _, _, err := cl.Admit(9); err != nil {
+		t.Fatalf("profiled game after the refusals: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -148,9 +149,10 @@ func headerTraceID(r *http.Request) uint64 {
 	return id
 }
 
-// admitReq / leaveReq / errResp are the JSON wire shapes.
+// admitReq / leaveReq / errResp are the JSON wire shapes. A request's one
+// field is a pointer so that a body without it is told from one naming id 0.
 type admitReq struct {
-	Game int `json:"game"`
+	Game *int `json:"game"`
 }
 
 type admitResp struct {
@@ -161,7 +163,7 @@ type admitResp struct {
 }
 
 type leaveReq struct {
-	Session int `json:"session"`
+	Session *int `json:"session"`
 }
 
 type errResp struct {
@@ -176,7 +178,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeErr maps pipeline sentinels to HTTP semantics: queue-full and
 // draining are retryable (429/503 with Retry-After), saturation is 409,
-// an unknown session 404.
+// an unknown session 404, a game the scorer cannot score 400.
 func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -189,18 +191,28 @@ func writeErr(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusConflict, errResp{Error: err.Error()})
 	case errors.Is(err, ErrUnknownSession):
 		writeJSON(w, http.StatusNotFound, errResp{Error: err.Error()})
+	case errors.Is(err, ErrUnknownGame):
+		writeJSON(w, http.StatusBadRequest, errResp{Error: err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errResp{Error: err.Error()})
 	}
 }
 
-// decodeBody reads a JSON request body of at most maxBodyBytes into v. It
-// answers a longer one with 413 and a malformed one with 400, and reports
-// whether the handler should go on.
+// decodeBody reads a JSON request body of at most maxBodyBytes into v: one
+// object of known fields and nothing after it. It answers a longer body with
+// 413 and any other with 400, and reports whether the handler should go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		// Only the end of the body may follow the object.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
 	}
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
@@ -216,7 +228,11 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	pl, err := s.cfg.Pipeline.AdmitTraced(req.Game, headerTraceID(r))
+	if req.Game == nil {
+		writeJSON(w, http.StatusBadRequest, errResp{Error: `bad request: "game" is required`})
+		return
+	}
+	pl, err := s.cfg.Pipeline.AdmitTraced(*req.Game, headerTraceID(r))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -231,7 +247,11 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.cfg.Pipeline.LeaveTraced(req.Session, headerTraceID(r)); err != nil {
+	if req.Session == nil {
+		writeJSON(w, http.StatusBadRequest, errResp{Error: `bad request: "session" is required`})
+		return
+	}
+	if err := s.cfg.Pipeline.LeaveTraced(*req.Session, headerTraceID(r)); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -247,7 +267,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"active":     st.Active,
 		"peakActive": st.PeakActive,
 		"escapes":    st.Escapes,
-		"stolen":     st.StolenSessions,
 		"queueDepth": s.cfg.Pipeline.QueueDepth(),
 		"lanes":      s.cfg.Pipeline.Lanes(),
 		"draining":   s.cfg.Pipeline.Draining(),

@@ -223,17 +223,63 @@ func TestHTTPSlowHeaderClosed(t *testing.T) {
 }
 
 // TestHTTPOversizedBodyRefused: a body past the cap is refused with 413
-// before the decoder has buffered it, and nothing is placed or removed.
+// before the decoder has buffered it; one that is not exactly a request
+// object naming its one field is refused with 400. Nothing is placed or
+// removed either way — session 0 is live throughout, so a leave that
+// defaulted its id would take it.
 func TestHTTPOversizedBodyRefused(t *testing.T) {
 	ts, p := newHTTPFixture(t, PipelineConfig{})
+	if resp, out := postJSON(t, ts.URL+"/v1/admit", `{"game": 3}`); resp.StatusCode != http.StatusOK || out["session"] != 0.0 {
+		t.Fatalf("first admit: status %d %v, want session 0", resp.StatusCode, out)
+	}
 	pad := strings.Repeat(" ", 1<<20)
-	for path, body := range map[string]string{"/v1/admit": `{"game": 3}`, "/v1/leave": `{"session": 0}`} {
-		resp, out := postJSON(t, ts.URL+path, pad+body)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a 1 MB body: status %d %v, want 413", path, resp.StatusCode, out)
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/admit", pad + `{"game": 3}`, http.StatusRequestEntityTooLarge},
+		{"/v1/leave", pad + `{"session": 0}`, http.StatusRequestEntityTooLarge},
+		{"/v1/admit", `{"game":3} trailing junk`, http.StatusBadRequest},
+		{"/v1/admit", `{"game":3}{"game":4}`, http.StatusBadRequest},
+		{"/v1/admit", `{"game":3,"priority":1}`, http.StatusBadRequest},
+		{"/v1/admit", `{}`, http.StatusBadRequest},
+		{"/v1/admit", `{"game":null}`, http.StatusBadRequest},
+		{"/v1/leave", `{"session":0} x`, http.StatusBadRequest},
+		{"/v1/leave", `{"session":0,"game":3}`, http.StatusBadRequest},
+		{"/v1/leave", `{}`, http.StatusBadRequest},
+	} {
+		resp, out := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %.40q: status %d %v, want %d", tc.path, tc.body, resp.StatusCode, out, tc.want)
+		}
+		if st := p.Stats(); st.Placed != 1 || st.Removed != 0 {
+			t.Fatalf("%s %.40q reached the fleet: %+v", tc.path, tc.body, st)
 		}
 	}
-	if st := p.Stats(); st.Placed != 0 || st.Removed != 0 {
-		t.Fatalf("refused bodies reached the fleet: %+v", st)
+}
+
+// TestHTTPUnknownGameRefused: a game the scorer cannot score is a 400 at the
+// door, never a scorer call; the server goes on serving.
+func TestHTTPUnknownGameRefused(t *testing.T) {
+	ts, p := newHTTPFixture(t, profiledOnly(t))
+	for _, body := range []string{`{"game":123456}`, `{"game":-1}`} {
+		resp, out := postJSON(t, ts.URL+"/v1/admit", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("admit %s: status %d %v, want 400", body, resp.StatusCode, out)
+		}
+		if st := p.Stats(); st.Placed != 0 {
+			t.Fatalf("admit %s was placed: %+v", body, st)
+		}
+		r, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after admit %s: %d", body, r.StatusCode)
+		}
+	}
+	if resp, out := postJSON(t, ts.URL+"/v1/admit", `{"game":9}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("profiled game after the refusals: status %d %v", resp.StatusCode, out)
 	}
 }

@@ -419,7 +419,7 @@ func httpErr(code int) error {
 func (h *httpLGClient) admit(game int, traceID uint64) (int, time.Duration, error) {
 	var resp admitResp
 	t0 := time.Now()
-	code, err := h.post("/v1/admit", admitReq{Game: game}, &resp, traceID)
+	code, err := h.post("/v1/admit", admitReq{Game: &game}, &resp, traceID)
 	lat := time.Since(t0)
 	if err != nil {
 		return 0, lat, err
@@ -431,7 +431,7 @@ func (h *httpLGClient) admit(game int, traceID uint64) (int, time.Duration, erro
 }
 
 func (h *httpLGClient) leave(session int) error {
-	code, err := h.post("/v1/leave", leaveReq{Session: session}, nil, 0)
+	code, err := h.post("/v1/leave", leaveReq{Session: &session}, nil, 0)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ import (
 )
 
 // Sentinel errors returned by Admit/Leave. The HTTP layer maps them to
-// status codes (429, 503, 409, 404).
+// status codes (429, 503, 409, 404, 400).
 var (
 	// ErrQueueFull: the bounded admission queue is at capacity —
 	// backpressure, retry later.
@@ -47,6 +47,8 @@ var (
 	ErrNoCapacity = errors.New("serve: no capacity")
 	// ErrUnknownSession: Leave named a session the fleet doesn't hold.
 	ErrUnknownSession = errors.New("serve: unknown session")
+	// ErrUnknownGame: Admit named a game the scorer cannot score.
+	ErrUnknownGame = errors.New("serve: unknown game")
 )
 
 // PipelineConfig parameterizes the coalescing admission pipeline.
@@ -57,6 +59,11 @@ type PipelineConfig struct {
 	// it runs); with Lanes > 1 each lane drives its own fleet.Caller and
 	// the cluster's commit sequencer linearizes them.
 	Cluster *fleet.Cluster
+	// KnownGame, when non-nil, reports whether the cluster's scorer can score
+	// a game id. An admit it refuses fails with ErrUnknownGame before it is
+	// queued: a scorer asked for a game it has no profile of has no answer to
+	// give. Nil admits every id.
+	KnownGame func(game int) bool
 	// Lanes is how many parallel collector lanes drain the admission
 	// queue; <= 1 (the default) is one queue and one collector. Arrivals
 	// are partitioned by game hash so same-game arrivals coalesce on one
@@ -344,8 +351,8 @@ func (l *lane) enqueue(op *pendingOp) bool {
 }
 
 // Admit requests placement for one session of game. Blocks until the
-// coalesced batch containing it is dispatched; returns ErrQueueFull,
-// ErrDraining, or ErrNoCapacity on failure.
+// coalesced batch containing it is dispatched; returns ErrUnknownGame,
+// ErrQueueFull, ErrDraining, or ErrNoCapacity on failure.
 func (p *Pipeline) Admit(game int) (fleet.Placement, error) {
 	return p.AdmitTraced(game, 0)
 }
@@ -359,6 +366,9 @@ func (p *Pipeline) Admit(game int) (fleet.Placement, error) {
 // what Admit does.
 func (p *Pipeline) AdmitTraced(game int, traceID uint64) (fleet.Placement, error) {
 	p.met.requests.Inc()
+	if p.cfg.KnownGame != nil && !p.cfg.KnownGame(game) {
+		return fleet.Placement{}, ErrUnknownGame
+	}
 	if !p.enter() {
 		p.met.rejectedDraining.Inc()
 		op := p.getOp(opAdmit)

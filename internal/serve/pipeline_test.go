@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -43,6 +44,23 @@ func testCluster(t *testing.T, servers, shards, max int, scorer fleet.BatchScore
 	}
 	t.Cleanup(func() { checkedClose(t, c) })
 	return c
+}
+
+// profiledOnly is the shape `gaugur serve` runs with a trained model: the
+// scorer, like core.Predictor, panics when handed a game outside its profile
+// set (ids 0..9 here), and KnownGame is the only thing between a client and
+// that panic — on a shard goroutine it takes the whole process down.
+func profiledOnly(t *testing.T) PipelineConfig {
+	known := func(game int) bool { return game >= 0 && game < 10 }
+	scorer := fleet.ScorerFunc(func(games []int) float64 {
+		for _, g := range games {
+			if !known(g) {
+				panic(fmt.Sprintf("scorer asked for unprofiled game %d", g))
+			}
+		}
+		return testScore(games)
+	})
+	return PipelineConfig{Cluster: testCluster(t, 16, 4, 2, scorer), KnownGame: known}
 }
 
 // checkedClose is every serve test's last step: whatever the front end did

@@ -9,7 +9,7 @@ import (
 // request lands on some pooled connection, accounting conserves the
 // request count, and a healthy run never reconnects.
 func TestBinaryPoolConcurrent(t *testing.T) {
-	s, p := newBinaryFixture(t)
+	s, p := newBinaryFixture(t, PipelineConfig{})
 	pool, err := NewBinaryPool(s.BinaryAddr(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestBinaryPoolConcurrent(t *testing.T) {
 // slot redials and retries, the caller sees success, and the redial is
 // counted.
 func TestBinaryPoolReconnect(t *testing.T) {
-	s, _ := newBinaryFixture(t)
+	s, _ := newBinaryFixture(t, PipelineConfig{})
 	pool, err := NewBinaryPool(s.BinaryAddr(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,10 @@
 package gaugur_test
 
 import (
-	"bytes"
 	"testing"
 
 	"gaugur/internal/core"
 	"gaugur/internal/profile"
-	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
 
@@ -129,98 +127,4 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.PredictBatch(qs, dst)
 	}
-}
-
-// BenchmarkOnlinePlacement measures the churn driver's placement engine end
-// to end: 64 sessions placed by Cluster.Place onto a 16-server single-shard
-// fleet and departed again per iteration, scored by the compiled RM. The
-// score cache stays warm across iterations, so after the first pass this is
-// the steady-state cached-hit path sched.RunOnline lives on.
-func BenchmarkOnlinePlacement(b *testing.B) {
-	env := benchEnv(b)
-	p, err := env.GAugur(env.Cfg.QoSHigh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := env.TenGames()
-	score := func(games []int) float64 {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return p.PredictTotalFPS(c)
-	}
-	placeAndClear(b, fleet.Config{NumServers: 16, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score)}, ids, nil)
-}
-
-// placeAndClear times b.N rounds of 64 arrivals placed onto the cluster fc
-// describes and then departed again, so every round starts from an empty
-// fleet with whatever the score caches have kept; before, when non-nil, runs
-// at the top of each round.
-func placeAndClear(b *testing.B, fc fleet.Config, ids []int, before func(round int)) {
-	c, err := fleet.New(fc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const arrivals = 64
-	sids := make([]int, 0, arrivals)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if before != nil {
-			before(i)
-		}
-		for a := 0; a < arrivals; a++ {
-			if pl, ok := c.Place(ids[a%len(ids)]); ok {
-				sids = append(sids, pl.Session)
-			}
-		}
-		for _, sid := range sids {
-			c.Remove(sid)
-		}
-		sids = sids[:0]
-	}
-}
-
-// clonePredictor round-trips a model through the persistence layer — the
-// same mechanism the lifecycle uses to produce a retraining candidate that
-// never aliases the serving copy.
-func clonePredictor(b *testing.B, p *core.Predictor) *core.Predictor {
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	clone, err := core.LoadPredictor(&buf, p.Profiles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return clone
-}
-
-// BenchmarkHotSwap measures the serving cost of a model promotion: each
-// iteration atomically swaps the serving handle and then re-places a
-// 64-session batch on a 16-server fleet through a generation-tagged
-// cluster. This is the worst case for the swap — every cached score
-// is invalidated at once and the whole batch re-scores against the new
-// model — so it bounds the latency bubble a promotion can inject into the
-// dispatcher.
-func BenchmarkHotSwap(b *testing.B) {
-	env := benchEnv(b)
-	p1, err := env.GAugur(env.Cfg.QoSHigh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p2 := clonePredictor(b, p1)
-	h := core.NewModelHandle(p1)
-	ids := env.TenGames()
-	score := func(games []int) float64 {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return h.Load().PredictTotalFPS(c)
-	}
-	models := [2]*core.Predictor{p1, p2}
-	placeAndClear(b, fleet.Config{NumServers: 16, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score), Gen: h.Generation},
-		ids, func(round int) { h.Swap(models[round%2]) })
 }
