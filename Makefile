@@ -59,8 +59,9 @@ lifecycle-e2e:
 # non-zero if any request errors and propagates deterministic trace ids),
 # pull /debug/flightrecorder and require a non-empty dump with zero
 # dropped events that the flightrec reader can render, then SIGTERM the
-# server and require a graceful drain. The subshell traps EXIT so the
-# server never outlives a failed run; the dump lands in
+# server and require "drained clean": exit 0, fleet.CheckInvariants passed
+# on the quiescent cluster, no session left active. The subshell traps
+# EXIT so the server never outlives a failed run; the dump lands in
 # flightrecorder.json, which CI archives.
 serve-smoke:
 	$(GO) build -o bin/gaugur ./cmd/gaugur

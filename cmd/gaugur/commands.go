@@ -41,7 +41,6 @@ func cmdProfile(args []string) error {
 	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
 	out := fs.String("out", "profiles.json", "output path for the profile set")
 	k := fs.Int("k", profile.DefaultK, "pressure sampling granularity")
-	workers := fs.Int("workers", 0, "games profiled concurrently (0 = all cores, 1 = sequential; identical output either way)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, and pprof on this address during profiling")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after profiling")
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +54,7 @@ func cmdProfile(args []string) error {
 	catalog := sim.NewCatalog(*catalogSeed)
 	server := sim.NewServer(*serverSeed)
 	server.SetMetrics(reg)
-	pf := &profile.Profiler{Server: server, K: *k, Metrics: reg, Workers: *workers, Tracer: tracer}
+	pf := &profile.Profiler{Server: server, K: *k, Metrics: reg, Tracer: tracer}
 	set, err := pf.ProfileCatalog(catalog)
 	if err != nil {
 		return err
@@ -93,7 +92,6 @@ func cmdTrain(args []string) error {
 	colocSeed := fs.Int64("coloc-seed", 99, "colocation sampling seed")
 	rmKind := fs.String("rm", string(core.GBRT), "regression model kind (DTR, GBRT, RF, SVR)")
 	cmKind := fs.String("cm", string(core.GBDT), "classification model kind (DTC, GBDT, RF, SVC)")
-	workers := fs.Int("workers", 0, "colocations measured concurrently (0 = all cores, 1 = sequential; identical output either way)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, pprof, and /debug/traces on this address during measurement + training")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after training")
 	if err := fs.Parse(args); err != nil {
@@ -109,7 +107,6 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	lab.Server.SetMetrics(reg)
-	lab.Workers = *workers
 	lab.Tracer = tracer
 	plan := core.ColocationPlan{Pairs: *pairs, Triples: *triples, Quads: *quads}
 	colocs := core.RandomColocations(lab.Catalog, plan, *colocSeed)

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"gaugur/internal/sched"
 	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
@@ -75,31 +76,30 @@ func cmdFleet(args []string) error {
 	}
 	defer c.Close()
 
-	crowd := sim.FlashCrowd{Base: *load * float64(*servers) * maxPer / *duration}
-	if *crowdX > 1 {
-		crowd.Peaks = []sim.CrowdPeak{{At: *crowdAt, Duration: *crowdDur, Factor: *crowdX}}
+	cfg := sched.OnlineConfig{
+		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
+		MeanDuration: *duration,
+		Horizon:      *horizon,
+		GameIDs:      ids,
+		Seed:         sim.DeriveSeed(*workSeed, "fleet-drive", 0),
+		Metrics:      reg,
+		Tracer:       tracer,
 	}
 	fmt.Printf("%d servers in %d shards, k=%d, base load %.0f%%", *servers, *shards, *k, 100**load)
 	if *crowdX > 1 {
+		cfg.Peaks = []sim.CrowdPeak{{At: *crowdAt, Duration: *crowdDur, Factor: *crowdX}}
 		fmt.Printf(", flash crowd x%.1f at t=%.0f for %.0f", *crowdX, *crowdAt, *crowdDur)
 	}
 	fmt.Println()
 
-	res, err := fleet.Drive(fleet.DriveConfig{
-		Cluster:  c,
-		Crowd:    crowd,
-		Horizon:  *horizon,
-		MeanHold: *duration,
-		Games:    ids,
-		Seed:     *workSeed,
-	})
+	// A nil evaluator: this run reads admission counts, not realised FPS.
+	res, err := sched.RunOnline(cfg, c, nil, 0)
 	if err != nil {
 		return err
 	}
 	st := c.Stats()
 	fmt.Printf("arrivals %d  placed %d  rejected %d  peak active %d  mean ΔFPS %.1f\n",
-		res.Arrivals, res.Placed, res.Rejected, res.PeakActive, res.MeanDelta)
-	fmt.Printf("placement latency p50 %s  p99 %s\n", res.P50, res.P99)
+		st.Placed+st.Rejected, st.Placed, st.Rejected, st.PeakActive, res.MeanDelta)
 	fmt.Printf("escapes %d\n", st.Escapes)
 	fmt.Printf("score probes %d  state groups scanned %d  cache misses %d\n",
 		st.ScoreProbes, st.Scanned, st.CacheMisses)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -105,37 +104,6 @@ func TestLoadPredictorRecompiles(t *testing.T) {
 			}
 			if sa, sb := p.SatisfiesQoS(c, i), q.SatisfiesQoS(c, i); sa != sb {
 				t.Fatalf("round-trip QoS verdict differs: %v vs %v (coloc %v idx %d)", sa, sb, c, i)
-			}
-		}
-	}
-}
-
-// TestCollectSamplesCutoverBoundary pins the sequential-cutover contract on
-// both sides of the threshold: at collectSeqCutover colocations the worker
-// pool runs, just below it the inline loop runs, and in all four
-// (size, workers) cells the sample sets are byte-identical.
-func TestCollectSamplesCutoverBoundary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boundary batch is collectSeqCutover colocations")
-	}
-	lab := testLab(t)
-	colocs := RandomColocations(lab.Catalog,
-		ColocationPlan{Pairs: collectSeqCutover, Triples: 0, Quads: 0}, 11)
-	if len(colocs) != collectSeqCutover {
-		t.Fatalf("plan produced %d colocations, want %d", len(colocs), collectSeqCutover)
-	}
-	for _, n := range []int{collectSeqCutover - 1, collectSeqCutover} {
-		lab.Workers = 1
-		seq := lab.CollectSamples(colocs[:n], 60, 10)
-		lab.Workers = 8
-		par := lab.CollectSamples(colocs[:n], 60, 10)
-		if seq.Len() != par.Len() {
-			t.Fatalf("n=%d: sample counts differ: %d vs %d", n, seq.Len(), par.Len())
-		}
-		for i := range seq.Samples {
-			if !reflect.DeepEqual(seq.Samples[i], par.Samples[i]) {
-				t.Fatalf("n=%d sample %d differs between workers=1 and workers=8:\nseq: %+v\npar: %+v",
-					n, i, seq.Samples[i], par.Samples[i])
 			}
 		}
 	}

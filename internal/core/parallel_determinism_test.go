@@ -11,21 +11,14 @@ import (
 )
 
 // TestParallelPipelineMatchesSequential is the golden guarantee behind the
-// parallel offline pipeline: profile -> collect samples -> train run at
-// workers=1 and workers=8 must produce byte-identical profiles, samples,
-// and model predictions. Derived per-task noise streams make every
-// measurement a pure function of its identity, so execution order — and
-// therefore worker count — cannot leak into the artifacts. GOMAXPROCS is
-// raised for the run so the worker pools genuinely interleave even on a
-// single-core machine.
-//
-// Both runs carry a live tracer through every pipeline stage: spans observe,
-// they must not participate, so the artifacts stay byte-identical with
-// tracing enabled and the traced stage structure is identical at workers=1
-// and workers=8.
+// offline pipeline: profile -> collect samples -> train must produce
+// byte-identical profiles, samples and model predictions whatever the
+// process has to run on and whoever is watching. The only parallelism left
+// in it is the tree learner's GOMAXPROCS fan-out, so one leg runs at
+// GOMAXPROCS 1 and the other at 8; the second also carries a live tracer
+// through every stage — spans observe, they must not participate.
 func TestParallelPipelineMatchesSequential(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	catalog := sim.NewCatalog(42)
 	plan := ColocationPlan{Pairs: 40, Triples: 10, Quads: 10}
@@ -38,12 +31,11 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 		set     *profile.Set
 		samples *SampleSet
 		pred    *Predictor
-		traces  map[string]int // committed trace count by name
 	}
-	run := func(workers int) artifacts {
-		tracer := trace.New(trace.Config{Seed: 5})
+	run := func(procs int, tracer *trace.Tracer) artifacts {
+		runtime.GOMAXPROCS(procs)
 		server := sim.NewServer(7)
-		pf := &profile.Profiler{Server: server, Repeats: 1, Workers: workers, Tracer: tracer}
+		pf := &profile.Profiler{Server: server, Repeats: 1, Tracer: tracer}
 		set, err := pf.ProfileCatalog(catalog)
 		if err != nil {
 			t.Fatal(err)
@@ -52,32 +44,27 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lab.Workers = workers
 		lab.Tracer = tracer
 		samples := lab.CollectSamples(colocs, 60, profile.DefaultK)
 		pred, err := Train(set, TrainConfig{Samples: samples, Seed: 1, EncoderK: profile.DefaultK, Tracer: tracer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces := map[string]int{}
-		for _, tr := range tracer.Store().Recent(0) {
-			traces[tr.Name]++
-		}
-		if tracer.Store().Total() == 0 {
-			t.Fatalf("workers=%d: pipeline recorded no traces", workers)
-		}
-		if n := tracer.DroppedSpans(); n != 0 {
-			t.Fatalf("workers=%d: %d spans leaked past their trace commit", workers, n)
-		}
-		return artifacts{set: set, samples: samples, pred: pred, traces: traces}
+		return artifacts{set: set, samples: samples, pred: pred}
 	}
 
-	seq := run(1)
-	par := run(8)
-
-	if !reflect.DeepEqual(seq.traces, par.traces) {
-		t.Errorf("traced stage structure differs between workers=1 and workers=8:\nseq: %v\npar: %v",
-			seq.traces, par.traces)
+	seq := run(1, nil)
+	tracer := trace.New(trace.Config{Seed: 5})
+	par := run(8, tracer)
+	traces := map[string]bool{}
+	for _, tr := range tracer.Store().Recent(0) {
+		traces[tr.Name] = true
+	}
+	if !traces["profile-catalog"] || !traces["collect-samples"] {
+		t.Errorf("traced run committed traces %v, want the profile and collect stages among them", traces)
+	}
+	if n := tracer.DroppedSpans(); n != 0 {
+		t.Fatalf("%d spans leaked past their trace commit", n)
 	}
 
 	if seq.set.Len() != par.set.Len() {
@@ -85,7 +72,7 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 	}
 	for i, sp := range seq.set.Order {
 		if !reflect.DeepEqual(*sp, *par.set.Order[i]) {
-			t.Fatalf("game %d (%s): profiles differ between workers=1 and workers=8:\nseq: %+v\npar: %+v",
+			t.Fatalf("game %d (%s): profiles differ between the two runs:\nseq: %+v\npar: %+v",
 				sp.GameID, sp.Name, *sp, *par.set.Order[i])
 		}
 	}
@@ -94,7 +81,7 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 	}
 	for i := range seq.samples.Samples {
 		if !reflect.DeepEqual(seq.samples.Samples[i], par.samples.Samples[i]) {
-			t.Fatalf("sample %d differs between workers=1 and workers=8:\nseq: %+v\npar: %+v",
+			t.Fatalf("sample %d differs between the two runs:\nseq: %+v\npar: %+v",
 				i, seq.samples.Samples[i], par.samples.Samples[i])
 		}
 	}

@@ -306,20 +306,6 @@ func (p *Predictor) FeasibleRM(c Colocation) bool {
 	return true
 }
 
-// PredictAverageFPS returns the mean predicted frame rate across the
-// colocation — the objective the Section 5.2 dispatcher maximizes.
-func (p *Predictor) PredictAverageFPS(c Colocation) float64 {
-	if len(c) == 0 {
-		return 0
-	}
-	var buf [8]float64
-	s := 0.0
-	for _, fps := range p.PredictFPSBatch(c, buf[:0]) {
-		s += fps
-	}
-	return s / float64(len(c))
-}
-
 // MemoryFits applies the Section 3.2 memory admission rule from profiles
 // (memory is not interference-predicted, just capacity-checked).
 func (p *Predictor) MemoryFits(c Colocation, cpuCap, gpuCap float64) bool {

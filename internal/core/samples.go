@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"gaugur/internal/features"
 	"gaugur/internal/obs/trace"
 	"gaugur/internal/sim"
@@ -90,13 +87,6 @@ const (
 	MetricMin
 )
 
-// collectSeqCutover is the colocation count below which CollectSamples
-// runs sequentially regardless of Lab.Workers: per-colocation simulation
-// is tens of microseconds, so worker-pool overhead dominates until the
-// batch is well past the committed benchmark size (500 colocations, where
-// parallel measured slower than sequential).
-const collectSeqCutover = 512
-
 // CollectSamples measures every colocation on the lab server and expands it
 // into per-game training samples for both models, labeled against the given
 // QoS floor. enc must match the profiles' K.
@@ -105,64 +95,18 @@ func (l *Lab) CollectSamples(colocs []Colocation, qos float64, encK int) *Sample
 }
 
 // CollectSamplesMetric is CollectSamples with an explicit labeling metric.
-// Colocations are measured by a pool of l.Workers goroutines; the returned
-// samples appear in input order (colocation by colocation, target index
-// within each), byte-identical at any worker count because each
-// colocation's measurement noise derives from its list position.
+// The returned samples appear in input order (colocation by colocation,
+// target index within each); each colocation's measurement noise derives
+// from its list position.
 func (l *Lab) CollectSamplesMetric(colocs []Colocation, qos float64, encK int, metric Metric) *SampleSet {
 	enc := newEncoder(encK)
-	perColoc := make([][]Sample, len(colocs))
-
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(colocs) {
-		workers = len(colocs)
-	}
-	// Small batches lose more to goroutine startup and channel handoff
-	// than the pool wins back (the committed benchmarks had the parallel
-	// path ~12% SLOWER than sequential at 500 colocations), so cut over
-	// to the inline loop below the threshold. Outputs are byte-identical
-	// either way: each colocation's measurement derives only from its
-	// list position.
-	if len(colocs) < collectSeqCutover {
-		workers = 1
-	}
-	root := l.Tracer.StartTrace("collect-samples",
-		trace.Int("colocations", len(colocs)), trace.Int("workers", workers))
-	collect := func(ci int) {
-		sp := root.StartSpan("measure-coloc",
-			trace.Int("index", ci), trace.Int("size", colocs[ci].Size()))
-		perColoc[ci] = l.colocSamples(enc, colocs[ci], ci, qos, metric)
-		sp.End(trace.Int("samples", len(perColoc[ci])))
-	}
-	if workers <= 1 {
-		for ci := range colocs {
-			collect(ci)
-		}
-	} else {
-		tasks := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ci := range tasks {
-					collect(ci)
-				}
-			}()
-		}
-		for ci := range colocs {
-			tasks <- ci
-		}
-		close(tasks)
-		wg.Wait()
-	}
-
+	root := l.Tracer.StartTrace("collect-samples", trace.Int("colocations", len(colocs)))
 	set := &SampleSet{QoS: qos, Samples: make([]Sample, 0, 3*len(colocs))}
-	for _, s := range perColoc {
-		set.Samples = append(set.Samples, s...)
+	for ci, c := range colocs {
+		sp := root.StartSpan("measure-coloc", trace.Int("index", ci), trace.Int("size", c.Size()))
+		samples := l.colocSamples(enc, c, ci, qos, metric)
+		sp.End(trace.Int("samples", len(samples)))
+		set.Samples = append(set.Samples, samples...)
 	}
 	root.End(trace.Int("samples", set.Len()))
 	return set

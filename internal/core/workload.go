@@ -52,15 +52,8 @@ type Lab struct {
 	Server   *sim.Server
 	Catalog  *sim.Catalog
 	Profiles *profile.Set
-	// Workers bounds the number of colocations CollectSamples measures
-	// concurrently; <= 0 defaults to runtime.NumCPU(), 1 forces the
-	// sequential path. Any worker count produces identical samples: each
-	// colocation's noise stream derives from its position in the list
-	// (sim.Server.TaskServer), not from execution order.
-	Workers int
 	// Tracer, when non-nil, records one trace per CollectSamples run with
-	// a child span per measured colocation. Spans are threaded explicitly
-	// across the worker pool (the ambient context would race).
+	// a child span per measured colocation.
 	Tracer *trace.Tracer
 }
 

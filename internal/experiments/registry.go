@@ -84,16 +84,6 @@ func RunAndRender(env *Env, id string, w io.Writer) error {
 	return nil
 }
 
-// RunAll executes every registered figure in order.
-func RunAll(env *Env, w io.Writer) error {
-	for _, e := range Registry {
-		if err := RunAndRender(env, e.ID, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SortedIDs returns the figure IDs sorted lexically (for stable help text).
 func SortedIDs() []string {
 	ids := IDs()

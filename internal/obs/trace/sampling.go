@@ -56,9 +56,6 @@ type TailStats struct {
 	SlowThresholdNS int64 `json:"slow_threshold_ns"`
 }
 
-// Kept returns the total number of retained traces.
-func (s TailStats) Kept() int64 { return s.KeptForced + s.KeptSlow + s.KeptRate }
-
 // tailSalt decorrelates the sampling hash from the ID-generation mixer so
 // a tracer-minted ID's keep decision is independent of its position in
 // the SplitMix64 sequence.

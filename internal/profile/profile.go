@@ -9,8 +9,6 @@ package profile
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
@@ -139,15 +137,7 @@ type Profiler struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one trace per ProfileCatalog run with
 	// a child span per game (and one trace per standalone ProfileGame).
-	// Unlike the serving loop's ambient context, the profiling pipeline is
-	// concurrent, so spans are threaded explicitly to stay race-free.
 	Tracer *trace.Tracer
-	// Workers bounds the number of games profiled concurrently by
-	// ProfileCatalog; <= 0 defaults to runtime.NumCPU(), 1 forces the
-	// sequential path. Results are identical at any worker count because
-	// every game's measurement noise is derived from its own identity
-	// (sim.Server.TaskServer), never from execution order.
-	Workers int
 }
 
 func (pf *Profiler) defaults() Profiler {
@@ -163,9 +153,6 @@ func (pf *Profiler) defaults() Profiler {
 	}
 	if out.Repeats <= 0 {
 		out.Repeats = 3
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.NumCPU()
 	}
 	return out
 }
@@ -303,75 +290,28 @@ type Set struct {
 	Order []*GameProfile
 }
 
-// ProfileCatalog profiles every game in the catalog. The returned Set is
-// the offline artifact GAugur trains and predicts from; its cost is O(N) in
-// the number of games, matching Section 3.6. Games are profiled by a pool
-// of Workers goroutines (per-game measurement is embarrassingly parallel
-// once noise streams derive from game identity); the Set is assembled in
-// catalog order regardless of completion order, so any worker count yields
-// the same bytes as the sequential path.
+// ProfileCatalog profiles every game in the catalog, in catalog order. The
+// returned Set is the offline artifact GAugur trains and predicts from; its
+// cost is O(N) in the number of games, matching Section 3.6. Every game's
+// measurement noise is derived from its own identity (sim.Server.TaskServer),
+// never from execution order.
 func (pf *Profiler) ProfileCatalog(c *sim.Catalog) (*Set, error) {
-	cfg := pf.defaults()
 	span := pf.Metrics.Timer("gaugur_profile_catalog_seconds",
 		"wall-clock time to profile the whole catalog").Start()
 	// Stop via defer: the early error return below must still record the
 	// catalog span instead of leaking it.
 	defer span.Stop()
 
-	games := c.Games
-	profiles := make([]*GameProfile, len(games))
-	errs := make([]error, len(games))
-	workers := cfg.Workers
-	if workers > len(games) {
-		workers = len(games)
-	}
-	root := pf.Tracer.StartTrace("profile-catalog",
-		trace.Int("games", len(games)), trace.Int("workers", workers))
-	defer func() { root.End() }()
-	// profileOne wraps one game in a child span; spans are passed
-	// explicitly (StartSpan/End are goroutine-safe) because the ambient
-	// current-context channel would race across workers.
-	profileOne := func(i int) {
-		sp := root.StartSpan("profile-game",
-			trace.Int("game", games[i].ID), trace.String("name", games[i].Name))
-		profiles[i], errs[i] = pf.profileGame(games[i])
-		sp.End(trace.Bool("ok", errs[i] == nil))
-	}
-	if workers <= 1 {
-		for i := range games {
-			profileOne(i)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		tasks := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range tasks {
-					profileOne(i)
-				}
-			}()
-		}
-		for i := range games {
-			tasks <- i
-		}
-		close(tasks)
-		wg.Wait()
-	}
-	// Report the lowest-index failure, mirroring where the sequential
-	// loop would have stopped.
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("profile: game %q: %w", games[i].Name, err)
-		}
-	}
-
+	root := pf.Tracer.StartTrace("profile-catalog", trace.Int("games", c.Len()))
+	defer root.End()
 	set := &Set{ByID: make(map[int]*GameProfile, c.Len())}
-	for _, p := range profiles {
+	for _, g := range c.Games {
+		sp := root.StartSpan("profile-game", trace.Int("game", g.ID), trace.String("name", g.Name))
+		p, err := pf.profileGame(g)
+		sp.End(trace.Bool("ok", err == nil))
+		if err != nil {
+			return nil, fmt.Errorf("profile: game %q: %w", g.Name, err)
+		}
 		set.ByID[p.GameID] = p
 		set.Order = append(set.Order, p)
 	}

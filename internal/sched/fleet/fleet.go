@@ -20,9 +20,11 @@
 // K >= ShardCount (full fan-out) it is bit-identical across ANY shard count.
 //
 // The cluster is also the one world the churn simulator (sched.RunOnline)
-// drives: FailServer and RestoreServer take a crashed server out of the
-// placement index and bring it back, and Migrate moves a session to the best
-// server other than its own — each sequenced under the commit lock.
+// drives, and the only holder of what runs where: FailServer and
+// RestoreServer take a crashed server out of the placement index and bring it
+// back, Migrate moves a session to the best server other than its own, and
+// Server reads one server's sessions back — each sequenced under the commit
+// lock.
 package fleet
 
 import (
@@ -414,8 +416,9 @@ func (c *Cluster) moveLocked(sid int, loc sessionLoc, shard, server int) {
 	c.met.shardSessions[shard].Set(float64(c.loads[shard]))
 }
 
-// Evicted is one session FailServer took off a crashed server.
-type Evicted struct {
+// Resident is one session on a server: what Server reads and what FailServer
+// takes off a crashed one.
+type Resident struct {
 	Session, Game int
 }
 
@@ -425,7 +428,7 @@ type Evicted struct {
 // RestoreServer. Its ledger entry parks at the cap, which fails the commit
 // of any probe answer that went stale across the crash. Failing a server
 // that is already down (an overlapping crash window) is a no-op.
-func (c *Cluster) FailServer(server int) []Evicted {
+func (c *Cluster) FailServer(server int) []Resident {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.down[server] {
@@ -438,7 +441,7 @@ func (c *Cluster) FailServer(server int) []Evicted {
 	c.down[server] = true
 	c.occ[server] = c.max
 	c.caps[si] -= c.max
-	out := r.evicted
+	out := r.residents
 	c.loads[si] -= len(out)
 	c.stats.Removed += len(out)
 	c.stats.Active -= len(out)
@@ -493,6 +496,19 @@ func (c *Cluster) Capacity() int {
 		total += n
 	}
 	return total
+}
+
+// Server reads the sessions on one server in slot order — by game, the
+// latest to join first among equals — which is the order FailServer evicts in
+// and Snapshot lists games in. Like Snapshot it is answered by the owning
+// shard under the commit lock, so it never shows a migration half done. An
+// idle or down server reads empty.
+func (c *Cluster) Server(server int) []Resident {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sh := c.shards[c.shardOf(server)]
+	sh.reqs <- shardReq{op: opServer, server: server}
+	return (<-sh.resp).residents
 }
 
 // Snapshot assembles the global server contents (sorted multisets; nil

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -15,7 +17,9 @@ import (
 // stand for; the cluster itself never tests for a down server while scoring.
 // The greedy rule runs a second time behind a two-entry score cache, which
 // evicts inside every probe: the uncached oracle is what says eviction keeps
-// the results.
+// the results. After every op Server must read back, for every server, the
+// mirror's sessions in slot order: by game, the latest to join first among
+// equals, and nothing on a down server.
 func TestOpsMatchFlatOracle(t *testing.T) {
 	const servers, max = 10, 3
 	misses := map[int]int{}
@@ -32,7 +36,7 @@ func TestOpsMatchFlatOracle(t *testing.T) {
 		if mode == ModeLeastLoaded {
 			flat = flatLeastLoaded(max)
 		}
-		type placed struct{ server, game int }
+		type placed struct{ server, game, joined int }
 		contents := make([][]int, servers)
 		down := make([]bool, servers)
 		where := map[int]placed{}
@@ -64,8 +68,10 @@ func TestOpsMatchFlatOracle(t *testing.T) {
 				}
 			}
 		}
+		joins := 0
 		join := func(sid, server, game int) {
-			where[sid] = placed{server, game}
+			joins++
+			where[sid] = placed{server, game, joins}
 			contents[server] = append(contents[server][:len(contents[server]):len(contents[server])], game)
 		}
 
@@ -145,6 +151,18 @@ func TestOpsMatchFlatOracle(t *testing.T) {
 				if ok {
 					join(pl.Session, pl.Server, game)
 					active = append(active, pl.Session)
+				}
+			}
+			want := make([][]Resident, servers)
+			for sid, p := range where {
+				want[p.server] = append(want[p.server], Resident{Session: sid, Game: p.game})
+			}
+			for srv := range want {
+				slices.SortFunc(want[srv], func(a, b Resident) int {
+					return cmp.Or(cmp.Compare(a.Game, b.Game), cmp.Compare(where[b.Session].joined, where[a.Session].joined))
+				})
+				if got := c.Server(srv); !slices.Equal(got, want[srv]) {
+					t.Fatalf("step %d: Server(%d) = %+v, mirror has %+v", step, srv, got, want[srv])
 				}
 			}
 			if step%50 == 0 {
@@ -316,9 +334,32 @@ func TestFaultOpsUnderConcurrentCallers(t *testing.T) {
 			}
 		}
 	}()
+	// A reader walks the fleet meanwhile: whatever instant Server answers
+	// for, the server is within its cap and its sessions in game order.
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for s := 0; ; s = (s + 1) % servers {
+			select {
+			case <-lanesDone:
+				return
+			default:
+			}
+			rs := c.Server(s)
+			if len(rs) > 3 {
+				t.Errorf("Server(%d) read %d sessions past the cap: %+v", s, len(rs), rs)
+			}
+			for i, r := range rs {
+				if i > 0 && r.Game < rs[i-1].Game {
+					t.Errorf("Server(%d) out of slot order: %+v", s, rs)
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	close(lanesDone)
 	<-done
+	<-read
 
 	verifyInvariants(t, c)
 	for sid := range admitted {

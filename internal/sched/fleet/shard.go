@@ -53,6 +53,7 @@ const (
 	opMask
 	opUnmask
 	opSnapshot
+	opServer
 	opBarrier
 )
 
@@ -74,13 +75,13 @@ type shardReq struct {
 
 // shardResp is the shard's answer, sent on its dedicated reply channel.
 type shardResp struct {
-	ok      bool
-	server  int // global server id of the best candidate
-	delta   float64
-	scanned int       // state groups considered
-	misses  int       // scorer invocations (uncached states)
-	evicted []Evicted // fail: the crashed server's sessions, in slot order
-	snap    [][]int
+	ok        bool
+	server    int // global server id of the best candidate
+	delta     float64
+	scanned   int        // state groups considered
+	misses    int        // scorer invocations (uncached states)
+	residents []Resident // fail/server: the server's sessions, in slot order
+	snap      [][]int
 	// batch carries one per-game answer for opScoreBatch, aligned with the
 	// request's games slice. The kernel misses of the whole batch are
 	// attributed to entry 0 (they are gathered into one scorer call, so a
@@ -258,7 +259,7 @@ func (sh *shard) run() {
 		case opRemove:
 			out <- shardResp{ok: sh.remove(req.sid, req.server-sh.lo)}
 		case opFail:
-			out <- shardResp{ok: true, evicted: sh.fail(req.server - sh.lo)}
+			out <- shardResp{ok: true, residents: sh.fail(req.server - sh.lo)}
 		case opMask:
 			// Fire-and-forget like opCommit: FIFO orders the probe behind it.
 			sh.mask(req.server - sh.lo)
@@ -272,6 +273,8 @@ func (sh *shard) run() {
 				}
 			}
 			out <- shardResp{ok: true, snap: snap}
+		case opServer:
+			out <- shardResp{ok: true, residents: sh.residents(req.server - sh.lo)}
 		case opBarrier:
 			// Pure synchronization: the reply proves every earlier
 			// (possibly fire-and-forget) request has been applied.
@@ -505,13 +508,19 @@ func (sh *shard) unmask(local int) {
 
 // fail crashes local server idx: it leaves the placement index and its
 // sessions are evicted and returned in slot order. unmask brings it back.
-func (sh *shard) fail(local int) []Evicted {
+func (sh *shard) fail(local int) []Resident {
 	sh.mask(local)
-	out := make([]Evicted, len(sh.slots[local]))
-	for i, sid := range sh.slots[local] {
-		out[i] = Evicted{Session: sid, Game: sh.contents[local][i]}
-	}
+	out := sh.residents(local)
 	sh.contents[local], sh.slots[local] = sh.contents[local][:0], sh.slots[local][:0]
+	return out
+}
+
+// residents copies local server idx's sessions out in slot order.
+func (sh *shard) residents(local int) []Resident {
+	out := make([]Resident, len(sh.slots[local]))
+	for i, sid := range sh.slots[local] {
+		out[i] = Resident{Session: sid, Game: sh.contents[local][i]}
+	}
 	return out
 }
 

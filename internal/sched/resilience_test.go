@@ -328,10 +328,9 @@ func TestRunOnlineFaultsBeyondHorizon(t *testing.T) {
 	}
 }
 
-// World-agreement satellite: the cluster decides where sessions go, so the
-// one thing the loop must catch is its own world drifting from the
-// cluster's. A cluster that already holds a session the simulator never
-// placed must fail the exit check.
+// The cluster is the only holder of what runs where, so the loop cannot
+// account for a session it did not place: a cluster that already holds one
+// is refused at entry, before anything is driven through it.
 func TestRunOnlineRejectsClusterItDisagreesWith(t *testing.T) {
 	c, err := fleet.New(fleet.Config{NumServers: 6, MaxPerServer: 2, Mode: fleet.ModeLeastLoaded})
 	if err != nil {
@@ -343,10 +342,13 @@ func TestRunOnlineRejectsClusterItDisagreesWith(t *testing.T) {
 	}
 	_, err = RunOnline(baseCfg().OnlineConfig, c, toyEval, 60)
 	if err == nil {
-		t.Fatal("a cluster holding a session the simulator does not know must error")
+		t.Fatal("a cluster holding a session the driver did not place must error")
 	}
-	if got := err.Error(); !strings.Contains(got, "in the cluster") {
-		t.Errorf("error %q should name the disagreement", got)
+	if got := err.Error(); !strings.Contains(got, "empty cluster") {
+		t.Errorf("error %q should say the cluster is not empty", got)
+	}
+	if st := c.Stats(); st.Placed != 1 || st.Rejected != 0 || st.Active != 1 {
+		t.Errorf("the refused cluster was driven anyway: %+v", st)
 	}
 	if _, err := RunOnline(baseCfg().OnlineConfig, nil, toyEval, 60); err == nil {
 		t.Error("a nil cluster must error")

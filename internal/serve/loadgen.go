@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -388,7 +389,14 @@ func (h *httpLGClient) post(path string, req, resp any, traceID uint64) (int, er
 	if err != nil {
 		return 0, err
 	}
-	defer r.Body.Close()
+	// Drain before close: net/http discards a keep-alive connection whose
+	// body was closed unread, which would put a TCP handshake inside every
+	// leave and every rejected admit the generator times. A failed drain
+	// costs only that reuse.
+	defer func() {
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}()
 	if r.StatusCode == http.StatusOK && resp != nil {
 		if err := json.NewDecoder(r.Body).Decode(resp); err != nil {
 			return 0, err

@@ -1,6 +1,12 @@
 package serve
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,5 +83,47 @@ func runLoadGenProto(t *testing.T, binaryProto bool) {
 	}
 	if st := p.Stats(); st.Active != 0 {
 		t.Fatalf("fleet not empty after loadgen drain: %+v", st)
+	}
+}
+
+// TestLoadGenHTTPReusesConnection: the generator's HTTP client must keep one
+// keep-alive connection across leaves (answered `{}`) and rejected admits
+// (429 with an error body) — a body closed unread costs the connection, and
+// the next request's latency then includes a TCP handshake.
+func TestLoadGenHTTPReusesConnection(t *testing.T) {
+	const n = 20
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/leave", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "{}\n")
+	})
+	mux.HandleFunc("/v1/admit", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":"serve: admission queue full"}`+"\n")
+	})
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(mux)
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	cl, err := newLGClient(LoadGenConfig{Target: srv.URL}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.close()
+	for i := 0; i < n; i++ {
+		if err := cl.leave(i); err != nil {
+			t.Fatalf("leave %d: %v", i, err)
+		}
+		if _, _, err := cl.admit(1, 0); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("admit %d: %v, want the queue-full sentinel", i, err)
+		}
+	}
+	if got := opened.Load(); got != 1 {
+		t.Fatalf("%d leaves and %d rejected admits opened %d connections, want 1", n, n, got)
 	}
 }

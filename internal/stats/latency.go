@@ -6,11 +6,9 @@ import (
 )
 
 // LatencyPercentiles reduces a batch of wall-clock latencies to the p50/p99
-// pair every driver and load generator in this repo reports. The slice is
-// sorted in place; empty input yields (0, 0). The indexing is the shared
-// convention (len/2 and len*99/100 order statistics, no interpolation) so
-// fleet.Drive, the serve load generator, and the admission benchmarks all
-// summarize identically.
+// pair the serve load generator reports. The slice is sorted in place; empty
+// input yields (0, 0). The indexing is len/2 and len*99/100 order statistics,
+// no interpolation.
 func LatencyPercentiles(lats []time.Duration) (p50, p99 time.Duration) {
 	if len(lats) == 0 {
 		return 0, 0

@@ -8,37 +8,29 @@ import (
 	"gaugur/internal/sim"
 )
 
-// Pipeline benchmarks: the offline profile -> collect -> train path at its
-// two ends of the worker knob (workers=1 is the sequential path, workers=0
-// uses every core), plus the batch online-prediction API. `make bench`
-// smoke-runs them; the layered benchmark (`go run ./bench`) reports the
-// same stages as profile.catalog_s / core.collect_s / core.train_s.
-// Outputs are byte-identical at any worker count (see
-// TestParallelPipelineMatchesSequential), so the Seq/parallel pairs measure
-// the same computation.
+// Pipeline benchmarks: the offline profile -> collect -> train path, plus the
+// batch online-prediction API. `make bench` smoke-runs them; the layered
+// benchmark (`go run ./bench`) reports the same stages as profile.catalog_s /
+// core.collect_s / core.train_s.
 
 // pipelinePlan keeps one benchmark iteration affordable while still
 // exercising all three colocation sizes.
 var pipelinePlan = core.ColocationPlan{Pairs: 250, Triples: 50, Quads: 50}
 
-func benchProfileCatalog(b *testing.B, workers int) {
+// BenchmarkProfileCatalog profiles the full 100-game catalog.
+func BenchmarkProfileCatalog(b *testing.B) {
 	catalog := sim.NewCatalog(42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pf := &profile.Profiler{Server: sim.NewServer(7), Workers: workers}
+		pf := &profile.Profiler{Server: sim.NewServer(7)}
 		if _, err := pf.ProfileCatalog(catalog); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProfileCatalog profiles the full 100-game catalog on all cores.
-func BenchmarkProfileCatalog(b *testing.B) { benchProfileCatalog(b, 0) }
-
-// BenchmarkProfileCatalogSeq is the workers=1 baseline for the same work.
-func BenchmarkProfileCatalogSeq(b *testing.B) { benchProfileCatalog(b, 1) }
-
-func benchCollectSamples(b *testing.B, workers int) {
+// BenchmarkCollectSamples measures colocation sample collection.
+func BenchmarkCollectSamples(b *testing.B) {
 	catalog := sim.NewCatalog(42)
 	server := sim.NewServer(7)
 	pf := &profile.Profiler{Server: server}
@@ -50,7 +42,6 @@ func benchCollectSamples(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lab.Workers = workers
 	colocs := core.RandomColocations(catalog, pipelinePlan, 99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,20 +51,16 @@ func benchCollectSamples(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkCollectSamples measures colocation sample collection on all
-// cores.
-func BenchmarkCollectSamples(b *testing.B) { benchCollectSamples(b, 0) }
-
-// BenchmarkCollectSamplesSeq is the workers=1 baseline for the same work.
-func BenchmarkCollectSamplesSeq(b *testing.B) { benchCollectSamples(b, 1) }
-
-func benchTrainPipeline(b *testing.B, workers int) {
+// BenchmarkTrainPipeline runs the whole offline pipeline — profile the
+// 100-game catalog, measure the colocation plan, train GBRT+GBDT. Training
+// is ~98% of it and fans out over GOMAXPROCS inside the tree learner.
+func BenchmarkTrainPipeline(b *testing.B) {
 	catalog := sim.NewCatalog(42)
 	colocs := core.RandomColocations(catalog, pipelinePlan, 99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		server := sim.NewServer(7)
-		pf := &profile.Profiler{Server: server, Workers: workers}
+		pf := &profile.Profiler{Server: server}
 		set, err := pf.ProfileCatalog(catalog)
 		if err != nil {
 			b.Fatal(err)
@@ -82,7 +69,6 @@ func benchTrainPipeline(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lab.Workers = workers
 		samples := lab.CollectSamples(colocs, 60, profile.DefaultK)
 		if _, err := core.Train(set, core.TrainConfig{
 			Samples:  samples,
@@ -93,16 +79,6 @@ func benchTrainPipeline(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkTrainPipeline runs the whole offline pipeline — profile the
-// 100-game catalog, measure the colocation plan, train GBRT+GBDT — on all
-// cores. This is the headline number of the perf trajectory.
-func BenchmarkTrainPipeline(b *testing.B) { benchTrainPipeline(b, 0) }
-
-// BenchmarkTrainPipelineSeq is the workers=1 baseline for the same
-// pipeline (the tree learner's presort and the concurrent CM/RM fits still
-// apply; only the measurement pools are serialized).
-func BenchmarkTrainPipelineSeq(b *testing.B) { benchTrainPipeline(b, 1) }
 
 // BenchmarkPredictBatch answers 256 RM queries per iteration through the
 // buffer-reusing batch API — the shape of the dispatcher's scoring loops.
