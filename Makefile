@@ -7,7 +7,7 @@ GO ?= go
 # to make a failing build pass.
 COVER_MIN ?= 75
 
-.PHONY: build test vet race bench bench-layered lifecycle-e2e serve-smoke verify fmt fmt-check cover lint vulncheck tidy-check
+.PHONY: build test vet race bench bench-layered lifecycle-e2e serve-smoke fuzz-smoke verify fmt fmt-check cover lint vulncheck tidy-check
 
 # Staticcheck version the lint gate pins (see .github/workflows/ci.yml —
 # keep the two in sync so local runs match CI).
@@ -89,6 +89,14 @@ serve-smoke:
 	trap - EXIT; \
 	grep -q "drained clean" serve_smoke.log || { echo "serve-smoke: no clean drain"; cat serve_smoke.log; exit 1; }; \
 	echo "serve-smoke: OK"; tail -2 serve_smoke.log
+
+# fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
+# corpus `make test` already replays: the wire's binary frame loop and the
+# model deserializer, the two places bytes from outside are parsed. One
+# package and one target per invocation is a `go test -fuzz` restriction.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadModel -fuzztime 10s ./internal/ml
 
 # fmt rewrites every tracked Go file in place; fmt-check is the CI gate
 # that fails (and lists offenders) when anything is unformatted.

@@ -13,10 +13,10 @@ import (
 // predictor's sync.Pool, so the steady-state path allocates nothing, and
 // consecutive queries against the same colocation skip member
 // re-resolution entirely. RM queries are additionally gathered into
-// blocks of four and evaluated in one tree-major Eval4 pass, which
-// amortizes the compiled plan's memory traffic across the block. Values
-// and metric increments are identical to the original allocating
-// per-query path.
+// blocks of rmBlock (ml.EvalChunkSize, 16) and flushed through one
+// ml.CompiledForest.EvalBatch call, which amortizes the compiled plan's
+// memory traffic across the block. Values and metric increments are
+// identical to the original allocating per-query path.
 
 // BatchQuery names one (colocation, target index) degradation query.
 type BatchQuery struct {
@@ -37,6 +37,7 @@ type predictScratch struct {
 	members []features.Member
 	others  []features.Member
 	feat    []float64
+	deg     []float64 // PredictTotalFPSBatch's per-member degradations
 	cur     Colocation
 
 	// Pending RM block: feature vectors (each with its own backing
@@ -243,8 +244,11 @@ func (p *Predictor) PredictTotalFPSBatch(colocs []Colocation, dst []float64) []f
 		}
 		return dst
 	}
-	deg := make([]float64, total)
 	s := p.getScratch()
+	if cap(s.deg) < total {
+		s.deg = make([]float64, total)
+	}
+	deg := s.deg[:total]
 	qi := 0
 	for _, c := range colocs {
 		for i := range c {
@@ -253,7 +257,6 @@ func (p *Predictor) PredictTotalFPSBatch(colocs []Colocation, dst []float64) []f
 		}
 	}
 	p.flushDeg(s, deg)
-	p.putScratch(s)
 	qi = 0
 	for ci, c := range colocs {
 		sum := 0.0
@@ -264,5 +267,6 @@ func (p *Predictor) PredictTotalFPSBatch(colocs []Colocation, dst []float64) []f
 		}
 		dst[ci] = sum
 	}
+	p.putScratch(s)
 	return dst
 }

@@ -15,38 +15,55 @@ import (
 // Worse, the walk's exit condition and direction are both data-dependent
 // branches the hardware cannot predict, so an ensemble evaluation is one
 // long serial chain of loads and mispredictions. CompiledForest lowers a
-// fitted ensemble once, at train or load time, into flat
-// structure-of-arrays plans shared by every tree:
+// fitted ensemble once, at train or load time, into flat arrays shared by
+// every tree. The layout of record is structure-of-arrays in preorder:
 //
 //	feature[]    int32   split feature per node (a valid index at leaves)
 //	threshold[]  float64 split threshold per node; NaN at leaves
-//	left[]       int32   left-child index; leaves point at themselves
+//	left[]       int32   left-child index (always i+1); leaves point at themselves
 //	right[]      int32   right-child index; leaves point at themselves
 //	leaf[]       float64 node value (the prediction at leaves)
 //	roots[]      int32   root node index per tree
 //	depth[]      int32   node depth of the deepest leaf per tree
 //
-// Nodes are emitted in preorder (left[i] is always i+1 for internal nodes),
-// so the whole ensemble lives in a few contiguous arrays that stay
-// cache-resident across a scoring batch, and evaluation allocates nothing.
+// The walks never read those arrays directly. Compilation derives ONE hot
+// layout from them, chosen by the plan's own deepest tree and by nothing
+// else — there is no option:
 //
-// The self-looping leaves are what make the walk branch-free: a leaf's
-// threshold is NaN (minimum key in the packed kernel), so the step
-// compare always sends the walk to right == itself — reaching a leaf is
-// a fixed point, not an exit branch. Eval runs every walk for the
-// (group-max) recorded depth unconditionally and interleaves four
-// independent load-compare-step chains for the out-of-order core to
-// overlap, and the child select itself is integer sort-key mask
-// arithmetic (see cnode), so the only branch left in the hot loop is the
-// loop counter itself.
+// Shallow plans (every tree at most heapMaxDepth levels — the boosted
+// ensembles, including the serving RM) get a heap-ordered layout. Every
+// tree is padded to a perfect tree of the plan's depth D, so the children
+// of slot j are slots 2j and 2j+1 and a walk is exactly D steps of
+//
+//	j = 2j + (key(x[feat]) > key)
+//
+// The comparison compiles to CMPQ/SETcc — plain arithmetic on the flags —
+// and the child index needs no right pointer, no mask and no select. A leaf
+// above the bottom level becomes a subtree of dummy slots whose key is
+// MaxInt64 (never stepped right) over leaves that replicate its value. See
+// buildHeap for the per-tree block and heapWalk for the batched step.
+//
+// Deep plans (random forests at depth 16, single CARTs at depth 10) would
+// blow up exponentially under padding, so they keep the preorder order in a
+// packed 16-byte record (cnode). There the self-looping leaves are what
+// make the walk branch-free: a leaf's threshold is NaN (minimum key), so
+// the step compare always sends the walk to right == itself — reaching a
+// leaf is a fixed point, not an exit branch. Every walk runs for the
+// (group-max) recorded depth unconditionally, and the child select is
+// integer sort-key mask arithmetic (see rightMask).
+//
+// Both kernels compare int64 sort keys (see sortKey) rather than floats,
+// interleave four independent load-compare-step chains for the
+// out-of-order core to overlap, and leave the loop counter as the only
+// branch in the hot loop.
 //
 // Correctness contract: a compiled plan reproduces the reference walk BIT
-// FOR BIT. Padded steps hold the walk at the leaf the reference walk ends
-// on, and the per-tree accumulation order, the shrinkage multiply, the
-// forest mean, and the classification links are the exact floating-point
-// expressions of the reference implementations, so swapping a plan in can
-// never change a prediction (compile_test.go holds this property over
-// random ensembles).
+// FOR BIT. Padded steps hold the walk at (a copy of) the leaf the reference
+// walk ends on, and the per-tree accumulation order, the shrinkage
+// multiply, the forest mean, and the classification links are the exact
+// floating-point expressions of the reference implementations, so swapping
+// a plan in can never change a prediction (compile_test.go holds this
+// property over random ensembles on both sides of the depth cut-off).
 
 // errUnfitted is returned when compiling a model with no fitted trees.
 var errUnfitted = errors.New("ml: cannot compile unfitted model")
@@ -77,16 +94,12 @@ type CompiledForest struct {
 	roots     []int32
 	depth     []int32
 
-	// nodes packs the three fields every walk step reads — threshold sort
-	// key, feature, right child — into one 16-byte record, derived from
-	// the canonical arrays above at compile time. A visit in the SoA arrays
-	// touches up to four cache lines (one per array at an unpredictable
-	// index); against a 500-tree plan that streams most of the plan
-	// through the cache on EVERY query, and memory traffic, not
-	// arithmetic, bounds throughput. The packed record makes each visit a
-	// single line touch, and preorder layout puts the (more likely) left
-	// child on the same or next line.
-	nodes []cnode
+	// Exactly one of the two hot layouts is built (see the package
+	// comment): hot, walked heapDepth steps per tree, when every tree is at
+	// most heapMaxDepth levels deep; nodes otherwise.
+	heapDepth int
+	hot       []uint64
+	nodes     []cnode
 
 	base    float64 // additive offset (boosting's initial estimate)
 	scale   float64 // per-tree multiplier (boosting's learning rate)
@@ -95,19 +108,21 @@ type CompiledForest struct {
 	nFeat   int
 }
 
-// cnode is the packed per-node record of the evaluation kernel. Left
-// children are implicit (preorder: always the next node); leaves carry
-// the minimum sort key and a self-referencing right child, so a padded
-// walk step at a leaf always selects right == itself and stays put.
+// cnode is the packed per-node record of the deep-plan kernel: the three
+// fields a walk step reads — threshold sort key, feature, right child — in
+// one 16-byte record, so each visit touches a single cache line where the
+// layout-of-record arrays would touch up to four. Left children are
+// implicit (preorder: always the next node); leaves carry the minimum sort
+// key and a self-referencing right child, so a padded walk step at a leaf
+// always selects right == itself and stays put.
 //
-// key is the split threshold lowered into the integer sort-key domain
-// (see sortKey), not the float threshold itself: the kernel's child
-// select is branchless mask arithmetic over int64 keys. It cannot be a
-// float compare feeding an if: the walk index is a load address, and the
-// compiler refuses to lower selects that feed load addresses into
-// conditional moves (cmd/compile's branchelim, issue 26306), leaving a
-// data-dependent branch that mispredicts on every other node — tree
-// split directions are coin flips by construction.
+// The child select is mask arithmetic over the int64 keys (rightMask), not
+// an if: with two arbitrary candidates (i+1 and right) an if is a select
+// feeding a load address, which the compiler refuses to lower into a
+// conditional move (cmd/compile's branchelim, issue 26306), leaving a
+// data-dependent branch that mispredicts on every other node — tree split
+// directions are coin flips by construction. The heap layout escapes this
+// because its candidates differ by exactly the comparison result.
 type cnode struct {
 	key   int64
 	feat  int32
@@ -117,7 +132,7 @@ type cnode struct {
 // sortKey maps a float64 onto an int64 whose signed order equals the
 // float order for all finite values (flip the lower 63 bits of negative
 // values so more-negative floats map to more-negative ints). Comparing
-// keys with integer mask arithmetic is what makes the walk branch-free.
+// keys with integer arithmetic is what makes the walks branch-free.
 // The mapping is exact — key(x) <= key(t) iff x <= t — for finite x and
 // t with one caveat handled at compile time: -0.0 and +0.0 get distinct
 // keys, so thresholds normalize -0.0 to +0.0 (features need no fixup;
@@ -237,11 +252,75 @@ func compileTrees(trees []*Tree, nFeat int) (*CompiledForest, error) {
 			return nil, err
 		}
 	}
+	maxDepth := int32(0)
+	for _, d := range p.depth {
+		if d > maxDepth {
+			maxDepth = d
+		}
+	}
+	if maxDepth <= heapMaxDepth {
+		p.buildHeap(int(maxDepth))
+		return p, nil
+	}
 	p.nodes = make([]cnode, len(p.feature))
 	for i := range p.nodes {
 		p.nodes[i] = cnode{key: thrKey(p.threshold[i]), feat: p.feature[i], right: p.right[i]}
 	}
 	return p, nil
+}
+
+// heapMaxDepth is the deepest tree (in edges, root to leaf) a plan may hold
+// and still take the heap-ordered layout. Padding costs 3·2^D words per
+// tree whatever its shape: at 6 that is 1.5 KB a tree, the same order as
+// the preorder record of a full tree; the depth-10 and depth-16 ensembles
+// would pay 24 KB and 1.5 MB per tree for leaves that are mostly copies.
+const heapMaxDepth = 6
+
+// heapOffScale pre-scales a feature index into the byte offset of its row
+// of sort keys in the transposed chunk buffer (see evalChunkHeap).
+const heapOffScale = EvalChunkSize * 8
+
+// buildHeap derives the heap-ordered hot layout for a plan whose deepest
+// tree has depth D. Each tree becomes one block of 3·2^D words, indexed by
+// the 1-based heap position j of a perfect tree (root 1, children of j at
+// 2j and 2j+1):
+//
+//	blk[j]         1 ≤ j < 2^D      threshold sort key of internal slot j
+//	blk[2^D+j]     1 ≤ j < 2^D      its feature, as a heapOffScale byte offset
+//	blk[2^D+j]     2^D ≤ j < 2·2^D  value of bottom-level leaf j (float64 bits)
+//
+// so the feature offsets and the leaf values form one array indexed by j
+// across the last step of a walk, and the kernel addresses everything with
+// two base pointers and an index register. Words 0 and 2^D are unused. A
+// leaf of the fitted tree above the bottom level is expanded into dummy
+// slots (key MaxInt64: nothing compares greater, so the walk always
+// steps left; feature 0) over bottom-level copies of its value — the walk
+// always ends on the value the reference walk returns. A plan of bare
+// leaves (D = 0) is three words a tree and a walk of no steps.
+func (p *CompiledForest) buildHeap(d int) {
+	p.heapDepth = d
+	w := 1 << d
+	p.hot = make([]uint64, len(p.roots)*3*w)
+	for t, root := range p.roots {
+		blk := p.hot[t*3*w : (t+1)*3*w]
+		var fill func(n int32, j int)
+		fill = func(n int32, j int) {
+			switch {
+			case j >= w:
+				blk[w+j] = math.Float64bits(p.leaf[n])
+			case p.left[n] == n: // fitted leaf above the bottom level
+				blk[j] = math.MaxInt64
+				fill(n, 2*j)
+				fill(n, 2*j+1)
+			default:
+				blk[j] = uint64(thrKey(p.threshold[n]))
+				blk[w+j] = uint64(p.feature[n]) * heapOffScale
+				fill(p.left[n], 2*j)
+				fill(p.right[n], 2*j+1)
+			}
+		}
+		fill(root, 1)
+	}
 }
 
 // CompilePlan lowers a fitted CART tree into a one-tree plan. The plan's
@@ -306,18 +385,18 @@ func (g *GBDT) CompilePlan() (*CompiledForest, error) {
 	return p, nil
 }
 
-// Eval traverses every tree for one sample over the flat arrays and
-// returns the raw ensemble output (degradation for regressors, log-odds
-// for GBDT, leaf-fraction mean for classification forests). It allocates
-// nothing.
+// Eval traverses every tree for one sample and returns the raw ensemble
+// output (degradation for regressors, log-odds for GBDT, leaf-fraction
+// mean for classification forests). It allocates nothing.
 //
-// Trees are walked four at a time for the group-max depth: each step is a
-// branchless sort-key mask select (leaves are fixed points, see the
-// package comment), and the four walks are independent dependency chains
-// the CPU executes in parallel. Leaf contributions are still accumulated
-// one tree at a time in ensemble order, so the floating-point result is
-// exactly the reference walk's.
+// Trees are walked four at a time — four independent dependency chains
+// the CPU executes in parallel — over whichever hot layout the plan holds.
+// Leaf contributions are still accumulated one tree at a time in ensemble
+// order, so the floating-point result is exactly the reference walk's.
 func (p *CompiledForest) Eval(x []float64) float64 {
+	if p.hot != nil {
+		return p.evalHeap(x)
+	}
 	nodes, leafv := p.nodes, p.leaf
 	roots, depth := p.roots, p.depth
 	acc := p.base
@@ -368,21 +447,19 @@ func (p *CompiledForest) Eval(x []float64) float64 {
 	return acc
 }
 
-// EvalChunkSize is the sample-block width of EvalBatch's batched kernel.
-// A chunk's rows are first packed into one flat row-major scratch buffer
-// of pre-transformed sort keys: four per-sample slice headers would
-// otherwise occupy eight registers in the four-lane walk and push the
-// register allocator into spilling lane state onto the stack, and the
-// per-access float-to-key transform is hoisted out of the walk entirely —
-// each row is transformed once, then visited ~NumTrees times. Sixteen
-// samples keep the packed buffer a few KB, L1-resident beside the nodes
-// being walked.
+// EvalChunkSize is the sample-block width of EvalBatch's batched kernels.
+// A chunk's rows are first packed into one flat scratch buffer of
+// pre-transformed sort keys (row-major for the preorder kernel, transposed
+// for the heap kernel): four per-sample slice headers would otherwise
+// occupy eight registers in the four-lane walk and push the register
+// allocator into spilling lane state onto the stack, and the per-access
+// float-to-key transform is hoisted out of the walk entirely — each row is
+// transformed once, then visited ~NumTrees times. Sixteen samples keep the
+// packed buffer a few KB, L1-resident beside the nodes being walked.
 const EvalChunkSize = 16
 
 // chunkScratch recycles the packed row buffers across EvalBatch calls so
-// the steady-state batch path allocates nothing. Rows are packed as
-// sort keys (see sortKey), pre-transformed once per chunk so the walk
-// compares plain int64s.
+// the steady-state batch path allocates nothing.
 var chunkScratch = sync.Pool{
 	New: func() any { return new([]int64) },
 }
@@ -397,7 +474,9 @@ func (p *CompiledForest) EvalBatch(dst []float64, X [][]float64) []float64 {
 	}
 	dst = dst[:len(X)]
 	bp := chunkScratch.Get().(*[]int64)
-	if need := EvalChunkSize * p.nFeat; cap(*bp) < need {
+	// Never empty, so the kernels can take the buffer's address even for a
+	// (decoded) plan of bare leaves fitted on zero columns.
+	if need := EvalChunkSize * max(p.nFeat, 1); cap(*bp) < need {
 		*bp = make([]int64, need)
 	}
 	xb := (*bp)[:cap(*bp)]
@@ -416,7 +495,8 @@ func (p *CompiledForest) EvalBatch(dst []float64, X [][]float64) []float64 {
 // indices into byte offsets in the batched kernel.
 const cnodeSize = unsafe.Sizeof(cnode{})
 
-// evalChunk evaluates up to EvalChunkSize samples: rows are packed into
+// evalChunk evaluates up to EvalChunkSize samples. Shallow plans go to
+// evalChunkHeap; for the preorder layout rows are packed into
 // the flat xb scratch, then groups of four samples walk the forest
 // through the branch-free four-lane step — four independent load-compare
 // chains for the out-of-order core to overlap. Each sample's accumulator
@@ -439,6 +519,10 @@ const cnodeSize = unsafe.Sizeof(cnode{})
 // row stride. The equivalence property suite pins this kernel
 // bit-for-bit against the pure-Go reference walk.
 func (p *CompiledForest) evalChunk(dst []float64, X [][]float64, xb []int64) {
+	if p.hot != nil {
+		p.evalChunkHeap(dst, X, xb)
+		return
+	}
 	nodes, leafv := p.nodes, p.leaf
 	roots, depth := p.roots, p.depth
 	scale, stride := p.scale, p.nFeat
@@ -503,6 +587,133 @@ func (p *CompiledForest) evalChunk(dst []float64, X [][]float64, xb []int64) {
 	}
 	for r := ng; r < len(X); r++ {
 		dst[r] = p.Eval(X[r])
+	}
+}
+
+// gt is the whole child select of the heap walk: 1 when the feature key
+// exceeds the threshold key (step right), else 0. The compiler lowers it to
+// CMPQ/SETcc/MOVBLZX, so it is arithmetic, not a branch — a conditional
+// MOVE into a load address is what the compiler will not emit, a
+// conditional SET added to one it will.
+func gt(kx, key int64) uintptr {
+	if kx > key {
+		return 1
+	}
+	return 0
+}
+
+// evalHeap is Eval over the heap-ordered layout (see buildHeap).
+func (p *CompiledForest) evalHeap(x []float64) float64 {
+	d, hot := p.heapDepth, p.hot
+	w := uintptr(1) << d
+	acc := p.base
+	t, nt := uintptr(0), uintptr(len(p.roots))
+	for ; t+4 <= nt; t += 4 {
+		b0 := hot[t*3*w : (t+1)*3*w]
+		b1 := hot[(t+1)*3*w : (t+2)*3*w]
+		b2 := hot[(t+2)*3*w : (t+3)*3*w]
+		b3 := hot[(t+3)*3*w : (t+4)*3*w]
+		j0, j1, j2, j3 := uintptr(1), uintptr(1), uintptr(1), uintptr(1)
+		for k := d; k > 0; k-- {
+			j0 = 2*j0 + gt(sortKey(x[b0[w+j0]/heapOffScale]), int64(b0[j0]))
+			j1 = 2*j1 + gt(sortKey(x[b1[w+j1]/heapOffScale]), int64(b1[j1]))
+			j2 = 2*j2 + gt(sortKey(x[b2[w+j2]/heapOffScale]), int64(b2[j2]))
+			j3 = 2*j3 + gt(sortKey(x[b3[w+j3]/heapOffScale]), int64(b3[j3]))
+		}
+		acc += p.scale * math.Float64frombits(b0[w+j0])
+		acc += p.scale * math.Float64frombits(b1[w+j1])
+		acc += p.scale * math.Float64frombits(b2[w+j2])
+		acc += p.scale * math.Float64frombits(b3[w+j3])
+	}
+	for ; t < nt; t++ {
+		blk := hot[t*3*w : (t+1)*3*w]
+		j := uintptr(1)
+		for k := d; k > 0; k-- {
+			j = 2*j + gt(sortKey(x[blk[w+j]/heapOffScale]), int64(blk[j]))
+		}
+		acc += p.scale * math.Float64frombits(blk[w+j])
+	}
+	if p.average {
+		acc /= float64(nt)
+	}
+	return acc
+}
+
+// evalChunkHeap is evalChunk over the heap-ordered layout. Rows are packed
+// TRANSPOSED — xb[feat*EvalChunkSize+row] — so the four lanes of a group
+// read one feature row at constant displacements off a single base
+// pointer, and the loop nest is tree-major over the whole chunk: a tree's
+// block is pulled through the cache once per chunk, not once per group,
+// with the per-row sums parked in a stack array between trees. Each row
+// still takes its trees in ensemble order. As in the preorder kernel,
+// samples past the last full group of four, and whole chunks holding a row
+// narrower than the plan, take the single-sample walk.
+func (p *CompiledForest) evalChunkHeap(dst []float64, X [][]float64, xb []int64) {
+	stride := p.nFeat
+	ng := len(X) &^ 3 // samples covered by full four-lane groups
+	for r := 0; r < ng; r++ {
+		if len(X[r]) < stride {
+			ng = 0 // short row: keep the reference per-row path for the chunk
+			break
+		}
+		for k, v := range X[r][:stride] {
+			xb[k*EvalChunkSize+r] = sortKey(v)
+		}
+	}
+	if ng > 0 {
+		var acc [EvalChunkSize]float64
+		for r := range acc {
+			acc[r] = p.base
+		}
+		tb := unsafe.Pointer(&p.hot[0])
+		for range p.roots {
+			heapWalk(tb, unsafe.Pointer(&xb[0]), &acc, ng, p.heapDepth, p.scale)
+			tb = unsafe.Add(tb, uintptr(3*8)<<p.heapDepth)
+		}
+		if p.average {
+			n := float64(len(p.roots))
+			for r := range acc {
+				acc[r] /= n
+			}
+		}
+		copy(dst, acc[:ng])
+	}
+	for r := ng; r < len(X); r++ {
+		dst[r] = p.Eval(X[r])
+	}
+}
+
+// heapWalk walks one tree block (tb, see buildHeap) for the first ng
+// samples (a multiple of four) of a transposed chunk and adds the scaled
+// leaf each lands on to its accumulator, four samples at a time. A lane
+// step is two dependent loads (feature offset, then that feature's key),
+// the compare-and-add, and nothing else; all addressing is raw pointers
+// because bounds checks would sit inside the dependency chain and the
+// indices are in range by construction: 2^D ≤ j < 2·2^D after D steps
+// whatever the keys compare to, and feature offsets are < nFeat rows of
+// the chunk buffer. It is a separate non-inlined function on purpose: with
+// little but the four lane indices and three bases live, the register
+// allocator keeps the lane state in registers across the depth loop, where
+// inlined into evalChunkHeap it spills it inside the chain.
+//
+//go:noinline
+func heapWalk(tb, xg unsafe.Pointer, acc *[EvalChunkSize]float64, ng, depth int, scale float64) {
+	ob := unsafe.Add(tb, uintptr(8)<<depth) // feature offsets, then leaf values
+	ag := unsafe.Pointer(acc)
+	for ; ng > 0; ng -= 4 {
+		j0, j1, j2, j3 := uintptr(1), uintptr(1), uintptr(1), uintptr(1)
+		for d := depth; d > 0; d-- {
+			j0 = 2*j0 + gt(*(*int64)(unsafe.Add(xg, *(*uint64)(unsafe.Add(ob, j0*8)))), *(*int64)(unsafe.Add(tb, j0*8)))
+			j1 = 2*j1 + gt(*(*int64)(unsafe.Add(xg, *(*uint64)(unsafe.Add(ob, j1*8))+8)), *(*int64)(unsafe.Add(tb, j1*8)))
+			j2 = 2*j2 + gt(*(*int64)(unsafe.Add(xg, *(*uint64)(unsafe.Add(ob, j2*8))+16)), *(*int64)(unsafe.Add(tb, j2*8)))
+			j3 = 2*j3 + gt(*(*int64)(unsafe.Add(xg, *(*uint64)(unsafe.Add(ob, j3*8))+24)), *(*int64)(unsafe.Add(tb, j3*8)))
+		}
+		a := (*[4]float64)(ag)
+		a[0] += scale * *(*float64)(unsafe.Add(ob, j0*8))
+		a[1] += scale * *(*float64)(unsafe.Add(ob, j1*8))
+		a[2] += scale * *(*float64)(unsafe.Add(ob, j2*8))
+		a[3] += scale * *(*float64)(unsafe.Add(ob, j3*8))
+		xg, ag = unsafe.Add(xg, 4*8), unsafe.Add(ag, 4*8)
 	}
 }
 

@@ -200,6 +200,154 @@ func TestCompiledDegenerateTrees(t *testing.T) {
 	checkRegEquivalence(t, "max-depth-chain", cplan, chain.Predict, probe)
 }
 
+// splitPalette is the value set hand-built trees split on and probe rows
+// are drawn from, so features land exactly ON thresholds (the reference
+// walk's <= tie), on both zeros, and on the subnormals next to them.
+var splitPalette = []float64{
+	-2, -1, -0.5, -5e-324, math.Copysign(0, -1), 0, 5e-324, 0.5, 1, 2,
+}
+
+// handTree builds a fitted Tree whose deepest leaf sits exactly depth edges
+// below the root and whose other branches stop early at random, in the
+// node order Tree.grow emits (a node, its left subtree, its right subtree).
+func handTree(rng *rand.Rand, depth, nFeat int) *Tree {
+	t := &Tree{nFeatures: nFeat}
+	var grow func(rem int, spine bool) int32
+	grow = func(rem int, spine bool) int32 {
+		me := int32(len(t.nodes))
+		t.nodes = append(t.nodes, treeNode{left: -1, right: -1, value: rng.NormFloat64()})
+		if rem == 0 || (!spine && rng.Intn(3) == 0) {
+			return me
+		}
+		leftSpine := spine && rng.Intn(2) == 0
+		left := grow(rem-1, leftSpine)
+		right := grow(rem-1, spine && !leftSpine)
+		nd := &t.nodes[me]
+		nd.feature = rng.Intn(nFeat)
+		nd.threshold = splitPalette[rng.Intn(len(splitPalette))]
+		nd.left, nd.right = left, right
+		return me
+	}
+	grow(depth, true)
+	return t
+}
+
+// checkHeapLayout pins what the raw-pointer heap kernel takes on trust:
+// every feature offset addresses a row of the transposed chunk buffer, and
+// a dummy slot (never stepped right) sits over leaves that all hold the
+// same value, so it cannot matter that the walk always leaves it leftward.
+func checkHeapLayout(t *testing.T, p *CompiledForest) {
+	t.Helper()
+	w := 1 << p.heapDepth
+	if len(p.hot) != p.NumTrees()*3*w {
+		t.Fatalf("hot layout holds %d words for %d trees of depth %d", len(p.hot), p.NumTrees(), p.heapDepth)
+	}
+	for ti := 0; ti < p.NumTrees(); ti++ {
+		blk := p.hot[ti*3*w : (ti+1)*3*w]
+		for j := 1; j < w; j++ {
+			if off := blk[w+j]; off%heapOffScale != 0 || off/heapOffScale >= uint64(max(p.nFeat, 1)) {
+				t.Fatalf("tree %d slot %d: feature offset %d outside %d feature rows", ti, j, off, p.nFeat)
+			}
+			if int64(blk[j]) != math.MaxInt64 {
+				continue
+			}
+			lo, hi := j, j // bottom-level span under slot j
+			for lo < w {
+				lo, hi = 2*lo, 2*hi+1
+			}
+			for l := lo; l <= hi; l++ {
+				if blk[w+l] != blk[w+lo] {
+					t.Fatalf("tree %d dummy slot %d covers differing leaves %d and %d", ti, j, lo, l)
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledLayoutsAcrossDepths drives both hot layouts and the cut-off
+// between them with hand-built ensembles: deepest tree 0..7 edges (bare
+// leaves through one past heapMaxDepth), members of mixed depth with
+// leaves shallower than the deepest, ensemble sizes on every remainder of
+// the four-tree interleave, -0.0 and tie thresholds, every batch length
+// through two full chunks plus one (no full group, tails of 1-3), and a
+// persisted round trip. Eval, EvalBatch and the reference walk must agree
+// bit for bit throughout.
+func TestCompiledLayoutsAcrossDepths(t *testing.T) {
+	const nFeat = 5
+	rng := rand.New(rand.NewSource(24))
+	rows := make([][]float64, 2*EvalChunkSize+1)
+	for i := range rows {
+		rows[i] = make([]float64, nFeat)
+		for k := range rows[i] {
+			rows[i][k] = splitPalette[rng.Intn(len(splitPalette))]
+		}
+	}
+	for depth := 0; depth <= heapMaxDepth+1; depth++ {
+		for _, size := range []int{1, 3, 4, 6, 9} {
+			trees := make([]*Tree, size)
+			for i := range trees {
+				trees[i] = handTree(rng, rng.Intn(depth+1), nFeat)
+			}
+			trees[rng.Intn(size)] = handTree(rng, depth, nFeat)
+
+			gb := &GBRT{cfg: GBMConfig{LearningRate: 0.05}, base: 0.3, trees: trees}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(gb); err != nil {
+				t.Fatal(err)
+			}
+			loaded := &GBRT{}
+			if err := gob.NewDecoder(&buf).Decode(loaded); err != nil {
+				t.Fatalf("depth %d: hand-built ensemble does not survive persistence: %v", depth, err)
+			}
+			fo := &Forest{trees: trees}
+			for name, m := range map[string]interface {
+				PlanCompiler
+				Predict([]float64) float64
+			}{"gbrt": gb, "gbrt-roundtrip": loaded, "forest": fo, "tree": trees[0]} {
+				plan, err := m.CompilePlan()
+				if err != nil {
+					t.Fatalf("depth %d %s: %v", depth, name, err)
+				}
+				if name != "tree" {
+					if heap := plan.hot != nil; heap != (depth <= heapMaxDepth) || heap == (plan.nodes != nil) {
+						t.Fatalf("depth %d %s: heap layout %v, preorder layout %v", depth, name, heap, plan.nodes != nil)
+					}
+				}
+				if plan.hot != nil {
+					checkHeapLayout(t, plan)
+				}
+				for n := 1; n <= len(rows); n++ {
+					checkRegEquivalence(t, name, plan, m.Predict, rows[:n])
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledNarrowInputs covers the two shapes whose rows are not the
+// plan's width: a forest of bare leaves fitted on zero columns (nothing to
+// pack, nothing to read) and rows shorter than the plan but long enough
+// for every split on their path, which the reference walk accepts.
+func TestCompiledNarrowInputs(t *testing.T) {
+	leafOnly := &Tree{nFeatures: 0, nodes: []treeNode{{left: -1, right: -1, value: 1.25}}}
+	plan, err := (&Forest{trees: []*Tree{leafOnly, leafOnly}}).CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRegEquivalence(t, "zero-width", plan, leafOnly.Predict, make([][]float64, 7))
+
+	stump := &Tree{nFeatures: 3, nodes: []treeNode{
+		{feature: 0, threshold: 0.5, left: 1, right: 2},
+		{left: -1, right: -1, value: -1},
+		{left: -1, right: -1, value: 1},
+	}}
+	if plan, err = stump.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
+	checkRegEquivalence(t, "short-rows", plan, stump.Predict,
+		[][]float64{{0}, {1}, {0.5}, {2}, {-3}})
+}
+
 // TestCompileUnfitted verifies compiling unfitted models fails loudly
 // instead of producing an empty plan.
 func TestCompileUnfitted(t *testing.T) {

@@ -282,12 +282,11 @@ func TestStatefulScorerReplays(t *testing.T) {
 	}
 }
 
-// TestPredictorScorerRealloc is the regression test for the silent
-// truncation bug: predictorScorer used to copy(dst, res) after
-// PredictTotalFPSBatch, so when the batch call reallocated (cap(dst) <
-// len(states)) every score past cap(dst) was dropped. Forcing the realloc
-// path must now yield all scores, bit-identical to single-state calls.
-func TestPredictorScorerRealloc(t *testing.T) {
+// scorerFixture trains a small GBRT/GBDT predictor and draws 37 random
+// 1-3 game states over its catalog: more than two kernel chunks of member
+// rows, and more states than any small dst capacity.
+func scorerFixture(t *testing.T) (*core.Predictor, [][]int) {
+	t.Helper()
 	cat := sim.NewCatalog(42)
 	srv := sim.NewServer(3)
 	pf := &profile.Profiler{Server: srv, Repeats: 2}
@@ -307,8 +306,7 @@ func TestPredictorScorerRealloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	states := make([][]int, 37) // > one kernel chunk, and > any small dst cap
+	states := make([][]int, 37)
 	rng := rand.New(rand.NewSource(8))
 	for i := range states {
 		s := make([]int, 1+rng.Intn(3))
@@ -317,6 +315,16 @@ func TestPredictorScorerRealloc(t *testing.T) {
 		}
 		states[i] = s
 	}
+	return p, states
+}
+
+// TestPredictorScorerRealloc is the regression test for the silent
+// truncation bug: predictorScorer used to copy(dst, res) after
+// PredictTotalFPSBatch, so when the batch call reallocated (cap(dst) <
+// len(states)) every score past cap(dst) was dropped. Forcing the realloc
+// path must now yield all scores, bit-identical to single-state calls.
+func TestPredictorScorerRealloc(t *testing.T) {
+	p, states := scorerFixture(t)
 	sc := NewPredictorScorer(p)
 
 	for _, cap0 := range []int{0, 1, 5} { // all force the realloc path
@@ -334,5 +342,21 @@ func TestPredictorScorerRealloc(t *testing.T) {
 				t.Fatalf("cap %d state %d (%v): batch %v != single %v", cap0, i, s, dst[i], want)
 			}
 		}
+	}
+}
+
+// TestPredictorScorerWarmAllocs pins core/batch.go's promise that "the
+// steady-state path allocates nothing" on the call every shard probe makes:
+// once the scorer's, the predictor's and the kernel's pooled buffers have
+// grown to the batch, scoring it again allocates nothing at all.
+func TestPredictorScorerWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector, so pooled paths allocate")
+	}
+	p, states := scorerFixture(t)
+	sc := NewPredictorScorer(p)
+	dst := sc.ScoreStates(states, nil)
+	if n := testing.AllocsPerRun(50, func() { dst = sc.ScoreStates(states, dst[:0]) }); n != 0 {
+		t.Fatalf("warm ScoreStates allocates %v times per call, want 0", n)
 	}
 }

@@ -158,8 +158,17 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.binWG.Done()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	s.serveBinary(conn, conn)
+}
+
+// serveBinary answers the frames read from r on w, in order, until r ends
+// or yields a frame over binMaxFrame. Every complete frame before that
+// gets exactly one reply, and replies already written are flushed on the
+// way out.
+func (s *Server) serveBinary(r io.Reader, w io.Writer) {
+	br := bufio.NewReader(r)
+	bw := bufio.NewWriter(w)
+	defer bw.Flush()
 	req := make([]byte, binMaxFrame)
 	resp := make([]byte, 0, binMaxFrame)
 	for {
@@ -189,14 +198,25 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 		if err := writeFrame(bw, resp); err != nil {
 			return
 		}
-		// Flush only when no request is already waiting: consecutive
-		// queued requests share one syscall.
-		if br.Buffered() < 4 {
+		// Consecutive queued requests share one syscall, but only a
+		// COMPLETE queued request may hold a reply back: the rest of a
+		// partial one can be waiting on this very reply.
+		if !frameBuffered(br) {
 			if err := bw.Flush(); err != nil {
 				return
 			}
 		}
 	}
+}
+
+// frameBuffered reports whether br already holds a whole next frame, so
+// the next readFrame cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // cannot fail: four bytes are buffered
+	return uint64(br.Buffered()-4) >= uint64(binary.LittleEndian.Uint32(hdr))
 }
 
 // BinaryClient speaks the binary admission protocol over one connection.

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
+	"time"
+
+	"gaugur/internal/sched/fleet"
 )
 
 func newBinaryFixture(t *testing.T, pcfg PipelineConfig) (*Server, *Pipeline) {
@@ -135,4 +139,106 @@ func TestBinaryUnknownGameRefused(t *testing.T) {
 	if _, _, err := cl.Admit(9); err != nil {
 		t.Fatalf("profiled game after the refusals: %v", err)
 	}
+}
+
+// binFrame renders one request frame: op, argument, optional trace id.
+func binFrame(op byte, arg int64, trace ...uint64) []byte {
+	body := binary.LittleEndian.AppendUint64([]byte{op}, uint64(arg))
+	for _, id := range trace {
+		body = binary.LittleEndian.AppendUint64(body, id)
+	}
+	var buf bytes.Buffer
+	writeFrame(&buf, body)
+	return buf.Bytes()
+}
+
+// TestBinaryPartialNextFrame: a client may put the start of its next
+// request on the wire before reading the reply to the last one. The server
+// used to hold that reply back whenever four more bytes were buffered, then
+// block reading the rest of a frame whose sender was waiting on the reply.
+func TestBinaryPartialNextFrame(t *testing.T) {
+	s, _ := newBinaryFixture(t, PipelineConfig{})
+	conn, err := net.Dial("tcp", s.BinaryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	next := binFrame(binOpAdmit, 4)
+	if _, err := conn.Write(append(binFrame(binOpAdmit, 3), next[:5]...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	resp := make([]byte, binMaxFrame)
+	for i, rest := range [][]byte{nil, next[5:]} {
+		if _, err := conn.Write(rest); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := readFrame(conn, resp)
+		if err != nil {
+			t.Fatalf("reply %d withheld behind a partial next frame: %v", i, err)
+		}
+		if frame[0] != BinOK {
+			t.Fatalf("reply %d: status %d", i, frame[0])
+		}
+	}
+}
+
+// FuzzBinaryFrame feeds arbitrary bytes to the connection loop — frame
+// decoder plus op dispatch — against a tiny live cluster. Whatever arrives,
+// the loop must not panic, must answer every complete frame ahead of the
+// first oversized or truncated one exactly once with a well-formed reply,
+// and must leave the cluster's books balanced.
+func FuzzBinaryFrame(f *testing.F) {
+	f.Add(binFrame(binOpAdmit, 3))
+	f.Add(binFrame(binOpAdmitTraced, 3, 0xfeed))
+	f.Add(append(binFrame(binOpAdmit, 5), binFrame(binOpLeave, 1)...))
+	f.Add(binFrame(binOpAdmit, 3)[:9])               // truncated body
+	f.Add([]byte{binMaxFrame + 1, 0, 0, 0, 1, 2, 3}) // length over the cap
+	f.Add(binFrame(99, 1))                           // nine bytes, unknown op
+
+	pcfg := profiledOnly(f)
+	p, err := NewPipeline(pcfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(p.Close)
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var admits []bool // per complete frame: is it a well-formed admit?
+		for in := data; len(in) >= 4; {
+			n := uint64(binary.LittleEndian.Uint32(in))
+			if n > binMaxFrame || uint64(len(in)-4) < n {
+				break
+			}
+			admits = append(admits, n == 9 && in[4] == binOpAdmit || n == 17 && in[4] == binOpAdmitTraced)
+			in = in[4+n:]
+		}
+		var out bytes.Buffer
+		s.serveBinary(bytes.NewReader(data), &out)
+		got := 0
+		buf := make([]byte, binMaxFrame)
+		for ; out.Len() > 0; got++ {
+			frame, err := readFrame(&out, buf)
+			if err != nil {
+				t.Fatalf("reply %d is not a frame: %v", got, err)
+			}
+			if got >= len(admits) {
+				continue // counted, reported below
+			}
+			placed := admits[got] && len(frame) == 17 && frame[0] == BinOK
+			status := len(frame) == 1 && frame[0] <= BinBadRequest && !(admits[got] && frame[0] == BinOK)
+			if !placed && !status {
+				t.Fatalf("reply %d (admit: %v) is malformed: % x", got, admits[got], frame)
+			}
+		}
+		if got != len(admits) {
+			t.Fatalf("%d replies to %d complete frames", got, len(admits))
+		}
+		if err := fleet.CheckInvariants(pcfg.Cluster); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -26,7 +26,7 @@ func testScore(games []int) float64 {
 	return s * math.Pow(0.92, float64(pairs))
 }
 
-func testCluster(t *testing.T, servers, shards, max int, scorer fleet.BatchScorer) *fleet.Cluster {
+func testCluster(t testing.TB, servers, shards, max int, scorer fleet.BatchScorer) *fleet.Cluster {
 	t.Helper()
 	if scorer == nil {
 		scorer = fleet.ScorerFunc(testScore)
@@ -50,7 +50,7 @@ func testCluster(t *testing.T, servers, shards, max int, scorer fleet.BatchScore
 // scorer, like core.Predictor, panics when handed a game outside its profile
 // set (ids 0..9 here), and KnownGame is the only thing between a client and
 // that panic — on a shard goroutine it takes the whole process down.
-func profiledOnly(t *testing.T) PipelineConfig {
+func profiledOnly(t testing.TB) PipelineConfig {
 	known := func(game int) bool { return game >= 0 && game < 10 }
 	scorer := fleet.ScorerFunc(func(games []int) float64 {
 		for _, g := range games {
@@ -65,7 +65,7 @@ func profiledOnly(t *testing.T) PipelineConfig {
 
 // checkedClose is every serve test's last step: whatever the front end did
 // to the cluster, its books must still balance.
-func checkedClose(t *testing.T, c *fleet.Cluster) {
+func checkedClose(t testing.TB, c *fleet.Cluster) {
 	if err := fleet.CheckInvariants(c); err != nil {
 		t.Error(err)
 	}

@@ -103,4 +103,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.PredictBatch(qs, dst)
 	}
+	// The forest kernel's per-row cost as a named number (encode + walk of
+	// one RM query), so a kernel change reads straight off bench.txt.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/row")
 }
