@@ -91,12 +91,14 @@ serve-smoke:
 	echo "serve-smoke: OK"; tail -2 serve_smoke.log
 
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
-# corpus `make test` already replays: the wire's binary frame loop and the
-# model deserializer, the two places bytes from outside are parsed. One
-# package and one target per invocation is a `go test -fuzz` restriction.
+# corpus `make test` already replays: the wire's binary frame loop, the
+# model deserializer, and the wire's JSON admit/leave bodies with their
+# trace-id header — the places bytes from outside are parsed. One package
+# and one target per invocation is a `go test -fuzz` restriction.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadModel -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzHTTPBody -fuzztime 10s ./internal/serve
 
 # fmt rewrites every tracked Go file in place; fmt-check is the CI gate
 # that fails (and lists offenders) when anything is unformatted.

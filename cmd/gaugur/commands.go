@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"gaugur/internal/baselines"
 	"gaugur/internal/core"
+	"gaugur/internal/experiments"
 	"gaugur/internal/obs"
 	"gaugur/internal/obs/trace"
 	"gaugur/internal/profile"
@@ -17,13 +19,53 @@ import (
 	"gaugur/internal/stats"
 )
 
-// loadWorld rebuilds the simulated substrate and loads profiles. The
-// catalog seed must match the one used at profiling time; the profile file
-// itself is the only trained artifact, the catalog is the "hardware".
-func loadWorld(catalogSeed, serverSeed int64, profilePath string) (*core.Lab, error) {
-	catalog := sim.NewCatalog(catalogSeed)
-	server := sim.NewServer(serverSeed)
-	f, err := os.Open(profilePath)
+// worldFlags name the simulated substrate and the artifacts profiled and
+// trained on it. Every command declares them through bindWorld, so a flag
+// means one thing, with one default, everywhere.
+type worldFlags struct {
+	catalogSeed, serverSeed          int64
+	profiles, model, registry, games string
+}
+
+// bindWorld declares the two substrate seeds on fs, plus each named world
+// flag: "profiles", "model", "registry", "games".
+func bindWorld(fs *flag.FlagSet, names ...string) *worldFlags {
+	w := &worldFlags{}
+	fs.Int64Var(&w.catalogSeed, "catalog-seed", 42, "catalog generation seed")
+	fs.Int64Var(&w.serverSeed, "server-seed", 7, "measurement noise seed")
+	for _, name := range names {
+		switch name {
+		case "profiles":
+			fs.StringVar(&w.profiles, name, "profiles.json", "profile set path")
+		case "model":
+			fs.StringVar(&w.model, name, "model.gob", "trained predictor path")
+		case "registry":
+			fs.StringVar(&w.registry, name, "", "model registry directory; serves its active version instead of -model")
+		case "games":
+			fs.StringVar(&w.games, name, "", "comma-separated game names or ids")
+		default:
+			panic("gaugur: no world flag " + name)
+		}
+	}
+	return w
+}
+
+// parse parses args into fs and requires -games of a command that takes it.
+func (w *worldFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.Lookup("games") != nil && w.games == "" {
+		return fmt.Errorf("%s: -games is required", fs.Name())
+	}
+	return nil
+}
+
+// lab rebuilds the simulated substrate and loads profiles. The catalog seed
+// must match the one used at profiling time; the profile file itself is the
+// only trained artifact, the catalog is the "hardware".
+func (w *worldFlags) lab() (*core.Lab, error) {
+	f, err := os.Open(w.profiles)
 	if err != nil {
 		return nil, err
 	}
@@ -32,13 +74,44 @@ func loadWorld(catalogSeed, serverSeed int64, profilePath string) (*core.Lab, er
 	if err != nil {
 		return nil, err
 	}
-	return core.NewLab(server, catalog, set)
+	return core.NewLab(sim.NewServer(w.serverSeed), sim.NewCatalog(w.catalogSeed), set)
+}
+
+// load rebuilds the world the flags name: the lab, the serving model wired
+// to reg, and the -games mix when the command takes one.
+func (w *worldFlags) load(reg *obs.Registry) (*core.Lab, *core.Predictor, []int, error) {
+	lab, err := w.lab()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p, err := loadServingModel(lab, w.model, w.registry, reg)
+	if err != nil || w.games == "" {
+		return lab, p, nil, err
+	}
+	ids, err := resolveGames(lab, w.games)
+	return lab, p, ids, err
+}
+
+// bindStream declares the churn stream's flags on fs with the command's
+// defaults; a zero default leaves that flag to the command.
+func bindStream(fs *flag.FlagSet, def experiments.Churn) *experiments.Churn {
+	c := &def
+	fs.IntVar(&c.Servers, "servers", def.Servers, "fleet size")
+	if def.Sessions != 0 {
+		fs.IntVar(&c.Sessions, "sessions", def.Sessions, "total session arrivals")
+	}
+	fs.Float64Var(&c.Load, "load", def.Load, "target fleet load (fraction of slot capacity)")
+	fs.Float64Var(&c.Duration, "duration", def.Duration, "mean session duration (time units)")
+	if def.Seed != 0 {
+		fs.Int64Var(&c.Seed, "seed", def.Seed, "simulation seed")
+	}
+	return c
 }
 
 func cmdProfile(args []string) error {
 	fs := newFlagSet("profile")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed (the simulated hardware)")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
+	w := bindWorld(fs)
+	fs.Lookup("catalog-seed").Usage = "catalog generation seed (the simulated hardware)"
 	out := fs.String("out", "profiles.json", "output path for the profile set")
 	k := fs.Int("k", profile.DefaultK, "pressure sampling granularity")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, and pprof on this address during profiling")
@@ -46,13 +119,13 @@ func cmdProfile(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, *catalogSeed)
+	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, w.catalogSeed)
 	if err != nil {
 		return err
 	}
 
-	catalog := sim.NewCatalog(*catalogSeed)
-	server := sim.NewServer(*serverSeed)
+	catalog := sim.NewCatalog(w.catalogSeed)
+	server := sim.NewServer(w.serverSeed)
 	server.SetMetrics(reg)
 	pf := &profile.Profiler{Server: server, K: *k, Metrics: reg, Tracer: tracer}
 	set, err := pf.ProfileCatalog(catalog)
@@ -81,9 +154,7 @@ func cmdProfile(args []string) error {
 
 func cmdTrain(args []string) error {
 	fs := newFlagSet("train")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
+	w := bindWorld(fs, "profiles")
 	out := fs.String("out", "model.gob", "output path for the trained predictor")
 	qos := fs.Float64("qos", 60, "QoS frame-rate floor for the CM labels")
 	pairs := fs.Int("pairs", 500, "measured 2-game colocations")
@@ -102,7 +173,7 @@ func cmdTrain(args []string) error {
 		return err
 	}
 
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
+	lab, err := w.lab()
 	if err != nil {
 		return err
 	}
@@ -204,10 +275,7 @@ func loadPredictor(lab *core.Lab, path string, reg *obs.Registry) (*core.Predict
 
 func cmdPredict(args []string) error {
 	fs := newFlagSet("predict")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
-	model := fs.String("model", "model.gob", "trained predictor path")
+	w := bindWorld(fs, "profiles", "model")
 	coloc := fs.String("coloc", "", "colocation, e.g. \"Dota2@1920x1080,Far Cry4\"")
 	verify := fs.Bool("verify", false, "also run the colocation on the simulator and print measured FPS")
 	if err := fs.Parse(args); err != nil {
@@ -216,11 +284,7 @@ func cmdPredict(args []string) error {
 	if *coloc == "" {
 		return fmt.Errorf("predict: -coloc is required")
 	}
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
-	if err != nil {
-		return err
-	}
-	p, err := loadPredictor(lab, *model, nil)
+	lab, p, _, err := w.load(nil)
 	if err != nil {
 		return err
 	}
@@ -289,34 +353,19 @@ func resolveGames(lab *core.Lab, spec string) ([]int, error) {
 
 func cmdPack(args []string) error {
 	fs := newFlagSet("pack")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
-	model := fs.String("model", "model.gob", "trained predictor path")
-	games := fs.String("games", "", "comma-separated game names or ids")
+	w := bindWorld(fs, "profiles", "model", "games")
 	requests := fs.Int("requests", 5000, "gaming requests to pack")
 	maxSize := fs.Int("max-size", 4, "maximum colocation size")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, pprof, and /debug/traces on this address during packing")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after packing")
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args); err != nil {
 		return err
 	}
-	if *games == "" {
-		return fmt.Errorf("pack: -games is required")
-	}
-	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, *catalogSeed)
+	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, w.catalogSeed)
 	if err != nil {
 		return err
 	}
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
-	if err != nil {
-		return err
-	}
-	p, err := loadPredictor(lab, *model, reg)
-	if err != nil {
-		return err
-	}
-	ids, err := resolveGames(lab, *games)
+	_, p, ids, err := w.load(reg)
 	if err != nil {
 		return err
 	}
@@ -350,59 +399,25 @@ func cmdPack(args []string) error {
 
 func cmdDispatch(args []string) error {
 	fs := newFlagSet("dispatch")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
-	model := fs.String("model", "model.gob", "trained predictor path")
-	registry := fs.String("registry", "", "model registry directory; serves its active version instead of -model")
-	games := fs.String("games", "", "comma-separated game names or ids")
+	w := bindWorld(fs, "profiles", "model", "registry", "games")
 	requests := fs.Int("requests", 5000, "gaming requests to dispatch")
 	servers := fs.Int("servers", 2000, "fleet size")
 	compare := fs.Bool("compare", false, "also dispatch with Sigmoid, SMiTe, and worst-fit VBP")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, pprof, and /debug/traces on this address during dispatch")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after dispatch")
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args); err != nil {
 		return err
 	}
-	if *games == "" {
-		return fmt.Errorf("dispatch: -games is required")
-	}
-	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, *catalogSeed)
+	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, w.catalogSeed)
 	if err != nil {
 		return err
 	}
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
-	if err != nil {
-		return err
-	}
-	p, err := loadServingModel(lab, *model, *registry, reg)
-	if err != nil {
-		return err
-	}
-	ids, err := resolveGames(lab, *games)
+	lab, p, ids, err := w.load(reg)
 	if err != nil {
 		return err
 	}
 	demand := sched.SpreadRequests(ids, *requests, nil)
 	stream := sched.ExpandRequests(demand)
-
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	scorerFor := func(predict func(c core.Colocation, idx int) float64) sched.Scorer {
-		return func(games []int) float64 {
-			c := toColoc(games)
-			s := 0.0
-			for i := range c {
-				s += predict(c, i)
-			}
-			return s
-		}
-	}
 
 	run := func(name string, sc sched.Scorer) error {
 		tctx := tracer.StartTrace("dispatch",
@@ -422,7 +437,7 @@ func cmdDispatch(args []string) error {
 	// GAugur scores through the batch API: one buffer set per candidate
 	// colocation instead of per-index allocations.
 	if err := run("GAugur(RM)", func(games []int) float64 {
-		return p.PredictTotalFPS(toColoc(games))
+		return p.PredictTotalFPS(core.ColocationOf(games))
 	}); err != nil {
 		return err
 	}
@@ -432,19 +447,19 @@ func cmdDispatch(args []string) error {
 		if err := sg.Fit(lab, train); err != nil {
 			return err
 		}
-		if err := run("Sigmoid", scorerFor(sg.PredictFPS)); err != nil {
+		if err := run("Sigmoid", sched.TotalFPS(sg.PredictFPS, 0)); err != nil {
 			return err
 		}
 		sm := baselines.NewSMiTe(lab.Profiles, p.QoS)
 		if err := sm.Fit(lab, train); err != nil {
 			return err
 		}
-		if err := run("SMiTe", scorerFor(sm.PredictFPS)); err != nil {
+		if err := run("SMiTe", sched.TotalFPS(sm.PredictFPS, 0)); err != nil {
 			return err
 		}
 		vbp := baselines.NewVBP(lab.Profiles)
 		demandOf := func(g int) float64 {
-			return 5 - vbp.RemainingCapacity(toColoc([]int{g}))
+			return 5 - vbp.RemainingCapacity(core.ColocationOf([]int{g}))
 		}
 		fleet, err := sched.WorstFit(stream, *servers, 4, 5, demandOf)
 		if err != nil {

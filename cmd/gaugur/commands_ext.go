@@ -5,9 +5,9 @@ import (
 	"os"
 
 	"gaugur/internal/core"
+	"gaugur/internal/experiments"
 	"gaugur/internal/ml"
 	"gaugur/internal/profile"
-	"gaugur/internal/sched"
 	"gaugur/internal/sched/fleet"
 	"gaugur/internal/sim"
 )
@@ -16,52 +16,24 @@ import (
 // trained predictor's greedy placement and the least-loaded baseline.
 func cmdChurn(args []string) error {
 	fs := newFlagSet("churn")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
-	model := fs.String("model", "model.gob", "trained predictor path")
-	games := fs.String("games", "", "comma-separated game names or ids")
-	servers := fs.Int("servers", 200, "fleet size")
-	sessions := fs.Int("sessions", 2000, "total session arrivals")
-	load := fs.Float64("load", 0.85, "target fleet load (fraction of slot capacity)")
-	duration := fs.Float64("duration", 8, "mean session duration (time units)")
-	seed := fs.Int64("seed", 13, "simulation seed")
+	w := bindWorld(fs, "profiles", "model", "games")
+	ch := bindStream(fs, experiments.Churn{Servers: 200, Sessions: 2000, Load: 0.85, Duration: 8, Seed: 13})
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, and pprof on this address during the run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after the run")
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args); err != nil {
 		return err
 	}
-	if *games == "" {
-		return fmt.Errorf("churn: -games is required")
-	}
-	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, *seed)
+	reg, tracer, stopMetrics, err := startMetrics(*metricsAddr, ch.Seed)
 	if err != nil {
 		return err
 	}
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
+	lab, p, ids, err := w.load(reg)
 	if err != nil {
 		return err
 	}
-	p, err := loadPredictor(lab, *model, reg)
-	if err != nil {
-		return err
-	}
-	ids, err := resolveGames(lab, *games)
-	if err != nil {
-		return err
-	}
+	sc := experiments.NewScenario(lab, p.QoS, ids, *ch)
+	sc.Stream.Metrics, sc.Stream.Tracer = reg, tracer
 
-	toColoc := func(g []int) core.Colocation {
-		c := make(core.Colocation, len(g))
-		for i, id := range g {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	eval := func(g []int) []float64 { return lab.ExpectedFPS(toColoc(g)) }
-	score := func(g []int) float64 { return p.PredictTotalFPS(toColoc(g)) }
-
-	const maxPer = 4
 	// Audit the model's placement-time predictions against what each
 	// session actually receives, but only on the model-driven run: the
 	// least-loaded baseline never consults the predictor.
@@ -69,21 +41,12 @@ func cmdChurn(args []string) error {
 	if reg != nil {
 		aud = core.NewAuditor(nil, p, p.QoS, core.AuditorConfig{Metrics: reg})
 	}
-	cfg := sched.OnlineConfig{
-		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
-		MeanDuration: *duration,
-		Sessions:     *sessions,
-		GameIDs:      ids,
-		Seed:         *seed,
-		Metrics:      reg,
-		Tracer:       tracer,
-	}
 	run := func(name string, fc fleet.Config, audited bool) error {
-		c := cfg
+		cfg := sc.Stream
 		if audited && aud != nil {
-			c.Audit = aud
+			cfg.Audit = aud
 		}
-		res, err := sched.RunChurn(c, fc, eval, p.QoS)
+		res, err := sc.Run(cfg, fc)
 		if err != nil {
 			return err
 		}
@@ -92,13 +55,12 @@ func cmdChurn(args []string) error {
 		return nil
 	}
 	fmt.Printf("%d sessions onto %d servers at %.0f%% target load (QoS %.0f FPS)\n",
-		*sessions, *servers, 100**load, p.QoS)
-	greedy := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Tracer: tracer}
-	if err := run("GAugur greedy", greedy, true); err != nil {
+		ch.Sessions, ch.Servers, 100*ch.Load, p.QoS)
+	score := func(g []int) float64 { return p.PredictTotalFPS(core.ColocationOf(g)) }
+	if err := run("GAugur greedy", sc.Greedy(score), true); err != nil {
 		return err
 	}
-	leastLoaded := fleet.Config{NumServers: *servers, MaxPerServer: maxPer, Mode: fleet.ModeLeastLoaded}
-	if err := run("least-loaded", leastLoaded, false); err != nil {
+	if err := run("least-loaded", sc.LeastLoaded(), false); err != nil {
 		return err
 	}
 	if reg != nil {
@@ -133,9 +95,8 @@ func printQuality(aud *core.Auditor) {
 // sweep.
 func cmdOnboard(args []string) error {
 	fs := newFlagSet("onboard")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile library path")
+	w := bindWorld(fs, "profiles")
+	fs.Lookup("profiles").Usage = "profile library path"
 	game := fs.String("game", "", "game to onboard (must exist in the catalog)")
 	out := fs.String("out", "", "optional path to append-save the completed profile set")
 	rank := fs.Int("rank", 10, "matrix-factorization rank")
@@ -145,14 +106,14 @@ func cmdOnboard(args []string) error {
 	if *game == "" {
 		return fmt.Errorf("onboard: -game is required")
 	}
-	catalog := sim.NewCatalog(*catalogSeed)
-	server := sim.NewServer(*serverSeed)
+	catalog := sim.NewCatalog(w.catalogSeed)
+	server := sim.NewServer(w.serverSeed)
 	g := catalog.Get(*game)
 	if g == nil {
 		return fmt.Errorf("onboard: unknown game %q", *game)
 	}
 
-	f, err := os.Open(*profiles)
+	f, err := os.Open(w.profiles)
 	if err != nil {
 		return err
 	}

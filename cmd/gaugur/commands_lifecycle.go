@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"gaugur/internal/core"
+	"gaugur/internal/experiments"
 	"gaugur/internal/obs"
-	"gaugur/internal/sched"
-	"gaugur/internal/sched/fleet"
 )
 
 // loadServingModel resolves the model the dispatcher serves: when a
@@ -44,17 +43,10 @@ func loadServingModel(lab *core.Lab, model, registryDir string, reg *obs.Registr
 // lineage and promotion history persist across runs.
 func cmdLifecycle(args []string) error {
 	fs := newFlagSet("lifecycle")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path")
-	model := fs.String("model", "model.gob", "seed predictor path (ignored when -registry already holds an active model)")
-	registry := fs.String("registry", "", "model registry directory; empty keeps versions in memory for this run only")
-	games := fs.String("games", "", "comma-separated game names or ids")
-	servers := fs.Int("servers", 50, "fleet size")
-	sessions := fs.Int("sessions", 4000, "total session arrivals")
-	load := fs.Float64("load", 0.8, "target fleet load (fraction of slot capacity)")
-	duration := fs.Float64("duration", 6, "mean session duration (time units)")
-	seed := fs.Int64("seed", 13, "simulation seed")
+	w := bindWorld(fs, "profiles", "model", "registry", "games")
+	fs.Lookup("model").Usage = "seed predictor path (ignored when -registry already holds an active model)"
+	fs.Lookup("registry").Usage = "model registry directory; empty keeps versions in memory for this run only"
+	ch := bindStream(fs, experiments.Churn{Servers: 50, Sessions: 4000, Load: 0.8, Duration: 6, Seed: 13})
 	perturb := fs.Float64("perturb", 0.55, "colocated sessions run at this fraction of the profiled physics (1 = no drift)")
 	window := fs.Int("window", 64, "rolling quality window (resolved records)")
 	driftMAE := fs.Float64("drift-mae", 15, "rolling RM MAE (FPS) that trips the drift alarm")
@@ -67,24 +59,21 @@ func cmdLifecycle(args []string) error {
 	rollbackMAE := fs.Float64("rollback-mae", 0, "probation MAE triggering rollback (0 = 1.5x -drift-mae)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar, pprof, and /debug/traces on this address during the run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint open this long after the run")
-	if err := fs.Parse(args); err != nil {
+	if err := w.parse(fs, args); err != nil {
 		return err
-	}
-	if *games == "" {
-		return fmt.Errorf("lifecycle: -games is required")
 	}
 	if *rollbackMAE <= 0 {
 		*rollbackMAE = 1.5 * *driftMAE
 	}
-	obsReg, tracer, stopMetrics, err := startMetrics(*metricsAddr, *seed)
+	obsReg, tracer, stopMetrics, err := startMetrics(*metricsAddr, ch.Seed)
 	if err != nil {
 		return err
 	}
-	lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
+	lab, err := w.lab()
 	if err != nil {
 		return err
 	}
-	reg, err := core.NewRegistry(*registry)
+	reg, err := core.NewRegistry(w.registry)
 	if err != nil {
 		return err
 	}
@@ -97,10 +86,10 @@ func cmdLifecycle(args []string) error {
 		}
 		p.EnableMetrics(obsReg).Compile()
 		fmt.Printf("resuming registry lineage at version %d (%s)\n", act.Version, act.Note)
-	} else if p, err = loadPredictor(lab, *model, obsReg); err != nil {
+	} else if p, err = loadPredictor(lab, w.model, obsReg); err != nil {
 		return err
 	}
-	ids, err := resolveGames(lab, *games)
+	ids, err := resolveGames(lab, w.games)
 	if err != nil {
 		return err
 	}
@@ -126,44 +115,20 @@ func cmdLifecycle(args []string) error {
 		return err
 	}
 
-	toColoc := func(g []int) core.Colocation {
-		c := make(core.Colocation, len(g))
-		for i, id := range g {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	// Score through the handle so promoted models take over future
-	// placements; the generation tag retires cached scores at each swap.
-	score := func(g []int) float64 { return h.Load().PredictTotalFPS(toColoc(g)) }
+	sc := experiments.NewScenario(lab, p.QoS, ids, *ch)
+	sc.Stream.Metrics, sc.Stream.Tracer = obsReg, tracer
+	sc.Stream.Audit, sc.Stream.Lifecycle = lm, lm
 	// Drifted physics: only colocations feel it — singleton FPS is profiled
 	// per game, so interference retraining has nothing to fix there.
-	eval := func(g []int) []float64 {
-		fps := lab.ExpectedFPS(toColoc(g))
-		if len(g) > 1 && *perturb != 1 {
-			for i := range fps {
-				fps[i] *= *perturb
-			}
-		}
-		return fps
-	}
+	sc.Perturb = *perturb
+	// Score through the handle so promoted models take over future
+	// placements; the generation tag retires cached scores at each swap.
+	fc := sc.Greedy(func(g []int) float64 { return h.Load().PredictTotalFPS(core.ColocationOf(g)) })
+	fc.Gen = h.Generation
 
-	const maxPer = 4
 	fmt.Printf("%d sessions onto %d servers (QoS %.0f FPS); colocated physics at %.0f%% of profile\n",
-		*sessions, *servers, p.QoS, 100**perturb)
-	res, err := sched.RunChurn(sched.OnlineConfig{
-		ArrivalRate:  *load * float64(*servers) * maxPer / *duration,
-		MeanDuration: *duration,
-		Sessions:     *sessions,
-		GameIDs:      ids,
-		Seed:         *seed,
-		Audit:        lm,
-		Lifecycle:    lm,
-		Metrics:      obsReg,
-		Tracer:       tracer,
-	}, fleet.Config{
-		NumServers: *servers, MaxPerServer: maxPer, Scorer: fleet.ScorerFunc(score), Gen: h.Generation, Tracer: tracer,
-	}, eval, p.QoS)
+		ch.Sessions, ch.Servers, p.QoS, 100**perturb)
+	res, err := sc.Run(sc.Stream, fc)
 	if err != nil {
 		return err
 	}
@@ -182,8 +147,8 @@ func cmdLifecycle(args []string) error {
 		}
 	}
 	printQuality(aud)
-	if *registry != "" {
-		fmt.Printf("registry %s now holds %d version(s)\n", *registry, len(reg.Versions()))
+	if w.registry != "" {
+		fmt.Printf("registry %s now holds %d version(s)\n", w.registry, len(reg.Versions()))
 	}
 	stopMetrics(*metricsHold)
 	return nil

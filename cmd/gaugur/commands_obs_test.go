@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -153,6 +154,21 @@ func TestFaultsCommandReplays(t *testing.T) {
 		} else if out != first {
 			t.Fatalf("run %d (GOMAXPROCS %d) differs from the first:\n%s\nvs\n%s", i, procs, out, first)
 		}
+	}
+}
+
+// TestFaultsZeroLoadRefused: at zero load the stream never ends, so the
+// window the fault schedule is drawn over has no end either. The command
+// used to draw crashes over it until the process ran out of memory; it must
+// refuse the stream instead.
+func TestFaultsZeroLoadRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	profiles, model := trainedArtifacts(t)
+	err := cmdFaults([]string{"-profiles", profiles, "-model", model, "-games", "1,2", "-load", "0"})
+	if err == nil || !strings.Contains(err.Error(), "arrival rate") {
+		t.Fatalf("faults -load 0: err = %v, want an arrival-rate error", err)
 	}
 }
 

@@ -27,10 +27,9 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address (host:0 picks a port)")
 	binAddr := fs.String("binary-addr", "", "also serve the length-prefixed binary protocol on this address")
 	demo := fs.Bool("demo", false, "score with the synthetic demo physics instead of a trained model")
-	catalogSeed := fs.Int64("catalog-seed", 42, "catalog generation seed")
-	serverSeed := fs.Int64("server-seed", 7, "measurement noise seed")
-	profiles := fs.String("profiles", "profiles.json", "profile set path (ignored with -demo)")
-	model := fs.String("model", "model.gob", "trained predictor path (ignored with -demo)")
+	w := bindWorld(fs, "profiles", "model")
+	fs.Lookup("profiles").Usage = "profile set path (ignored with -demo)"
+	fs.Lookup("model").Usage = "trained predictor path (ignored with -demo)"
 	servers := fs.Int("servers", 1024, "fleet size")
 	shards := fs.Int("shards", 8, "shard count")
 	k := fs.Int("k", 2, "shards sampled per arrival")
@@ -83,11 +82,7 @@ func cmdServe(args []string) error {
 			return total
 		})
 	} else {
-		lab, err := loadWorld(*catalogSeed, *serverSeed, *profiles)
-		if err != nil {
-			return err
-		}
-		p, err := loadPredictor(lab, *model, reg)
+		_, p, _, err := w.load(reg)
 		if err != nil {
 			return err
 		}

@@ -53,19 +53,11 @@ func main() {
 	demand := sched.SpreadRequests(ids, requests, nil)
 	stream := sched.ExpandRequests(demand)
 
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-
 	// GAugur(RM)-steered greedy: place each request where the predicted
 	// total FPS delta is best. PredictTotalFPS batches the colocation's
 	// per-index queries over one shared buffer set.
 	score := func(games []int) float64 {
-		return predictor.PredictTotalFPS(toColoc(games))
+		return predictor.PredictTotalFPS(core.ColocationOf(games))
 	}
 	d := &sched.Dispatcher{NumServers: servers, MaxPerServer: 4, Score: score}
 	fleet, err := d.Assign(stream)
@@ -79,7 +71,7 @@ func main() {
 	// Interference-blind worst-fit on VBP demand vectors.
 	vbp := baselines.NewVBP(profiles)
 	demandOf := func(g int) float64 {
-		return 5 - vbp.RemainingCapacity(toColoc([]int{g}))
+		return 5 - vbp.RemainingCapacity(core.ColocationOf([]int{g}))
 	}
 	wfFleet, err := sched.WorstFit(stream, servers, 4, 5, demandOf)
 	if err != nil {

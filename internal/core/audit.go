@@ -262,7 +262,7 @@ func NewAuditor(fb *FallbackPredictor, p *Predictor, qos float64, cfg AuditorCon
 // candidate that never serves.
 func NewAuditorHandle(fb *FallbackPredictor, h *ModelHandle, qos float64, cfg AuditorConfig) *Auditor {
 	predict := func(games []int, idx int, retain bool) auditPrediction {
-		c := colocationOf(games)
+		c := ColocationOf(games)
 		p := h.Load()
 		out := auditPrediction{gen: h.Generation()}
 		if p != nil && p.Profiles != nil && len(c) > 1 {
@@ -346,15 +346,6 @@ func newAuditor(predict auditPredictFn, qos float64, cfg AuditorConfig) *Auditor
 		}
 	}
 	return a
-}
-
-// colocationOf builds the reference-resolution colocation for a game list.
-func colocationOf(games []int) Colocation {
-	c := make(Colocation, len(games))
-	for i, g := range games {
-		c[i] = Workload{GameID: g, Res: ReferenceResolution}
-	}
-	return c
 }
 
 // featureDigest fingerprints a model input vector: FNV-1a over the raw

@@ -39,14 +39,6 @@ func e2eWorld(t *testing.T) (*core.Lab, *core.Predictor) {
 	return lab, p
 }
 
-func toColoc(g []int) core.Colocation {
-	c := make(core.Colocation, len(g))
-	for i, id := range g {
-		c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-	}
-	return c
-}
-
 // TestDriftAlarmPerturbedPhysics is the acceptance test for the monitor:
 // audit a real trained predictor through a real churn run. Against the
 // physics it was trained on the alarm stays quiet; against a perturbed
@@ -58,7 +50,7 @@ func TestDriftAlarmPerturbedPhysics(t *testing.T) {
 	for i, g := range lab.Catalog.Games {
 		ids[i] = g.ID
 	}
-	score := func(g []int) float64 { return p.PredictTotalFPS(toColoc(g)) }
+	score := func(g []int) float64 { return p.PredictTotalFPS(core.ColocationOf(g)) }
 
 	// The threshold sits between the two regimes: this small fixture's model
 	// is honestly ~11 FPS off on average (transient 64-record windows peak
@@ -86,9 +78,9 @@ func TestDriftAlarmPerturbedPhysics(t *testing.T) {
 		return aud.Summary()
 	}
 
-	honest := func(g []int) []float64 { return lab.ExpectedFPS(toColoc(g)) }
+	honest := func(g []int) []float64 { return lab.ExpectedFPS(core.ColocationOf(g)) }
 	perturbed := func(g []int) []float64 {
-		fps := lab.ExpectedFPS(toColoc(g))
+		fps := lab.ExpectedFPS(core.ColocationOf(g))
 		for i := range fps {
 			fps[i] *= 0.6
 		}

@@ -51,7 +51,7 @@ func TestLifecycleRecoversFromPerturbedPhysics(t *testing.T) {
 	// The cluster scores with whatever model the handle currently serves and
 	// tags its memo with the swap generation, so promoted models take over
 	// future placements immediately — no stale cached scores.
-	score := func(g []int) float64 { return h.Load().PredictTotalFPS(toColoc(g)) }
+	score := func(g []int) float64 { return h.Load().PredictTotalFPS(core.ColocationOf(g)) }
 	cluster, err := fleet.New(fleet.Config{NumServers: 20, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score), Gen: h.Generation})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestLifecycleRecoversFromPerturbedPhysics(t *testing.T) {
 	// to the profiled solo rate, which no amount of interference-model
 	// retraining could fix, so they carry no recoverable signal.
 	perturbed := func(g []int) []float64 {
-		fps := lab.ExpectedFPS(toColoc(g))
+		fps := lab.ExpectedFPS(core.ColocationOf(g))
 		if len(g) > 1 {
 			for i := range fps {
 				fps[i] *= 0.55

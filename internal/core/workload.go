@@ -27,6 +27,17 @@ type Workload struct {
 // Colocation is a set of workloads sharing one server.
 type Colocation []Workload
 
+// ColocationOf is the colocation a server holding these games runs: every
+// game at the reference resolution, in the given order — the conversion from
+// the fleet's game lists to what the predictor and the lab take.
+func ColocationOf(games []int) Colocation {
+	c := make(Colocation, len(games))
+	for i, g := range games {
+		c[i] = Workload{GameID: g, Res: ReferenceResolution}
+	}
+	return c
+}
+
 // Size returns the number of colocated games.
 func (c Colocation) Size() int { return len(c) }
 

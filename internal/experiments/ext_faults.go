@@ -4,7 +4,6 @@ import (
 	"gaugur/internal/core"
 	"gaugur/internal/sched"
 	"gaugur/internal/sched/fleet"
-	"gaugur/internal/sim"
 )
 
 // ExtFaults stresses the online dispatcher with an injected failure
@@ -21,93 +20,20 @@ func ExtFaults(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := env.TenGames()
-
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	eval := func(games []int) []float64 {
-		return env.Lab.ExpectedFPS(toColoc(games))
-	}
-	// Spiked servers run the same physics with the noisy neighbor as an
-	// extra phantom load vector.
-	spikeEval := func(games []int, extra sim.Vector) []float64 {
-		return env.Lab.Server.ExpectedFPSWithNeighbor(env.Lab.Instances(toColoc(games)), extra)
-	}
-	// The QoS-aware clipped scorer from ExtChurn — its best policy there,
-	// and the one whose placements least need rescuing.
-	scorer := func(predict func(c core.Colocation, idx int) float64) sched.Scorer {
-		cap := qos * 1.25
-		return func(games []int) float64 {
-			c := toColoc(games)
-			s := 0.0
-			for i := range c {
-				f := predict(c, i)
-				if f > cap {
-					f = cap
-				}
-				s += f
-			}
-			return s
-		}
+	sc := env.churnScenario()
+	sc.Faults = FaultMix(29, sc.Servers, 0.02, 0.05, 0.35, 0.15)
+	fs, err := sc.Schedule()
+	if err != nil {
+		return nil, err
 	}
 
-	sessions := env.Cfg.Requests
-	servers := sessions / 8
-	if servers < 4 {
-		servers = 4
-	}
-	base := sched.OnlineConfig{
-		ArrivalRate:  float64(servers) * 0.425,
-		MeanDuration: 8,
-		Sessions:     sessions,
-		GameIDs:      ids,
-		Seed:         13,
-	}
-
-	// Faults start during the arrival window (the span where they can still
-	// orphan and re-place live sessions). Per-server rates are fixed, so
-	// the failure pressure scales with the fleet.
-	horizon := float64(sessions) / base.ArrivalRate
-	faults := sim.GenerateFaults(sim.FaultConfig{
-		Seed:       29,
-		Horizon:    horizon,
-		NumServers: servers,
-		CrashRate:  float64(servers) * 0.02, CrashDowntime: 2,
-		SpikeRate: float64(servers) * 0.05, SpikeDuration: 3, SpikeMagnitude: 0.35,
-		DropoutRate: 0.15, DropoutDuration: 2,
-	})
-	var crashes, spikes, dropouts int
-	for _, f := range faults {
-		switch f.Kind {
-		case sim.FaultCrash:
-			crashes++
-		case sim.FaultSpike:
-			spikes++
-		case sim.FaultDropout:
-			dropouts++
-		}
-	}
-
-	faulted := func(migrate bool) sched.OnlineConfig {
-		cfg := base
-		cfg.Faults = faults
-		cfg.SpikeEval = spikeEval
-		cfg.DisableMigration = !migrate
-		if migrate {
-			cfg.WatchdogWindow = 1
-		}
-		return cfg
-	}
-
+	// Every greedy row uses the QoS-aware clipped scorer from ExtChurn — its
+	// best policy there, and the one whose placements least need rescuing.
+	greedy := sc.Greedy(sched.TotalFPS(p.PredictFPS, qosAwareCap(qos)))
 	// The fallback row scores placements through the full degradation
 	// chain; dropout transitions trip and release its circuit breaker.
 	fb := core.NewFallbackPredictor(p, env.Profiles, qos, core.BreakerConfig{})
-	fbCfg := faulted(true)
+	fbCfg := sc.Faulted(fs, true, 1)
 	fbCfg.OnOutage = fb.ReportOutage
 	fbScore := func(c core.Colocation, idx int) float64 {
 		fps, _, err := fb.PredictFPS(c, idx)
@@ -127,21 +53,21 @@ func ExtFaults(env *Env) (*Table, error) {
 		cfg   sched.OnlineConfig
 		fleet fleet.Config
 	}{
-		{"GAugur greedy, no faults", base, greedyFleet(servers, scorer(p.PredictFPS))},
-		{"GAugur greedy + migration + watchdog", faulted(true), greedyFleet(servers, scorer(p.PredictFPS))},
-		{"GAugur greedy + fallback chain", fbCfg, greedyFleet(servers, scorer(fbScore))},
-		{"GAugur greedy, migration disabled", faulted(false), greedyFleet(servers, scorer(p.PredictFPS))},
-		{"least-loaded + migration", faulted(true), leastLoadedFleet(servers)},
+		{"GAugur greedy, no faults", sc.Stream, greedy},
+		{"GAugur greedy + migration + watchdog", sc.Faulted(fs, true, 1), greedy},
+		{"GAugur greedy + fallback chain", fbCfg, sc.Greedy(sched.TotalFPS(fbScore, qosAwareCap(qos)))},
+		{"GAugur greedy, migration disabled", sc.Faulted(fs, false, 1), greedy},
+		{"least-loaded + migration", sc.Faulted(fs, true, 1), sc.LeastLoaded()},
 	}
 	for _, r := range rows {
-		res, err := sched.RunChurn(r.cfg, r.fleet, eval, qos)
+		res, err := sc.Run(r.cfg, r.fleet)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(r.name, f1(res.MeanFPS), f3(res.ViolationFraction),
 			d0(res.Migrated), d0(res.Dropped), f3(res.MeanTimeToRecover), d0(res.Rejected))
 	}
-	t.AddNote("schedule (seed 29): %d crashes, %d spikes, %d prediction dropouts over %d servers", crashes, spikes, dropouts, servers)
+	t.AddNote("schedule (seed 29): %d crashes, %d spikes, %d prediction dropouts over %d servers", fs.Crashes, fs.Spikes, fs.Dropouts, sc.Servers)
 	t.AddNote("fallback chain served %d queries from the model, %d from the capacity stage", fb.Served["model"], fb.Served["capacity"])
 	return t, nil
 }

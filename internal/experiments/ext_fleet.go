@@ -30,16 +30,10 @@ func ExtFleet(env *Env) (*Table, error) {
 	}
 	// Base load fills ~55% of slot capacity; the crowd spike pushes the
 	// offered load past saturation so rejection/escape behavior shows up.
-	const meanHold = 8.0
 	peak := sim.CrowdPeak{At: 10, Duration: 5, Factor: 3.5}
-	stream := sched.OnlineConfig{
-		ArrivalRate:  float64(servers) * 4 * 0.55 / meanHold,
-		Peaks:        []sim.CrowdPeak{peak},
-		MeanDuration: meanHold,
-		Horizon:      24,
-		GameIDs:      env.TenGames(),
-		Seed:         sim.DeriveSeed(29, "fleet-drive", 0),
-	}
+	stream := Churn{Servers: servers, Load: 0.55, Duration: 8, Seed: sim.DeriveSeed(29, "fleet-drive", 0)}.Stream(env.TenGames())
+	stream.Peaks = []sim.CrowdPeak{peak}
+	stream.Horizon = 24
 
 	// run reports one balancer's admission counters and mean predicted ΔFPS;
 	// the nil evaluator leaves realised FPS unscored.
@@ -47,7 +41,7 @@ func ExtFleet(env *Env) (*Table, error) {
 		c, err := fleet.New(fleet.Config{
 			NumServers:   servers,
 			ShardCount:   shardCount,
-			MaxPerServer: 4,
+			MaxPerServer: MaxPerServer,
 			K:            k,
 			Seed:         17,
 			Scorer:       scorer,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"gaugur/internal/core"
-	"gaugur/internal/sched"
 )
 
 // ExtLifecycle demonstrates the self-healing model lifecycle against
@@ -23,39 +22,11 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := env.TenGames()
-
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	// The drifted world: colocations interfere 45% harder than profiled.
-	perturbed := func(games []int) []float64 {
-		fps := env.Lab.ExpectedFPS(toColoc(games))
-		if len(games) > 1 {
-			for i := range fps {
-				fps[i] *= 0.55
-			}
-		}
-		return fps
-	}
-
 	sessions := env.Cfg.Requests * 2
-	servers := sessions / 40
-	if servers < 8 {
-		servers = 8
-	}
-	const maxPer = 4
-	base := sched.OnlineConfig{
-		ArrivalRate:  float64(servers) * maxPer * 0.8 / 6,
-		MeanDuration: 6,
-		Sessions:     sessions,
-		GameIDs:      ids,
-		Seed:         13,
-	}
+	sc := NewScenario(env.Lab, qos, env.TenGames(),
+		Churn{Servers: max(sessions/40, 8), Sessions: sessions, Load: 0.8, Duration: 6, Seed: 13})
+	// The drifted world: colocations interfere 45% harder than profiled.
+	sc.Perturb = 0.55
 	audCfg := core.AuditorConfig{Window: 48, MinResolved: 12, MAEThreshold: 15}
 
 	t := &Table{
@@ -67,11 +38,11 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	// Row 1: the stale model rides out the whole run. The auditor watches
 	// (and alarms) but nothing reacts.
 	staleAud := core.NewAuditor(nil, p, qos, audCfg)
-	staleCfg := base
+	staleCfg := sc.Stream
 	staleCfg.Audit = staleAud
-	staleRes, err := sched.RunChurn(staleCfg, greedyFleet(servers, func(g []int) float64 {
-		return p.PredictTotalFPS(toColoc(g))
-	}), perturbed, qos)
+	staleRes, err := sc.Run(staleCfg, sc.Greedy(func(g []int) float64 {
+		return p.PredictTotalFPS(core.ColocationOf(g))
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -95,14 +66,14 @@ func ExtLifecycle(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	healCfg := base
+	healCfg := sc.Stream
 	healCfg.Audit = lm
 	healCfg.Lifecycle = lm
-	healFleet := greedyFleet(servers, func(g []int) float64 {
-		return h.Load().PredictTotalFPS(toColoc(g))
+	healFleet := sc.Greedy(func(g []int) float64 {
+		return h.Load().PredictTotalFPS(core.ColocationOf(g))
 	})
 	healFleet.Gen = h.Generation
-	healRes, err := sched.RunChurn(healCfg, healFleet, perturbed, qos)
+	healRes, err := sc.Run(healCfg, healFleet)
 	if err != nil {
 		return nil, err
 	}

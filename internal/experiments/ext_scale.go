@@ -108,61 +108,7 @@ func ExtChurn(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := env.TenGames()
-
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	eval := func(games []int) []float64 {
-		return env.Lab.ExpectedFPS(toColoc(games))
-	}
-	scorer := func(predict func(c core.Colocation, idx int) float64) sched.Scorer {
-		return func(games []int) float64 {
-			c := toColoc(games)
-			s := 0.0
-			for i := range c {
-				s += predict(c, i)
-			}
-			return s
-		}
-	}
-	// QoS-aware variant: frame rate above ~1.25x the floor adds no value,
-	// so the greedy protects sessions near the floor instead of piling
-	// headroom onto already-fast servers.
-	clippedScorer := func(predict func(c core.Colocation, idx int) float64) sched.Scorer {
-		cap := qos * 1.25
-		return func(games []int) float64 {
-			c := toColoc(games)
-			s := 0.0
-			for i := range c {
-				f := predict(c, i)
-				if f > cap {
-					f = cap
-				}
-				s += f
-			}
-			return s
-		}
-	}
-
-	sessions := env.Cfg.Requests
-	servers := sessions / 8
-	if servers < 4 {
-		servers = 4
-	}
-	// Offered load ~3.4 concurrent sessions per 4-slot server: placement
-	// quality, not slack, decides the outcome.
-	cfg := sched.OnlineConfig{
-		ArrivalRate:  float64(servers) * 0.425,
-		MeanDuration: 8,
-		Sessions:     sessions,
-		GameIDs:      ids,
-		Seed:         13,
-	}
+	sc := env.churnScenario()
 
 	t := &Table{
 		ID:      "ext-churn",
@@ -173,32 +119,36 @@ func ExtChurn(env *Env) (*Table, error) {
 		name  string
 		fleet fleet.Config
 	}{
-		{"GAugur(RM) greedy", greedyFleet(servers, scorer(p.PredictFPS))},
-		{"GAugur(RM) QoS-aware", greedyFleet(servers, clippedScorer(p.PredictFPS))},
-		{"Sigmoid greedy", greedyFleet(servers, scorer(sg.PredictFPS))},
-		{"least-loaded", leastLoadedFleet(servers)},
+		{"GAugur(RM) greedy", sc.Greedy(sched.TotalFPS(p.PredictFPS, 0))},
+		{"GAugur(RM) QoS-aware", sc.Greedy(sched.TotalFPS(p.PredictFPS, qosAwareCap(qos)))},
+		{"Sigmoid greedy", sc.Greedy(sched.TotalFPS(sg.PredictFPS, 0))},
+		{"least-loaded", sc.LeastLoaded()},
 	}
 	for _, pl := range policies {
-		res, err := sched.RunChurn(cfg, pl.fleet, eval, qos)
+		res, err := sc.Run(sc.Stream, pl.fleet)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(pl.name, f1(res.MeanFPS), f3(res.ViolationFraction), d0(res.Rejected), d0(res.PeakActive))
 	}
-	t.AddNote("%d sessions, %d servers, Poisson arrivals, exponential playtimes", sessions, servers)
+	t.AddNote("%d sessions, %d servers, Poisson arrivals, exponential playtimes", sc.Stream.Sessions, sc.Servers)
 	return t, nil
 }
 
-// greedyFleet and leastLoadedFleet configure the single-shard, four-slot
-// cluster a churn experiment drives: the Section 5.2 rule scored by score,
-// and the interference-blind strawman.
-func greedyFleet(servers int, score sched.Scorer) fleet.Config {
-	return fleet.Config{NumServers: servers, MaxPerServer: 4, Scorer: fleet.ScorerFunc(score)}
+// churnScenario is the stream ext-churn and ext-faults replay: Requests
+// sessions on one server per eight (at least four), offered ~3.4 concurrent
+// sessions per 4-slot server, so placement quality, not slack, decides the
+// outcome.
+func (e *Env) churnScenario() *Scenario {
+	sessions := e.Cfg.Requests
+	servers := max(sessions/8, 4)
+	return NewScenario(e.Lab, e.Cfg.QoSHigh, e.TenGames(),
+		Churn{Servers: servers, Sessions: sessions, Load: 0.85, Duration: 8, Seed: 13})
 }
 
-func leastLoadedFleet(servers int) fleet.Config {
-	return fleet.Config{NumServers: servers, MaxPerServer: 4, Mode: fleet.ModeLeastLoaded}
-}
+// qosAwareCap is where the QoS-aware greedy clips each session's predicted
+// frame rate: above ~1.25x the floor, frame rate adds no value.
+func qosAwareCap(qos float64) float64 { return qos * 1.25 }
 
 // ExtHetero quantifies cross-server-type transfer (future work 1): models
 // profiled and trained on the reference class are applied to budget and

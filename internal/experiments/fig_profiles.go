@@ -33,10 +33,7 @@ func Fig1(env *Env) (*Table, error) {
 	for _, pr := range pairs {
 		a := env.Catalog.MustGet(pr[0])
 		b := env.Catalog.MustGet(pr[1])
-		c := core.Colocation{
-			{GameID: a.ID, Res: core.ReferenceResolution},
-			{GameID: b.ID, Res: core.ReferenceResolution},
-		}
+		c := core.ColocationOf([]int{a.ID, b.ID})
 		fps := env.Lab.Measure(c)
 		insts := env.Lab.Instances(c)
 		t.AddRow(pr[0], pr[1], f1(fps[0]), f1(fps[1]), f1(insts[0].SoloFPS()), f1(insts[1].SoloFPS()))

@@ -216,31 +216,13 @@ func (e *Env) dispatchFleet(numServers int) (names []string, fleets [][][]int, e
 		return nil, nil, err
 	}
 
-	toColoc := func(games []int) core.Colocation {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		return c
-	}
-	totalFPS := func(predict func(c core.Colocation, idx int) float64) sched.Scorer {
-		return func(games []int) float64 {
-			c := toColoc(games)
-			s := 0.0
-			for i := range c {
-				s += predict(c, i)
-			}
-			return s
-		}
-	}
-
 	names = []string{"GAugur(RM)", "Sigmoid", "SMiTe", "VBP"}
 	scorers := []sched.Scorer{
 		// GAugur scores through the batch API (identical values, shared
 		// buffers across the colocation's indices).
-		func(games []int) float64 { return p.PredictTotalFPS(toColoc(games)) },
-		totalFPS(sg.PredictFPS),
-		totalFPS(sm.PredictFPS),
+		func(games []int) float64 { return p.PredictTotalFPS(core.ColocationOf(games)) },
+		sched.TotalFPS(sg.PredictFPS, 0),
+		sched.TotalFPS(sm.PredictFPS, 0),
 		nil, // VBP uses worst-fit instead
 	}
 	fleets = make([][][]int, len(names))
@@ -251,8 +233,7 @@ func (e *Env) dispatchFleet(numServers int) (names []string, fleets [][][]int, e
 		} else {
 			vbp := e.VBP()
 			demandOf := func(g int) float64 {
-				c := toColoc([]int{g})
-				return 5 - vbp.RemainingCapacity(c) // demand across the 5 counted dims
+				return 5 - vbp.RemainingCapacity(core.ColocationOf([]int{g})) // demand across the 5 counted dims
 			}
 			fleets[i], err = sched.WorstFit(requests, numServers, 4, 5, demandOf)
 		}

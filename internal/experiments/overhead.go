@@ -57,12 +57,7 @@ func Overhead(env *Env) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := env.TenGames()
-	c := core.Colocation{
-		{GameID: ids[0], Res: core.ReferenceResolution},
-		{GameID: ids[1], Res: core.ReferenceResolution},
-		{GameID: ids[2], Res: core.ReferenceResolution},
-	}
+	c := core.ColocationOf(env.TenGames()[:3])
 	const reps = 2000
 	start = time.Now()
 	for i := 0; i < reps; i++ {

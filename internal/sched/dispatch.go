@@ -13,6 +13,26 @@ import (
 // it hosted exactly the given game multiset (the empty multiset scores 0).
 type Scorer func(games []int) float64
 
+// TotalFPS is the Scorer that sums predict over a server's games at the
+// reference resolution, in member order. A positive cap clips each member's
+// frame rate first — the QoS-aware variant, for which frame rate above the
+// cap adds no value, so the greedy protects sessions near the floor instead
+// of piling headroom onto already-fast servers.
+func TotalFPS(predict func(c core.Colocation, idx int) float64, cap float64) Scorer {
+	return func(games []int) float64 {
+		c := core.ColocationOf(games)
+		s := 0.0
+		for i := range c {
+			f := predict(c, i)
+			if cap > 0 && f > cap {
+				f = cap
+			}
+			s += f
+		}
+		return s
+	}
+}
+
 // Dispatcher assigns gaming requests to a fixed fleet of identical servers.
 // Each request goes to the server where the fleet-wide predicted average
 // frame rate after assignment is maximal (Section 5.2's rule); since only
@@ -143,11 +163,7 @@ func ExpandRequests(demand map[int]int) []int {
 func EvaluateFleet(lab *core.Lab, servers [][]int) []float64 {
 	var fps []float64
 	for _, games := range servers {
-		c := make(core.Colocation, len(games))
-		for i, id := range games {
-			c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-		}
-		fps = append(fps, lab.ExpectedFPS(c)...)
+		fps = append(fps, lab.ExpectedFPS(core.ColocationOf(games))...)
 	}
 	return fps
 }

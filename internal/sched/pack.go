@@ -45,13 +45,7 @@ func EnumerateSubsets(ids []int, maxSize int) []ColocSet {
 
 // Colocation converts the game-ID set into a core.Colocation at the
 // reference resolution.
-func (s ColocSet) Colocation() core.Colocation {
-	c := make(core.Colocation, len(s))
-	for i, id := range s {
-		c[i] = core.Workload{GameID: id, Res: core.ReferenceResolution}
-	}
-	return c
-}
+func (s ColocSet) Colocation() core.Colocation { return core.ColocationOf(s) }
 
 // PackResult reports how Algorithm 1 placed the requests.
 type PackResult struct {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"gaugur/internal/sched/fleet"
 )
@@ -164,14 +165,22 @@ func (s *Server) serveBinaryConn(conn net.Conn) {
 // serveBinary answers the frames read from r on w, in order, until r ends
 // or yields a frame over binMaxFrame. Every complete frame before that
 // gets exactly one reply, and replies already written are flushed on the
-// way out.
+// way out. A connection gets binTimeout to deliver each frame it has not
+// already sent, so a silent or half-sent client ends the loop instead of
+// holding it.
 func (s *Server) serveBinary(r io.Reader, w io.Writer) {
+	conn, _ := r.(interface{ SetReadDeadline(time.Time) error })
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 	req := make([]byte, binMaxFrame)
 	resp := make([]byte, 0, binMaxFrame)
 	for {
+		if conn != nil && !frameBuffered(br) {
+			if err := conn.SetReadDeadline(time.Now().Add(s.binTimeout)); err != nil {
+				return // the connection is closed: no frame can arrive
+			}
+		}
 		frame, err := readFrame(br, req)
 		if err != nil {
 			return

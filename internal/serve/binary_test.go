@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -181,6 +182,49 @@ func TestBinaryPartialNextFrame(t *testing.T) {
 			t.Fatalf("reply %d: status %d", i, frame[0])
 		}
 	}
+}
+
+// TestBinaryIdleConnClosed: a binary client that goes silent — before its
+// first frame, halfway through one, or after a reply — is hung up on once a
+// frame is overdue, instead of holding a goroutine and a binConn entry for
+// as long as it likes.
+func TestBinaryIdleConnClosed(t *testing.T) {
+	p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.binTimeout <= 0 {
+		t.Fatal("binary connections get no frame timeout")
+	}
+	s.binTimeout = 50 * time.Millisecond
+	if err := s.StartBinary("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.closeBinary(); p.Close() })
+	for _, sent := range [][]byte{nil, binFrame(binOpAdmit, 3)[:6], binFrame(binOpAdmit, 3)} {
+		conn, err := net.Dial("tcp", s.BinaryAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(sent); err != nil {
+			t.Fatal(err)
+		}
+		// The test's own patience, far beyond the server's.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			t.Fatalf("server kept an idle connection open after % x: %v", sent, err)
+		}
+		conn.Close()
+	}
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.binConn) == 0
+	}, 5*time.Second)
 }
 
 // FuzzBinaryFrame feeds arbitrary bytes to the connection loop — frame

@@ -33,12 +33,16 @@ type ServerConfig struct {
 }
 
 // What a client may make the admission server hold open or read. A request's
-// headers must arrive within readHeaderTimeout of its first byte and a
-// keep-alive connection may sit idle for idleTimeout; admit and leave bodies
-// are a few dozen bytes, so maxBodyBytes is already generous.
+// headers must arrive within readHeaderTimeout of its first byte and the
+// whole request, body included, within readTimeout; a keep-alive connection
+// may sit idle for idleTimeout, and a binary connection may take as long to
+// deliver each frame. Admit and leave bodies are a few dozen bytes, so
+// maxBodyBytes is already generous.
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	binFrameTimeout   = idleTimeout
 	maxBodyBytes      = 4 << 10
 )
 
@@ -56,6 +60,9 @@ type Server struct {
 	binLn   net.Listener
 	binConn map[net.Conn]struct{}
 	binWG   sync.WaitGroup
+	// binTimeout bounds how long a binary connection may take to deliver
+	// one frame, from the moment the server waits for it.
+	binTimeout time.Duration
 }
 
 // NewServer builds the mux; call Start (and optionally StartBinary) to
@@ -67,7 +74,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
-	s := &Server{cfg: cfg, binConn: map[net.Conn]struct{}{}}
+	s := &Server{cfg: cfg, binConn: map[net.Conn]struct{}{}, binTimeout: binFrameTimeout}
 	if cfg.Registry != nil {
 		s.mux = obs.NewMux(cfg.Registry, cfg.Extra...)
 	} else {
@@ -80,7 +87,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/leave", s.handleLeave)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gaugur/internal/obs"
+	"gaugur/internal/sched/fleet"
 )
 
 func newHTTPFixture(t *testing.T, pcfg PipelineConfig) (*httptest.Server, *Pipeline) {
@@ -222,6 +223,46 @@ func TestHTTPSlowHeaderClosed(t *testing.T) {
 	}
 }
 
+// TestHTTPSlowBodyClosed: a client that sends its headers and then stalls the
+// body is cut off after ReadTimeout. ReadHeaderTimeout stops counting at the
+// blank line and IdleTimeout only runs between requests, so without it the
+// handler waited on the body, holding its goroutine, for as long as the
+// client liked.
+func TestHTTPSlowBodyClosed(t *testing.T) {
+	p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.http.ReadTimeout <= 0 {
+		t.Fatal("the admission server sets no ReadTimeout")
+	}
+	s.http.ReadTimeout = 50 * time.Millisecond
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := "POST /v1/admit HTTP/1.1\r\nHost: gaugur\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n"
+	if _, err := conn.Write([]byte(head + `{"game":`)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept a connection with a stalled body open: %v", err)
+	}
+	if st := p.Stats(); st.Placed != 0 {
+		t.Fatalf("a half-sent admit was placed: %+v", st)
+	}
+}
+
 // TestHTTPOversizedBodyRefused: a body past the cap is refused with 413
 // before the decoder has buffered it; one that is not exactly a request
 // object naming its one field is refused with 400. Nothing is placed or
@@ -282,4 +323,68 @@ func TestHTTPUnknownGameRefused(t *testing.T) {
 	if resp, out := postJSON(t, ts.URL+"/v1/admit", `{"game":9}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("profiled game after the refusals: status %d %v", resp.StatusCode, out)
 	}
+}
+
+// FuzzHTTPBody sends arbitrary bytes as the body of an admit or a leave, with
+// an arbitrary trace-id header, through the full mux to a tiny live cluster.
+// Whatever arrives, the answer is one of the statuses the API documents, a
+// session is placed or removed only under a 200, and the cluster's books
+// balance after every input.
+func FuzzHTTPBody(f *testing.F) {
+	f.Add(false, []byte(`{"game": 3}`), "")
+	f.Add(true, []byte(`{"session": 0}`), "00000000000000ff")
+	f.Add(false, []byte(`{}`), "")
+	f.Add(false, []byte(`{"game":3} trailing junk`), "")
+	f.Add(false, []byte(`{"game":3,"priority":1}`), "")
+	f.Add(true, []byte(`{"session":0,"game":3}`), "")
+	f.Add(false, []byte(strings.Repeat(" ", 5<<10)+`{"game":3}`), "")
+	f.Add(false, []byte(`{"game": 4}`), "not a trace id")
+	f.Add(false, []byte(`{"game": 5}`), "1ffffffffffffffff") // overflows 64 bits
+	f.Add(false, []byte(`{"game": 6}`), "deadbeefcafef00d")
+
+	pcfg := profiledOnly(f)
+	p, err := NewPipeline(pcfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(p.Close)
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		f.Fatal(err)
+	}
+	documented := map[int]bool{
+		http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
+		http.StatusConflict: true, http.StatusRequestEntityTooLarge: true,
+		http.StatusTooManyRequests: true, http.StatusServiceUnavailable: true,
+	}
+	f.Fuzz(func(t *testing.T, leave bool, body []byte, traceID string) {
+		path := "/v1/admit"
+		if leave {
+			path = "/v1/leave"
+		}
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set(TraceHeader, traceID)
+		before := p.Stats()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		after := p.Stats()
+		if !documented[rec.Code] {
+			t.Fatalf("%s %.40q: undocumented status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		var placed, removed int
+		if rec.Code == http.StatusOK {
+			if leave {
+				removed = 1
+			} else {
+				placed = 1
+			}
+		}
+		if after.Placed-before.Placed != placed || after.Removed-before.Removed != removed {
+			t.Fatalf("%s %.40q answered %d but moved placed %d→%d, removed %d→%d",
+				path, body, rec.Code, before.Placed, after.Placed, before.Removed, after.Removed)
+		}
+		if err := fleet.CheckInvariants(pcfg.Cluster); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

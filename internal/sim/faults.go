@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -85,9 +86,10 @@ type FaultConfig struct {
 }
 
 // GenerateFaults returns the deterministic, time-sorted fault schedule for
-// the config.
+// the config, or nil when the fleet is empty or the horizon is not positive
+// and finite — an unbounded window would hold unboundedly many faults.
 func GenerateFaults(cfg FaultConfig) []FaultEvent {
-	if cfg.Horizon <= 0 || cfg.NumServers <= 0 {
+	if cfg.Horizon <= 0 || math.IsInf(cfg.Horizon, 1) || cfg.NumServers <= 0 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func faultCfg() FaultConfig {
@@ -67,6 +68,24 @@ func TestGenerateFaultsZeroRatesAndBadConfig(t *testing.T) {
 	cfg.Horizon = 0
 	if evs := GenerateFaults(cfg); evs != nil {
 		t.Errorf("zero horizon should yield nil, got %d events", len(evs))
+	}
+}
+
+// TestGenerateFaultsInfiniteHorizon: a stream whose arrival rate is zero has
+// an infinite arrival window. Drawing faults over it used to loop forever,
+// growing the schedule until the process ran out of memory.
+func TestGenerateFaultsInfiniteHorizon(t *testing.T) {
+	cfg := faultCfg()
+	cfg.Horizon = math.Inf(1)
+	done := make(chan []FaultEvent, 1)
+	go func() { done <- GenerateFaults(cfg) }()
+	select {
+	case evs := <-done:
+		if evs != nil {
+			t.Errorf("infinite horizon should yield nil, got %d events", len(evs))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("GenerateFaults never returned on an infinite horizon")
 	}
 }
 
