@@ -7,7 +7,7 @@ GO ?= go
 # to make a failing build pass.
 COVER_MIN ?= 75
 
-.PHONY: build test vet race bench bench-layered lifecycle-e2e serve-smoke fuzz-smoke verify fmt fmt-check cover lint vulncheck tidy-check
+.PHONY: build test vet race allocs bench bench-layered lifecycle-e2e serve-smoke fuzz-smoke verify fmt fmt-check cover lint vulncheck tidy-check
 
 # Staticcheck version the lint gate pins (see .github/workflows/ci.yml —
 # keep the two in sync so local runs match CI).
@@ -30,6 +30,13 @@ vet:
 # fully instrumented.
 race:
 	$(GO) test -race -short ./...
+
+# allocs runs every allocation pin (the tests named *Allocs* or *AllocFree*)
+# verbose and without -race. The pins skip under -race (sync.Pool drops Puts
+# there, so pooled paths allocate), so `make race` and the race job never run
+# them, and in `make test` a regression is one line among hundreds.
+allocs:
+	$(GO) test -run 'Allocs|AllocFree' -v ./...
 
 # bench smoke-runs every root Benchmark* once; it proves they still build
 # and finish, not how fast they are.

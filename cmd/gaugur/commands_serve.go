@@ -36,7 +36,7 @@ func cmdServe(args []string) error {
 	maxPer := fs.Int("max-per-server", 4, "colocation cap per server")
 	seed := fs.Int64("seed", 17, "balancer seed")
 	window := fs.Int("batch-window", 16, "max arrivals coalesced per dispatch (1 = singleton submission)")
-	delay := fs.Duration("batch-delay", 200*time.Microsecond, "how long to wait filling a batch (0 = drain-only)")
+	delay := fs.Duration("batch-delay", 200*time.Microsecond, "how long an admit batch waits to fill (0 = drain-only); a leave opening a batch never waits")
 	queueCap := fs.Int("queue-cap", 256, "admission queue bound (full queue answers 429)")
 	lanes := fs.Int("lanes", 1, "parallel admission lanes (1 = the deterministic single-collector pipeline)")
 	duration := fs.Duration("duration", 0, "serve this long then drain (0 = until SIGINT/SIGTERM)")

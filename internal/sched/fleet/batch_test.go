@@ -360,3 +360,39 @@ func TestPredictorScorerWarmAllocs(t *testing.T) {
 		t.Fatalf("warm ScoreStates allocates %v times per call, want 0", n)
 	}
 }
+
+// TestPlaceRemoveWarmAllocs pins the fleet's warm admit/leave path: once the
+// score caches, the callers' reply buffers and the shards' recycled state
+// groups have warmed up, a round of two placements and their two removals
+// allocates nothing anywhere in the process — not on the balancer, not on a
+// shard goroutine.
+func TestPlaceRemoveWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without the race detector (make allocs), like TestPredictorScorerWarmAllocs")
+	}
+	c, err := New(Config{
+		NumServers: 16, ShardCount: 4, MaxPerServer: 2, K: 2, Seed: 3,
+		Scorer: ScorerFunc(synthScore),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	games := []int{1, 2}
+	var res []BatchResult
+	round := func() {
+		res = c.PlaceBatch(games, res[:0])
+		for _, r := range res {
+			if !r.OK || !c.Remove(r.Session) {
+				t.Fatalf("round lost a session: %+v", r)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ { // every shard's cache sees every state
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a warm PlaceBatch+Remove round allocates %v times, want 0", n)
+	}
+	verifyInvariants(t, c)
+}

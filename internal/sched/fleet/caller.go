@@ -64,7 +64,9 @@ type Caller struct {
 
 	// Per-batch probe scratch. games[s] lists the games shard s was asked
 	// to score for this batch and resps[s] its answers, installed lazily by
-	// collect while pending[s] says the reply is still in flight. dirty[s]
+	// collect while pending[s] says the reply is still in flight; resps[s]
+	// is also the reply buffer the next batch's request hands shard s to
+	// write into, so a warm batch allocates no answers. dirty[s]
 	// marks answers THIS caller has invalidated (its own commits) — other
 	// lanes' commits leave them stale too, which the commit-time occupancy
 	// check makes safe.
@@ -224,7 +226,6 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	// slowest shard.
 	for s := range cl.games {
 		cl.games[s] = cl.games[s][:0]
-		cl.resps[s] = nil
 		cl.dirty[s] = false
 	}
 	for i, g := range games {
@@ -237,7 +238,7 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	span := c.met.batchProbe.Start()
 	for s, gs := range cl.games {
 		if len(gs) > 0 {
-			c.shards[s].reqs <- shardReq{op: opScoreBatch, games: gs, genTag: genTag, resp: cl.resp[s]}
+			c.shards[s].reqs <- shardReq{op: opScoreBatch, games: gs, genTag: genTag, resp: cl.resp[s], batch: cl.resps[s]}
 			cl.pending[s] = true
 		}
 	}

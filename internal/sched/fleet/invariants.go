@@ -10,7 +10,8 @@ import "fmt"
 // in the idle heap, and its slots are out of its shard's capacity; every
 // other server is in exactly the group its contents name; each shard's open
 // slice holds exactly the map's groups with room, each once, at the position
-// the group records, and the map holds no empty group; the counters conserve
+// the group records, the map holds no empty group, and no group freed for
+// reuse is in either or has a member; the counters conserve
 // sessions; commit tickets are dense.
 //
 // It holds the commit lock throughout and quiesces every shard first
@@ -97,8 +98,8 @@ func CheckInvariants(c *Cluster) error {
 // other: the by-hash map files every group under the hash of its state and
 // holds none without a member; open holds exactly the map's groups with room
 // for another game, each at the position it records. A group emptied by a
-// departure, a crash or a mask is therefore in neither, and a full one only
-// in the map.
+// departure, a crash or a mask is therefore in neither — it sits memberless
+// on the free list — and a full one only in the map.
 func (sh *shard) checkGroupIndex() error {
 	for h, g := range sh.groups {
 		switch {
@@ -119,6 +120,13 @@ func (sh *shard) checkGroupIndex() error {
 	for i, g := range sh.open {
 		if g == nil || g.at != i || sh.groups[g.hash] != g {
 			return fmt.Errorf("open[%d] is not a live group recording that position", i)
+		}
+	}
+	// Every open group is in the map, so a freed group absent from the map
+	// is in neither structure.
+	for _, g := range sh.free {
+		if len(g.members) > 0 || g.at != -1 || sh.groups[g.hash] == g {
+			return fmt.Errorf("freed group %v is still live: %d members, open position %d", g.games, len(g.members), g.at)
 		}
 	}
 	return nil

@@ -71,6 +71,10 @@ type shardReq struct {
 	// channel carries only traffic sent under the cluster's commit lock
 	// (moves, crashes, snapshots, barriers).
 	resp chan shardResp
+	// batch is the caller's reply buffer for opScoreBatch, handed back
+	// filled in shardResp.batch. With at most one outstanding reply per
+	// (caller, shard), the shard is the buffer's only user until it replies.
+	batch []shardResp
 }
 
 // shardResp is the shard's answer, sent on its dedicated reply channel.
@@ -99,7 +103,9 @@ type shardResp struct {
 //
 // A group lives from its first member to its last: the by-hash map never
 // holds an empty one. hash is its key there; at is its position in
-// shard.open, or -1 for a full group, which no probe may answer with.
+// shard.open, or -1 for a full group, which no probe may answer with. An
+// emptied group goes on shard.free, and newGroup refiles it under the next
+// new state with its games and members arrays reused.
 type group struct {
 	games   []int
 	hash    uint64
@@ -131,6 +137,7 @@ type shard struct {
 	slots    [][]int // local idx -> session ids aligned with contents
 	groups   map[uint64]*group
 	open     []*group // the groups with room, dense: what a probe walks
+	free     []*group // emptied groups, in neither index, for newGroup to reuse
 	idle     *idleHeap
 	cache    *scoreCache
 
@@ -250,7 +257,7 @@ func (sh *shard) run() {
 		case opScore:
 			out <- sh.scoreBest(req.game, req.genTag)
 		case opScoreBatch:
-			out <- shardResp{ok: true, batch: sh.scoreBatch(req.games, req.genTag)}
+			out <- shardResp{ok: true, batch: sh.scoreBatch(req.games, req.genTag, req.batch)}
 		case opCommit:
 			// Fire-and-forget: the balancer never needs an ack — channel
 			// FIFO already orders any later probe or remove behind the
@@ -410,10 +417,14 @@ func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 // compiled kernel's 16-wide chunks instead of trickling singleton states
 // through it. Answers are bit-identical to calling scoreBest per game
 // against unchanged shard state (the scorer is pure; only the cache
-// warms). The returned slice is freshly allocated — it crosses into the
-// balancer goroutine and outlives this request.
-func (sh *shard) scoreBatch(games []int, genTag uint64) []shardResp {
-	out := make([]shardResp, len(games))
+// warms). The answers are written into out, the requesting caller's reply
+// buffer, grown when short.
+func (sh *shard) scoreBatch(games []int, genTag uint64, out []shardResp) []shardResp {
+	if cap(out) < len(games) {
+		out = make([]shardResp, len(games))
+	}
+	out = out[:len(games)]
+	clear(out)
 	if sh.idle.empty() {
 		return out // every entry ok:false — the shard is saturated
 	}
@@ -452,10 +463,19 @@ func (sh *shard) regroup(local int, oldHash uint64) {
 	sh.joinGroup(local)
 }
 
-// newGroup files an empty group for the state games under hash, and in the
-// open slice when the state has room for another game.
+// newGroup files an empty group for a copy of the state games under hash,
+// and in the open slice when the state has room for another game. It
+// recycles a freed group when there is one.
 func (sh *shard) newGroup(games []int, hash uint64) *group {
-	g := &group{games: games, hash: hash, at: -1}
+	var g *group
+	if n := len(sh.free); n > 0 {
+		g = sh.free[n-1]
+		sh.free[n-1] = nil
+		sh.free = sh.free[:n-1]
+	} else {
+		g = &group{}
+	}
+	g.games, g.hash, g.at = append(g.games[:0], games...), hash, -1
 	sh.groups[hash] = g
 	if len(games) < sh.max {
 		g.at = len(sh.open)
@@ -465,8 +485,8 @@ func (sh *shard) newGroup(games []int, hash uint64) *group {
 }
 
 // leaveGroup takes local server idx out of the group keyed hash. The last
-// member out deletes the group from both structures: the open slice's last
-// group takes its place.
+// member out deletes the group from both structures — the open slice's last
+// group takes its place — and frees it for reuse.
 func (sh *shard) leaveGroup(local int, hash uint64) {
 	g := sh.groups[hash]
 	sh.heapRemove(g, local)
@@ -480,7 +500,9 @@ func (sh *shard) leaveGroup(local int, hash uint64) {
 		sh.open[g.at], moved.at = moved, g.at
 		sh.open[last] = nil
 		sh.open = sh.open[:last]
+		g.at = -1
 	}
+	sh.free = append(sh.free, g)
 }
 
 // joinGroup files local server idx under the group matching its contents.
@@ -488,7 +510,7 @@ func (sh *shard) joinGroup(local int) {
 	hash := multisetHash(sh.contents[local])
 	g := sh.groups[hash]
 	if g == nil {
-		g = sh.newGroup(append([]int(nil), sh.contents[local]...), hash)
+		g = sh.newGroup(sh.contents[local], hash)
 	}
 	sh.heapPush(g, local)
 }

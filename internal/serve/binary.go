@@ -74,22 +74,25 @@ func binStatus(err error) byte {
 	}
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameStart begins a frame in buf's backing array: four bytes for the
+// length prefix, which frameEnd fills in once the payload is appended, so
+// the whole frame goes out in one Write.
+func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// frameEnd stamps the payload length into the prefix frameStart reserved.
+func frameEnd(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
+// readFrame reads one frame's payload into buf, which must hold binMaxFrame
+// bytes. The length prefix is read into buf too, before the payload
+// overwrites it: a header array of its own would escape through r.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > binMaxFrame {
 		return nil, fmt.Errorf("serve: binary frame of %d bytes exceeds the %d-byte cap", n, binMaxFrame)
 	}
@@ -185,7 +188,7 @@ func (s *Server) serveBinary(r io.Reader, w io.Writer) {
 		if err != nil {
 			return
 		}
-		resp = resp[:0]
+		resp = frameStart(resp)
 		if len(frame) < 9 {
 			resp = append(resp, BinBadRequest)
 		} else {
@@ -204,7 +207,7 @@ func (s *Server) serveBinary(r io.Reader, w io.Writer) {
 				resp = append(resp, BinBadRequest)
 			}
 		}
-		if err := writeFrame(bw, resp); err != nil {
+		if _, err := bw.Write(frameEnd(resp)); err != nil {
 			return
 		}
 		// Consecutive queued requests share one syscall, but only a
@@ -244,23 +247,29 @@ func DialBinary(addr string) (*BinaryClient, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newBinaryClient(conn), nil
+}
+
+func newBinaryClient(conn net.Conn) *BinaryClient {
 	return &BinaryClient{
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		req:  make([]byte, 0, 16),
+		req:  make([]byte, 0, binMaxFrame),
 		resp: make([]byte, binMaxFrame),
-	}, nil
+	}
 }
 
 func (c *BinaryClient) Close() error { return c.conn.Close() }
 
+// roundTrip sends one request frame — one Write, so one segment on a
+// TCP_NODELAY connection — and reads its reply.
 func (c *BinaryClient) roundTrip(op byte, arg int64, trace ...uint64) ([]byte, error) {
-	c.req = append(c.req[:0], op)
+	c.req = append(frameStart(c.req), op)
 	c.req = binary.LittleEndian.AppendUint64(c.req, uint64(arg))
 	for _, id := range trace {
 		c.req = binary.LittleEndian.AppendUint64(c.req, id)
 	}
-	if err := writeFrame(c.conn, c.req); err != nil {
+	if _, err := c.conn.Write(frameEnd(c.req)); err != nil {
 		return nil, err
 	}
 	frame, err := readFrame(c.br, c.resp)

@@ -144,13 +144,120 @@ func TestBinaryUnknownGameRefused(t *testing.T) {
 
 // binFrame renders one request frame: op, argument, optional trace id.
 func binFrame(op byte, arg int64, trace ...uint64) []byte {
-	body := binary.LittleEndian.AppendUint64([]byte{op}, uint64(arg))
+	frame := binary.LittleEndian.AppendUint64(append(frameStart(nil), op), uint64(arg))
 	for _, id := range trace {
-		body = binary.LittleEndian.AppendUint64(body, id)
+		frame = binary.LittleEndian.AppendUint64(frame, id)
 	}
-	var buf bytes.Buffer
-	writeFrame(&buf, body)
-	return buf.Bytes()
+	return frameEnd(frame)
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(b)
+}
+
+// TestBinaryClientOneWritePerRequest: the client used to write each
+// request's length prefix and payload separately — two syscalls and, with
+// TCP_NODELAY on by default, two segments, the first waking the server's
+// reader on a bare header. Every request is now one Write.
+func TestBinaryClientOneWritePerRequest(t *testing.T) {
+	s, _ := newBinaryFixture(t, PipelineConfig{})
+	conn, err := net.Dial("tcp", s.BinaryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	cl := newBinaryClient(cc)
+	defer cl.Close()
+	sid, _, err := cl.Admit(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.writes != 1 {
+		t.Fatalf("Admit made %d writes, want 1", cc.writes)
+	}
+	if _, _, err := cl.AdmitTraced(4, 0xfeed); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Leave(sid); err != nil {
+		t.Fatal(err)
+	}
+	if cc.writes != 3 {
+		t.Fatalf("Admit, AdmitTraced and Leave made %d writes, want 3", cc.writes)
+	}
+}
+
+// TestServeBinaryWarmAllocs: once warm, the connection loop answering an
+// admit frame and a leave frame allocates nothing of its own — a round
+// over the wire costs no more allocations than the same admit and leave
+// submitted to the pipeline directly. The frame header used to escape
+// through the reader and the writer, two allocations per frame.
+func TestServeBinaryWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector, so pooled paths allocate")
+	}
+	p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An in-memory connection: a pipe each way, with no read deadline to arm.
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.serveBinary(reqR, respW)
+	}()
+	defer func() { reqW.Close(); respR.Close(); <-done }()
+
+	admit, leave := binFrame(binOpAdmit, 3), binFrame(binOpLeave, 0)
+	buf := make([]byte, binMaxFrame)
+	wire := func() {
+		if _, err := reqW.Write(admit); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := readFrame(respR, buf)
+		if err != nil || len(frame) != 17 || frame[0] != BinOK {
+			t.Fatalf("admit reply % x, %v", frame, err)
+		}
+		copy(leave[5:], frame[1:9]) // the leave names the admitted session
+		if _, err := reqW.Write(leave); err != nil {
+			t.Fatal(err)
+		}
+		if frame, err = readFrame(respR, buf); err != nil || len(frame) != 1 || frame[0] != BinOK {
+			t.Fatalf("leave reply % x, %v", frame, err)
+		}
+	}
+	direct := func() {
+		pl, err := p.Admit(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Leave(pl.Session); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		wire()
+		direct()
+	}
+	own := testing.AllocsPerRun(200, direct)
+	n := testing.AllocsPerRun(200, wire)
+	if n > own {
+		t.Fatalf("a warm admit/leave frame pair allocates %v times, the pipeline alone %v", n, own)
+	}
+	t.Logf("allocations per warm admit/leave pair: %v over the wire, %v direct", n, own)
 }
 
 // TestBinaryPartialNextFrame: a client may put the start of its next

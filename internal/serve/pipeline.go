@@ -76,10 +76,12 @@ type PipelineConfig struct {
 	// coalescing (singleton submission, the comparison baseline).
 	BatchWindow int
 	// BatchDelay is how long the collector waits for the window to fill
-	// once it holds at least one request; <= 0 means "don't wait": drain
+	// once an admit has opened a batch; <= 0 means "don't wait": drain
 	// whatever is queued right now and dispatch. A small deadline
-	// (~200µs) trades that much p50 latency for fuller batches under
-	// moderate load.
+	// (~200µs) trades that much p50 latency for fuller admit batches
+	// under moderate load. A leave that opens a batch never waits — leaves
+	// are removed one by one, so there is nothing to fill — and dispatches
+	// with whatever is queued behind it.
 	BatchDelay time.Duration
 	// QueueCap bounds the MPSC admission queue; <= 0 defaults to 256.
 	// A full queue rejects with ErrQueueFull rather than blocking.
@@ -572,9 +574,11 @@ func (p *Pipeline) finishLeave(op *pendingOp, err error) {
 func (p *Pipeline) Stats() fleet.Stats { return p.cfg.Cluster.Stats() }
 
 // run is a lane's collector: block for the first op, coalesce up to the
-// window (bounded by the deadline when configured), dispatch, repeat.
-// Exits when the lane's queue is closed AND drained — the graceful-drain
-// guarantee, per lane.
+// window (bounded by the deadline when configured), dispatch, repeat. A
+// batch a leave opens never waits: dispatch runs leaves one by one, so no
+// straggler could share its work, and it takes whatever is already queued
+// behind it. Exits when the lane's queue is closed AND drained — the
+// graceful-drain guarantee, per lane.
 func (l *lane) run() {
 	defer close(l.done)
 	var timer *time.Timer
@@ -592,7 +596,11 @@ func (l *lane) run() {
 		l.depth.Add(-1)
 		l.stampDrain(op)
 		l.batch = append(l.batch[:0], op)
-		l.coalesce(timer, op.drainNS)
+		if op.kind == opLeave {
+			l.coalesce(nil, op.drainNS)
+		} else {
+			l.coalesce(timer, op.drainNS)
+		}
 		l.dispatch()
 	}
 }

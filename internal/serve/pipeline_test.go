@@ -290,6 +290,85 @@ func TestBatchDeadlinePartial(t *testing.T) {
 	}
 }
 
+// TestLeaveSkipsBatchDelay: a leave that opens a batch dispatches at once —
+// leaves are removed one by one, so waiting for stragglers could only delay
+// it — while an admit still waits out BatchDelay for company. Either way the
+// queue's order holds: a leave queued ahead of an admit frees its slot
+// first.
+func TestLeaveSkipsBatchDelay(t *testing.T) {
+	const delay = time.Second
+	t.Run("lone admit waits, lone leave does not", func(t *testing.T) {
+		p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil), BatchDelay: delay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		start := time.Now()
+		pl, err := p.Admit(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A timer never fires early, so this side cannot flake.
+		if d := time.Since(start); d < delay {
+			t.Fatalf("a lone admit returned after %v, before its %v batch delay", d, delay)
+		}
+		start = time.Now()
+		if err := p.Leave(pl.Session); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d >= 250*time.Millisecond {
+			t.Fatalf("a lone leave on an idle lane took %v: it waited out the batch delay", d)
+		}
+	})
+
+	t.Run("leave queued ahead of an admit frees its slot first", func(t *testing.T) {
+		gate := make(chan struct{})
+		entered := make(chan struct{}, 1)
+		c := testCluster(t, 1, 1, 1, gatedScorer(entered, gate)) // one slot
+		p, err := NewPipeline(PipelineConfig{Cluster: c, BatchDelay: delay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		first := make(chan fleet.Placement, 1)
+		go func() {
+			pl, err := p.Admit(0)
+			if err != nil {
+				t.Errorf("first admit: %v", err)
+			}
+			first <- pl
+		}()
+		<-entered // the collector is frozen scoring the first admit
+		// The first session gets id 0: queue its leave, then an admit that
+		// only fits once the leave has run.
+		left := make(chan error, 1)
+		go func() { left <- p.Leave(0) }()
+		waitFor(t, func() bool { return p.QueueDepth() == 1 }, 5*time.Second)
+		second := make(chan error, 1)
+		go func() {
+			_, err := p.Admit(1)
+			second <- err
+		}()
+		waitFor(t, func() bool { return p.QueueDepth() == 2 }, 5*time.Second)
+		start := time.Now()
+		close(gate)
+		if pl := <-first; pl.Session != 0 {
+			t.Fatalf("first session got id %d, want 0", pl.Session)
+		}
+		if err := <-left; err != nil {
+			t.Fatalf("queued leave: %v", err)
+		}
+		if err := <-second; err != nil {
+			t.Fatalf("admit queued behind the leave: %v", err)
+		}
+		// The leave opened that batch, so the admit behind it rode along
+		// without waiting.
+		if d := time.Since(start); d >= 250*time.Millisecond {
+			t.Fatalf("the leave's batch took %v: it waited out the batch delay", d)
+		}
+	})
+}
+
 // TestPipelineCoalesces: many concurrent producers against a gated
 // collector must land in one full-window dispatch once the gate opens.
 func TestPipelineCoalesces(t *testing.T) {
