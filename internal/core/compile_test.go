@@ -24,9 +24,49 @@ func uncompiled(p *Predictor) *Predictor {
 	return &Predictor{Profiles: p.Profiles, Enc: p.Enc, RM: p.RM, CM: p.CM, QoS: p.QoS}
 }
 
+// sameAnswers asserts that p answers every public query bit-identically to
+// ref over colocs: per-member degradation and QoS verdicts, both
+// feasibility checks, and the batched degradation and total-FPS scorers.
+func sameAnswers(t *testing.T, name string, p, ref *Predictor, colocs []Colocation) {
+	t.Helper()
+	var qs []BatchQuery
+	for _, c := range colocs {
+		for i := range c {
+			got, want := p.PredictDegradation(c, i), ref.PredictDegradation(c, i)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: degradation %v != reference %v (coloc %v idx %d)", name, got, want, c, i)
+			}
+			if gs, ws := p.SatisfiesQoS(c, i), ref.SatisfiesQoS(c, i); gs != ws {
+				t.Fatalf("%s: QoS verdict %v != reference %v (coloc %v idx %d)", name, gs, ws, c, i)
+			}
+			qs = append(qs, BatchQuery{Coloc: c, Index: i})
+		}
+		if gf, wf := p.FeasibleCM(c), ref.FeasibleCM(c); gf != wf {
+			t.Fatalf("%s: FeasibleCM %v != reference %v (coloc %v)", name, gf, wf, c)
+		}
+		if gf, wf := p.FeasibleRM(c), ref.FeasibleRM(c); gf != wf {
+			t.Fatalf("%s: FeasibleRM %v != reference %v (coloc %v)", name, gf, wf, c)
+		}
+	}
+	got, want := p.PredictBatch(qs, nil), ref.PredictBatch(qs, nil)
+	for i := range qs {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: PredictBatch[%d] %v != reference %v", name, i, got[i], want[i])
+		}
+	}
+	got, want = p.PredictTotalFPSBatch(colocs, nil), ref.PredictTotalFPSBatch(colocs, nil)
+	for i, c := range colocs {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: PredictTotalFPSBatch %v != reference %v (coloc %v)", name, got[i], want[i], c)
+		}
+	}
+}
+
 // TestPredictorCompiledMatchesReference: Train installs compiled plans for
-// the tree families, and every public query answers bit-identically to the
-// reference interface path.
+// the boosted ensembles, and every public query answers bit-identically to
+// the reference interface path. The CART and forest kinds compile only
+// when their fitted trees stay within the kernel's depth cut-off; compiled
+// or not, they must answer like the reference too.
 func TestPredictorCompiledMatchesReference(t *testing.T) {
 	lab := testLab(t)
 	kinds := []struct {
@@ -39,29 +79,12 @@ func TestPredictorCompiledMatchesReference(t *testing.T) {
 	}
 	for _, k := range kinds {
 		p, colocs := trainTestPredictor(t, lab, k.rm, k.cm)
-		if rm, cm := p.Compiled(); !rm || !cm {
+		rm, cm := p.Compiled()
+		if k.rm == GBRT && (!rm || !cm) {
 			t.Fatalf("%s/%s: Train did not compile plans (rm=%v cm=%v)", k.rm, k.cm, rm, cm)
 		}
-		ref := uncompiled(p)
-		for _, c := range colocs {
-			for i := range c {
-				got, want := p.PredictDegradation(c, i), ref.PredictDegradation(c, i)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: compiled degradation %v != reference %v (coloc %v idx %d)",
-						k.rm, got, want, c, i)
-				}
-				if gs, ws := p.SatisfiesQoS(c, i), ref.SatisfiesQoS(c, i); gs != ws {
-					t.Fatalf("%s: compiled QoS verdict %v != reference %v (coloc %v idx %d)",
-						k.cm, gs, ws, c, i)
-				}
-			}
-			if gf, wf := p.FeasibleCM(c), ref.FeasibleCM(c); gf != wf {
-				t.Fatalf("%s: compiled FeasibleCM %v != reference %v (coloc %v)", k.cm, gf, wf, c)
-			}
-			if gf, wf := p.FeasibleRM(c), ref.FeasibleRM(c); gf != wf {
-				t.Fatalf("%s: compiled FeasibleRM %v != reference %v (coloc %v)", k.rm, gf, wf, c)
-			}
-		}
+		t.Logf("%s compiled %v, %s compiled %v", k.rm, rm, k.cm, cm)
+		sameAnswers(t, string(k.rm)+"/"+string(k.cm), p, uncompiled(p), colocs)
 	}
 }
 
@@ -81,30 +104,30 @@ func TestPredictorSVMUncompiled(t *testing.T) {
 }
 
 // TestLoadPredictorRecompiles: plans are never persisted — a save/load
-// round trip recompiles transparently and serves identical predictions.
+// round trip recompiles transparently (the boosted kinds must compile
+// again, the forest kinds as they did before saving) and serves identical
+// predictions.
 func TestLoadPredictorRecompiles(t *testing.T) {
 	lab := testLab(t)
-	p, colocs := trainTestPredictor(t, lab, GBRT, GBDT)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := LoadPredictor(&buf, lab.Profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm, cm := q.Compiled(); !rm || !cm {
-		t.Fatalf("loaded predictor not recompiled (rm=%v cm=%v)", rm, cm)
-	}
-	for _, c := range colocs {
-		for i := range c {
-			a, b := p.PredictDegradation(c, i), q.PredictDegradation(c, i)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("round-trip degradation differs: %v vs %v (coloc %v idx %d)", a, b, c, i)
-			}
-			if sa, sb := p.SatisfiesQoS(c, i), q.SatisfiesQoS(c, i); sa != sb {
-				t.Fatalf("round-trip QoS verdict differs: %v vs %v (coloc %v idx %d)", sa, sb, c, i)
-			}
+	for _, k := range []struct {
+		rm RegressorKind
+		cm ClassifierKind
+	}{{GBRT, GBDT}, {RF, RFC}} {
+		p, colocs := trainTestPredictor(t, lab, k.rm, k.cm)
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
+		q, err := LoadPredictor(&buf, lab.Profiles)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", k.rm, k.cm, err)
+		}
+		prm, pcm := p.Compiled()
+		qrm, qcm := q.Compiled()
+		if qrm != prm || qcm != pcm || (k.rm == GBRT && (!qrm || !qcm)) {
+			t.Fatalf("%s/%s: loaded predictor compiled (rm=%v cm=%v), trained one (rm=%v cm=%v)",
+				k.rm, k.cm, qrm, qcm, prm, pcm)
+		}
+		sameAnswers(t, "round-trip "+string(k.rm)+"/"+string(k.cm), q, p, colocs)
 	}
 }

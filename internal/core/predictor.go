@@ -34,7 +34,7 @@ type Predictor struct {
 	met predictorMetrics
 
 	// Compiled inference plans (see Compile). When set, every query routes
-	// through the flat structure-of-arrays kernels instead of the model
+	// through the flat heap-ordered kernel instead of the model
 	// interfaces; outputs are bit-identical either way. rmLog records that
 	// the RM plan produces log-degradation (the logRegressor transform) so
 	// the compiled path applies the same exp+clamp inverse.
@@ -51,10 +51,12 @@ type Predictor struct {
 // Compile lowers the fitted RM and CM into ml.CompiledForest plans so the
 // online query path traverses flat cache-resident arrays instead of
 // pointer-chasing per-tree node slices. Models that cannot compile (SVMs,
-// ridge — or unfitted models) silently keep the interface path; compiled
-// output is bit-identical to the reference walk, so compiling is always
-// safe. Train and LoadPredictor call this automatically; call it again
-// after swapping models in place. Returns p for chaining.
+// ridge, unfitted models, or trees deeper than the kernel's cut-off — at
+// paper scale the DTR/DTC and RF/RFC kinds) silently keep the interface
+// path; compiled output is bit-identical to the reference walk, so
+// compiling is always safe. Train and LoadPredictor call this
+// automatically; call it again after swapping models in place. Returns p
+// for chaining.
 func (p *Predictor) Compile() *Predictor {
 	span := p.met.compile.Start()
 	defer span.Stop()

@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +62,28 @@ func checkRegEquivalence(t *testing.T, name string, plan *CompiledForest, predic
 	}
 }
 
+// compileChecked compiles m, whose deepest member is the deepest of trees:
+// within heapMaxDepth edges it must compile, beyond it CompilePlan must
+// refuse with errTooDeep, and then compileChecked returns nil.
+func compileChecked(t *testing.T, name string, m PlanCompiler, trees ...*Tree) *CompiledForest {
+	t.Helper()
+	depth := 0
+	for _, tr := range trees {
+		depth = max(depth, tr.Depth()-1)
+	}
+	plan, err := m.CompilePlan()
+	if depth > heapMaxDepth {
+		if !errors.Is(err, errTooDeep) {
+			t.Fatalf("%s: depth-%d plan compiled (err %v), want errTooDeep", name, depth, err)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("%s: depth-%d compile: %v", name, depth, err)
+	}
+	return plan
+}
+
 // checkClsEquivalence verifies Prob and Class against the reference
 // classifier for every row of X.
 func checkClsEquivalence(t *testing.T, name string, plan *CompiledForest, c Classifier, X [][]float64) {
@@ -78,6 +101,7 @@ func checkClsEquivalence(t *testing.T, name string, plan *CompiledForest, c Clas
 // TestCompiledEquivalenceProperty fits every compilable family on random
 // datasets across several seeds and sizes and demands bit-identical
 // outputs from the compiled plans, on training rows and on fresh ones.
+// Fits deeper than heapMaxDepth must be refused instead.
 func TestCompiledEquivalenceProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		rng := rand.New(rand.NewSource(seed))
@@ -92,44 +116,34 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 		if err := tr.Fit(x, y); err != nil {
 			t.Fatalf("seed %d: tree fit: %v", seed, err)
 		}
-		plan, err := tr.CompilePlan()
-		if err != nil {
-			t.Fatalf("seed %d: tree compile: %v", seed, err)
-		}
-		checkRegEquivalence(t, "tree", plan, tr.Predict, rows)
-		if plan.NumTrees() != 1 || plan.NumNodes() != tr.NumNodes() {
-			t.Fatalf("seed %d: plan shape %d trees / %d nodes, want 1 / %d",
-				seed, plan.NumTrees(), plan.NumNodes(), tr.NumNodes())
+		if plan := compileChecked(t, "tree", tr, tr); plan != nil {
+			checkRegEquivalence(t, "tree", plan, tr.Predict, rows)
+			if plan.NumTrees() != 1 || plan.NumNodes() != tr.NumNodes() {
+				t.Fatalf("seed %d: plan shape %d trees / %d nodes, want 1 / %d",
+					seed, plan.NumTrees(), plan.NumNodes(), tr.NumNodes())
+			}
 		}
 
 		tc := NewTreeClassifier(TreeConfig{MaxDepth: 8, MinSamplesLeaf: 2})
 		if err := tc.Fit(x, labels); err != nil {
 			t.Fatalf("seed %d: dtc fit: %v", seed, err)
 		}
-		cplan, err := tc.CompilePlan()
-		if err != nil {
-			t.Fatalf("seed %d: dtc compile: %v", seed, err)
+		if cplan := compileChecked(t, "tree-classifier", tc, &tc.Tree); cplan != nil {
+			checkClsEquivalence(t, "tree-classifier", cplan, tc, rows)
 		}
-		checkClsEquivalence(t, "tree-classifier", cplan, tc, rows)
 
 		fo := NewForest(ForestConfig{NumTrees: 12, Seed: seed, Tree: TreeConfig{MaxDepth: 7, MinSamplesLeaf: 2}})
 		if err := fo.Fit(x, y); err != nil {
 			t.Fatalf("seed %d: forest fit: %v", seed, err)
 		}
-		fplan, err := fo.CompilePlan()
-		if err != nil {
-			t.Fatalf("seed %d: forest compile: %v", seed, err)
-		}
+		fplan := compileChecked(t, "forest", fo, fo.trees...)
 		checkRegEquivalence(t, "forest", fplan, fo.Predict, rows)
 
 		fc := NewForestClassifier(ForestConfig{NumTrees: 9, Seed: seed + 1, Tree: TreeConfig{MaxDepth: 6, MinSamplesLeaf: 2}})
 		if err := fc.Fit(x, labels); err != nil {
 			t.Fatalf("seed %d: rf classifier fit: %v", seed, err)
 		}
-		fcplan, err := fc.CompilePlan()
-		if err != nil {
-			t.Fatalf("seed %d: rf classifier compile: %v", seed, err)
-		}
+		fcplan := compileChecked(t, "forest-classifier", fc, fc.trees...)
 		checkClsEquivalence(t, "forest-classifier", fcplan, fc, rows)
 
 		gb := NewGBRT(GBMConfig{NumTrees: 40, LearningRate: 0.1, MaxDepth: 4, Subsample: 0.7, Seed: seed})
@@ -156,8 +170,9 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 }
 
 // TestCompiledDegenerateTrees covers the layout edge cases: a single-leaf
-// tree (constant target) and a max-depth chain (one sample split off per
-// level).
+// tree (constant target) and a chain (one sample split off per level)
+// grown to exactly heapMaxDepth edges, which must compile, and unbounded,
+// which must be refused.
 func TestCompiledDegenerateTrees(t *testing.T) {
 	// Single leaf: constant target admits no split.
 	x := [][]float64{{0}, {1}, {2}, {3}}
@@ -184,20 +199,24 @@ func TestCompiledDegenerateTrees(t *testing.T) {
 		cx[i] = []float64{float64(i)}
 		cy[i] = math.Exp(float64(i) / 7)
 	}
-	chain := NewTree(TreeConfig{MinSamplesLeaf: 1})
-	if err := chain.Fit(cx, cy); err != nil {
-		t.Fatal(err)
-	}
-	if chain.Depth() < 6 {
-		t.Fatalf("chain fit depth %d, want a deep spine", chain.Depth())
-	}
-	cplan, err := chain.CompilePlan()
-	if err != nil {
-		t.Fatal(err)
-	}
 	probe := append(append([][]float64{}, cx...),
 		[]float64{-10}, []float64{0.5}, []float64{63.5}, []float64{1000})
-	checkRegEquivalence(t, "max-depth-chain", cplan, chain.Predict, probe)
+	for _, maxDepth := range []int{heapMaxDepth + 1, 0} {
+		chain := NewTree(TreeConfig{MaxDepth: maxDepth, MinSamplesLeaf: 1})
+		if err := chain.Fit(cx, cy); err != nil {
+			t.Fatal(err)
+		}
+		if chain.Depth() < heapMaxDepth+1 {
+			t.Fatalf("chain fit depth %d, want a deep spine", chain.Depth())
+		}
+		cplan := compileChecked(t, "chain", chain, chain)
+		if (cplan == nil) != (maxDepth == 0) {
+			t.Fatalf("MaxDepth %d chain of depth %d: compiled %v", maxDepth, chain.Depth(), cplan != nil)
+		}
+		if cplan != nil {
+			checkRegEquivalence(t, "max-depth-chain", cplan, chain.Predict, probe)
+		}
+	}
 }
 
 // splitPalette is the value set hand-built trees split on and probe rows
@@ -264,9 +283,9 @@ func checkHeapLayout(t *testing.T, p *CompiledForest) {
 	}
 }
 
-// TestCompiledLayoutsAcrossDepths drives both hot layouts and the cut-off
-// between them with hand-built ensembles: deepest tree 0..7 edges (bare
-// leaves through one past heapMaxDepth), members of mixed depth with
+// TestCompiledLayoutsAcrossDepths drives the heap layout and its cut-off
+// with hand-built ensembles: deepest tree 0..7 edges (bare leaves through
+// one past heapMaxDepth, which must be refused), members of mixed depth with
 // leaves shallower than the deepest, ensemble sizes on every remainder of
 // the four-tree interleave, -0.0 and tie thresholds, every batch length
 // through two full chunks plus one (no full group, tails of 1-3), and a
@@ -304,18 +323,26 @@ func TestCompiledLayoutsAcrossDepths(t *testing.T) {
 				PlanCompiler
 				Predict([]float64) float64
 			}{"gbrt": gb, "gbrt-roundtrip": loaded, "forest": fo, "tree": trees[0]} {
-				plan, err := m.CompilePlan()
-				if err != nil {
-					t.Fatalf("depth %d %s: %v", depth, name, err)
+				members := trees
+				if name == "tree" {
+					members = trees[:1]
 				}
-				if name != "tree" {
-					if heap := plan.hot != nil; heap != (depth <= heapMaxDepth) || heap == (plan.nodes != nil) {
-						t.Fatalf("depth %d %s: heap layout %v, preorder layout %v", depth, name, heap, plan.nodes != nil)
-					}
+				plan := compileChecked(t, name, m, members...)
+				if plan == nil {
+					continue
 				}
-				if plan.hot != nil {
-					checkHeapLayout(t, plan)
+				if name != "tree" && plan.heapDepth != depth {
+					t.Fatalf("depth %d %s: plan depth %d", depth, name, plan.heapDepth)
 				}
+				nodes := 0
+				for _, tr := range members {
+					nodes += tr.NumNodes()
+				}
+				if plan.NumTrees() != len(members) || plan.NumNodes() != nodes {
+					t.Fatalf("depth %d %s: plan shape %d trees / %d nodes, want %d / %d",
+						depth, name, plan.NumTrees(), plan.NumNodes(), len(members), nodes)
+				}
+				checkHeapLayout(t, plan)
 				for n := 1; n <= len(rows); n++ {
 					checkRegEquivalence(t, name, plan, m.Predict, rows[:n])
 				}
@@ -427,72 +454,4 @@ func TestCompiledPersistRoundTrip(t *testing.T) {
 		t.Fatalf("recompile after decode: %v", err)
 	}
 	checkRegEquivalence(t, "forest-roundtrip", fplan, fo.Predict, probe)
-}
-
-// TestCompiledPreorderLayout pins the structural invariants the Eval loop
-// relies on: the left child of every internal node is the next node, roots
-// ascend, every leaf is a branch-free fixed point (NaN threshold,
-// self-referencing children, valid padded feature), and each tree's
-// recorded depth equals its deepest leaf.
-func TestCompiledPreorderLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x, y := randomDataset(rng, 100, 4)
-	gb := NewGBRT(GBMConfig{NumTrees: 8, MaxDepth: 4, Seed: 11})
-	if err := gb.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	p, err := gb.CompilePlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumTrees() != 8 {
-		t.Fatalf("NumTrees = %d, want 8", p.NumTrees())
-	}
-	if len(p.depth) != len(p.roots) {
-		t.Fatalf("depth entries %d != trees %d", len(p.depth), len(p.roots))
-	}
-	for ti, root := range p.roots {
-		if ti > 0 && root <= p.roots[ti-1] {
-			t.Fatalf("roots not ascending at tree %d", ti)
-		}
-		if p.depth[ti] < 0 || p.depth[ti] > 4 {
-			t.Fatalf("tree %d depth %d outside [0, MaxDepth=4]", ti, p.depth[ti])
-		}
-		end := int32(p.NumNodes())
-		if ti+1 < len(p.roots) {
-			end = p.roots[ti+1]
-		}
-		// Walk the tree in layout order, tracking node depths so the
-		// recorded per-tree depth can be checked against the deepest leaf.
-		depths := make([]int32, end-root)
-		deepest := int32(0)
-		for i := root; i < end; i++ {
-			if math.IsNaN(p.threshold[i]) { // leaf
-				if p.left[i] != i || p.right[i] != i {
-					t.Fatalf("leaf %d children (%d, %d) are not self-references", i, p.left[i], p.right[i])
-				}
-				if p.feature[i] < 0 || int(p.feature[i]) >= p.NumFeatures() {
-					t.Fatalf("leaf %d feature %d not a valid padded index", i, p.feature[i])
-				}
-				if depths[i-root] > deepest {
-					deepest = depths[i-root]
-				}
-				continue
-			}
-			if i+1 >= end {
-				t.Fatalf("internal node %d has no in-tree left child", i)
-			}
-			if p.left[i] != i+1 {
-				t.Fatalf("internal node %d left child %d, want %d", i, p.left[i], i+1)
-			}
-			if p.right[i] <= i+1 || p.right[i] >= end {
-				t.Fatalf("internal node %d right child %d outside (i+1, %d)", i, p.right[i], end)
-			}
-			depths[p.left[i]-root] = depths[i-root] + 1
-			depths[p.right[i]-root] = depths[i-root] + 1
-		}
-		if p.depth[ti] != deepest {
-			t.Fatalf("tree %d recorded depth %d, deepest leaf at %d", ti, p.depth[ti], deepest)
-		}
-	}
 }

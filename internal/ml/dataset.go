@@ -8,6 +8,11 @@
 // Regressors predict float64 targets; classifiers predict binary labels in
 // {0, 1} and expose a positive-class probability. All models are
 // deterministic given their Seed.
+//
+// Tree ensembles whose deepest tree is at most six edges (the boosted
+// models GAugur serves) also lower into a CompiledForest, a branch-free
+// batched kernel that reproduces their Predict bit for bit; deeper CARTs
+// and forests answer through their own tree walk.
 package ml
 
 import (
