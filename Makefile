@@ -100,14 +100,17 @@ serve-smoke:
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the seed
 # corpus `make test` already replays: the wire's binary frame loop, the
 # model deserializer, and the wire's JSON admit/leave bodies with their
-# trace-id header — the places bytes from outside are parsed — and the
-# compiled forest kernel against the reference tree walk. One package and
-# one target per invocation is a `go test -fuzz` restriction.
+# trace-id header — the places bytes from outside are parsed — the
+# compiled forest kernel against the reference tree walk, and the fleet's
+# op sequences (place, batch, remove, migrate, fail, restore, model swap)
+# against the flat oracle. One package and one target per invocation is a
+# `go test -fuzz` restriction.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzLoadModel -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz FuzzHTTPBody -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzCompiledForest -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz FuzzClusterOps -fuzztime 10s ./internal/sched/fleet
 
 # fmt rewrites every tracked Go file in place; fmt-check is the CI gate
 # that fails (and lists offenders) when anything is unformatted.

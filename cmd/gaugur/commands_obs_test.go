@@ -72,7 +72,8 @@ func TestTraceCommand(t *testing.T) {
 	for _, frag := range []string{
 		"traces: ",
 		"placement",
-		"score-shard",
+		"place-batch",
+		"score",
 		"quality: ",
 		"drift quiet",
 	} {

@@ -52,10 +52,9 @@ func cmdServe(args []string) error {
 	}
 
 	reg := obs.New()
-	// One clock for the tracer and the flight recorder, so span and event
-	// timestamps line up inside a dump.
-	clockBase := time.Now()
-	clock := func() int64 { return int64(time.Since(clockBase)) }
+	// One clock — the registry's — behind the tracer and the flight
+	// recorder too, so histograms, spans and events share timestamps.
+	clock := reg.Now
 	var tail *trace.TailPolicy
 	if *traceSample < 1 {
 		tail = &trace.TailPolicy{Rate: *traceSample, SlowQuantile: *traceSlowQ}
@@ -243,8 +242,7 @@ func cmdLoadgen(args []string) error {
 	timeScale := fs.Float64("time-scale", 1, "simulated seconds per wall second (2 = replay twice as fast)")
 	hold := fs.Float64("hold", 4, "mean session lifetime (simulated seconds, 0 = stay until the end)")
 	gameIDs := fs.String("game-ids", "0,1,2,3,4,5,6,7,8,9", "comma-separated game ids to draw arrivals from")
-	workers := fs.Int("workers", 32, "concurrent in-flight requests")
-	conns := fs.Int("conns", 0, "binary-protocol connection pool size (0 = one per worker)")
+	workers := fs.Int("workers", 32, "concurrent in-flight requests (with -binary, one persistent connection each)")
 	seed := fs.Int64("seed", 23, "arrival trace seed")
 	traced := fs.Bool("trace", true, "propagate a deterministic per-arrival trace id (the n-th arrival always carries the same id for a given seed)")
 	if err := fs.Parse(args); err != nil {
@@ -275,7 +273,6 @@ func cmdLoadgen(args []string) error {
 		Games:     games,
 		Seed:      *seed,
 		Workers:   *workers,
-		Conns:     *conns,
 		Trace:     *traced,
 	})
 	if err != nil {

@@ -15,18 +15,13 @@ package flight
 import (
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"gaugur/internal/obs"
 )
 
-// Clock returns a monotonic timestamp in nanoseconds (the trace.Clock
-// contract; pass the same clock as the tracer so event and span
-// timestamps line up in a dump).
-type Clock func() int64
-
-func realClock() Clock {
-	base := time.Now()
-	return func() int64 { return int64(time.Since(base)) }
-}
+// Clock is obs.Clock, the one clock type tracer and registry read too:
+// pass the tracer's clock so event and span timestamps line up in a dump.
+type Clock = obs.Clock
 
 // Event is one structured flight-recorder entry. Zero-valued fields are
 // omitted from dumps, so each kind only renders what it sets.
@@ -73,7 +68,7 @@ func New(capacity int, clock Clock) *Recorder {
 		capacity = DefaultCapacity
 	}
 	if clock == nil {
-		clock = realClock()
+		clock = obs.New().Now // the real monotonic clock, anchored now
 	}
 	return &Recorder{clock: clock, buf: make([]Event, capacity)}
 }

@@ -32,18 +32,14 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"gaugur/internal/obs"
 )
 
-// Clock returns a monotonic timestamp in nanoseconds (the same contract as
-// obs.Clock; an obs.ManualClock's Now method satisfies it directly).
-type Clock func() int64
-
-// realClock anchors at creation and reads Go's monotonic clock.
-func realClock() Clock {
-	base := time.Now()
-	return func() int64 { return int64(time.Since(base)) }
-}
+// Clock is obs.Clock: a monotonic timestamp in nanoseconds, so one clock
+// can stamp spans, metrics and the stamps both are built from (an
+// obs.ManualClock's Now method satisfies it directly).
+type Clock = obs.Clock
 
 // attrKind tags which representation an Attr carries.
 type attrKind uint8
@@ -203,7 +199,7 @@ type Tracer struct {
 // New builds a tracer from cfg.
 func New(cfg Config) *Tracer {
 	if cfg.Clock == nil {
-		cfg.Clock = realClock()
+		cfg.Clock = obs.New().Now // the real monotonic clock, anchored now
 	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity

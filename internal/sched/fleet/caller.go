@@ -4,13 +4,12 @@ import (
 	"math/rand"
 
 	"gaugur/internal/obs/flight"
-	"gaugur/internal/obs/trace"
 )
 
 // Caller is the balancer: the one implementation that samples candidate
 // shards, probes them, commits the winner and removes sessions. Every
-// Cluster owns a built-in Caller that Cluster.Place, PlaceBatch,
-// PlaceBatchTimed and Remove delegate to; NewCaller hands out more, one per
+// Cluster owns a built-in Caller that Cluster.Place, PlaceBatch and Remove
+// delegate to; NewCaller hands out more, one per
 // admission lane, so N lanes can drive the same fleet from N cores:
 //
 //   - Scoring runs lock-free and in parallel: each Caller owns private
@@ -162,36 +161,27 @@ func (cl *Caller) flushStats() {
 // shard in the whole fleet had capacity.
 func (cl *Caller) Place(game int) (Placement, bool) {
 	var dst [1]BatchResult
-	cl.PlaceBatchTimed([]int{game}, dst[:0], nil)
+	cl.PlaceBatch([]int{game}, dst[:0])
 	return dst[0].Placement, dst[0].OK
 }
 
 // PlaceBatch admits a coalesced batch of arrivals: dst[i] receives the
-// outcome for games[i]. See PlaceBatchTimed.
-func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
-	return cl.PlaceBatchTimed(games, dst, nil)
-}
-
-// PlaceBatchTimed admits a coalesced batch. One batched probe per involved
-// shard scores every (shard, game) pair of the batch in a single
-// BatchScorer call — this is where the compiled forest kernel runs at full
-// 16-wide occupancy instead of one underfilled pass per arrival — and the
-// batch then drains in arrival order, re-probing only shards this caller's
-// earlier commits dirtied. A clean answer is exactly what a fresh probe
-// would return as far as this caller's own mutations go, which is why
-// batched and one-at-a-time submission place identically; only the
-// probe-side counters differ. The model generation is pinned once per
-// batch, so a lifecycle hot swap takes effect at the next batch boundary.
+// outcome for games[i]. One batched probe per involved shard scores every
+// (shard, game) pair of the batch in a single BatchScorer call — this is
+// where the compiled forest kernel runs at full 16-wide occupancy instead
+// of one underfilled pass per arrival — and the batch then drains in
+// arrival order, re-probing only shards this caller's earlier commits
+// dirtied. A clean answer is exactly what a fresh probe would return as
+// far as this caller's own mutations go, which is why batched and
+// one-at-a-time submission place identically; only the probe-side
+// counters differ. The model generation is pinned once per batch, so a
+// lifecycle hot swap takes effect at the next batch boundary.
 //
-// When times covers the batch (len(times) >= len(games)), times[i] receives
-// the clock stamps and probe counts of games[i]'s decision and the
-// per-arrival traces are suppressed — the caller owns the traces and
-// materializes spans from the breadcrumbs off the balancer's critical path.
-// Otherwise each arrival's "score-shard" spans hang on the tracer's ambient
-// decision context when one is installed (one decision, one trace), and on a
-// "fleet-placement" trace of their own when not. Timing observes the
-// decision, it never participates in it.
-func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchTiming) []BatchResult {
+// dst[i].Timing carries the clock stamps and probe counts of games[i]'s
+// decision; the balancer writes no spans of its own, and a caller that owns
+// the decision's trace hangs them from the stamps (BatchResult.Trace).
+// Timing observes the decision, it never participates in it.
+func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 	if cap(dst) < len(games) {
 		dst = make([]BatchResult, len(games))
 	}
@@ -199,7 +189,6 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 	if len(games) == 0 {
 		return dst
 	}
-	timed := len(times) >= len(games)
 	c := cl.c
 
 	c.mu.Lock()
@@ -235,56 +224,30 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 			}
 		}
 	}
-	span := c.met.batchProbe.Start()
+	fanNS := c.now()
 	for s, gs := range cl.games {
 		if len(gs) > 0 {
 			c.shards[s].reqs <- shardReq{op: opScoreBatch, games: gs, genTag: genTag, resp: cl.resp[s], batch: cl.resps[s]}
 			cl.pending[s] = true
 		}
 	}
-	span.Stop()
 
-	// Drain arrivals in order. In timed mode each arrival's StartNS chains
-	// from its predecessor's EndNS (one clock read instead of two): the
+	// Drain arrivals in order. The first arrival's StartNS closes the
+	// fan-out, and every later one chains from its predecessor's EndNS: the
 	// drain is sequential, so the previous decision's end IS this one's
-	// start, give or take bookkeeping the score span absorbs.
-	var lastNS int64
-	if timed {
-		lastNS = c.tr.Now()
-	}
-	var untimed BatchTiming // breadcrumbs nobody reads when the caller passed no times
+	// start, give or take bookkeeping the score stage absorbs. A decision
+	// thus costs two clock reads (commit, end) and the batch two more.
+	lastNS := c.now()
+	c.met.batchProbe.Observe(seconds(lastNS - fanNS))
 	for i, g := range games {
-		dspan := c.met.decision.Start()
-		tm := &untimed
-		var tctx trace.Ctx
-		ambient := false
-		if timed {
-			tm = &times[i]
-		} else if tctx = c.tr.Current(); tctx.Active() {
-			ambient = true
-		} else {
-			tctx = c.tr.StartTrace("fleet-placement", trace.Int("game", g))
-		}
-		*tm = BatchTiming{StartNS: lastNS}
+		tm := BatchTiming{StartNS: lastNS}
 		probes0 := cl.probes
-		pl, ok := cl.placeOne(g, cand[i*kk:(i+1)*kk], genTag, tm, tctx)
+		pl, ok := cl.placeOne(g, cand[i*kk:(i+1)*kk], genTag, &tm)
 		tm.Probes = cl.probes - probes0
-		if timed {
-			tm.EndNS = c.tr.Now()
-			lastNS = tm.EndNS
-		} else if tctx.Active() && !ambient {
-			if tm.Escape {
-				tctx = tctx.SetAttr(trace.Bool("escape", true))
-			}
-			if ok {
-				tctx.End(trace.String("outcome", "placed"), trace.Int("shard", pl.Shard),
-					trace.Int("server", pl.Server), trace.Int("session", pl.Session))
-			} else {
-				tctx.End(trace.String("outcome", "rejected"))
-			}
-		}
-		dst[i] = BatchResult{Placement: pl, OK: ok}
-		dspan.Stop()
+		tm.EndNS = c.now()
+		lastNS = tm.EndNS
+		c.met.decision.Observe(seconds(tm.EndNS - tm.StartNS))
+		dst[i] = BatchResult{Placement: pl, OK: ok, Timing: tm}
 	}
 	// Leave no reply buffered: the next call expects its channels empty.
 	for s := range cl.pending {
@@ -296,12 +259,12 @@ func (cl *Caller) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchT
 
 // placeOne runs one arrival's decision: optimistic probe→commit rounds on
 // the sampled candidates, then the whole fleet.
-func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchTiming, tctx trace.Ctx) (Placement, bool) {
+func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchTiming) (Placement, bool) {
 	c := cl.c
 	tm.Cands = len(candidates)
 	lost := false
 	for attempt := 0; attempt < callerRetries; attempt++ {
-		best, shard, found := cl.probe(candidates, game, genTag, false, tctx)
+		best, shard, found := cl.probe(candidates, game, genTag, false)
 		if !found {
 			break
 		}
@@ -319,7 +282,7 @@ func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchT
 		tm.Escape = true
 	}
 	tm.Cands = c.nShards
-	return cl.placeWide(game, genTag, tm, tctx)
+	return cl.placeWide(game, genTag, tm)
 }
 
 // placeWide settles an arrival against the whole fleet. The first probe is
@@ -332,12 +295,12 @@ func (cl *Caller) placeOne(game int, candidates []int, genTag uint64, tm *BatchT
 // shard send holds it, and shard queues are FIFO), so the answers are
 // consistent with the occupancy ledger by construction — the commit cannot
 // fail, and a not-found is a true full-fleet reject.
-func (cl *Caller) placeWide(game int, genTag uint64, tm *BatchTiming, tctx trace.Ctx) (Placement, bool) {
+func (cl *Caller) placeWide(game int, genTag uint64, tm *BatchTiming) (Placement, bool) {
 	c := cl.c
 	c.mu.Lock()
 	before := c.mutations()
 	c.mu.Unlock()
-	best, shard, found := cl.probe(c.all, game, genTag, true, tctx)
+	best, shard, found := cl.probe(c.all, game, genTag, true)
 	if found {
 		if pl, ok := cl.tryCommit(game, shard, best, tm); ok {
 			return pl, true
@@ -348,7 +311,7 @@ func (cl *Caller) placeWide(game int, genTag uint64, tm *BatchTiming, tctx trace
 	if found || c.mutations() != before {
 		c.stats.LockedProbes++
 		c.met.lockedProbes.Inc()
-		best, shard, found = cl.probe(c.all, game, genTag, true, tctx)
+		best, shard, found = cl.probe(c.all, game, genTag, true)
 	}
 	if !found {
 		c.stats.Rejected++
@@ -363,8 +326,8 @@ func (cl *Caller) placeWide(game int, genTag uint64, tm *BatchTiming, tctx trace
 // fresh, a candidate whose batched answer this caller has not dirtied is
 // answered from the batch. Replies are read in candidate order and the
 // reduce is order-independent, so goroutine scheduling never changes the
-// answer. With an active trace each candidate gets a child span.
-func (cl *Caller) probe(candidates []int, game int, genTag uint64, fresh bool, tctx trace.Ctx) (shardResp, int, bool) {
+// answer.
+func (cl *Caller) probe(candidates []int, game int, genTag uint64, fresh bool) (shardResp, int, bool) {
 	c := cl.c
 	for _, id := range candidates {
 		cl.collect(id)
@@ -386,14 +349,6 @@ func (cl *Caller) probe(candidates []int, game int, genTag uint64, fresh bool, t
 			cl.misses += r.misses
 			if !fresh {
 				c.met.reprobes.Inc()
-			}
-		}
-		if tctx.Active() {
-			sp := tctx.StartSpan("score-shard", trace.Int("shard", id), trace.Bool("batched", j >= 0))
-			if r.ok {
-				sp.End(trace.Int("server", r.server), trace.Float("delta", r.delta))
-			} else {
-				sp.End(trace.Bool("rejected", true))
 			}
 		}
 		if !r.ok {
@@ -447,7 +402,7 @@ func (cl *Caller) tryCommit(game, shard int, best shardResp, tm *BatchTiming) (P
 // is what makes a later Remove unable to overtake the commit it depends on.
 func (cl *Caller) commitLocked(game, shard int, best shardResp, tm *BatchTiming) Placement {
 	c := cl.c
-	tm.CommitNS = c.tr.Now()
+	tm.CommitNS = c.now()
 	sid := c.nextSID
 	c.nextSID++
 	seq := c.commitSeq
@@ -487,7 +442,7 @@ func (cl *Caller) Migrate(sid int) (server int, ok bool) {
 	src := c.shards[loc.shard]
 	src.reqs <- shardReq{op: opMask, server: loc.server}
 	c.masks++
-	best, shard, found := cl.probe(c.all, loc.game, genTag, true, c.tr.Current())
+	best, shard, found := cl.probe(c.all, loc.game, genTag, true)
 	src.reqs <- shardReq{op: opUnmask, server: loc.server}
 	if found {
 		c.moveLocked(sid, loc, shard, best.server)

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"gaugur/internal/obs/trace"
 )
 
 // TestConcurrentCallersChurn: several lanes admit and depart concurrently
@@ -185,13 +183,13 @@ func TestConcurrentCallersSaturation(t *testing.T) {
 		t.Fatal("session 0 missing")
 	}
 	a, b := c.NewCaller(), c.NewCaller()
-	best, shard, found := a.probe(c.all, 7, 0, true, trace.Ctx{})
+	best, shard, found := a.probe(c.all, 7, 0, true)
 	if !found {
 		t.Fatal("freed slot not found")
 	}
 	bOK := make(chan bool)
 	go func() {
-		_, ok := b.placeWide(stagedGame, 0, new(BatchTiming), trace.Ctx{})
+		_, ok := b.placeWide(stagedGame, 0, new(BatchTiming))
 		bOK <- ok
 	}()
 	<-entered

@@ -127,9 +127,10 @@ type Config struct {
 	CacheCap int
 
 	// Metrics and Tracer are nil-safe and never feed back into placement
-	// decisions. While the tracer carries an ambient decision context (the
-	// one sched.RunOnline installs) scoring spans nest under it; otherwise
-	// every untimed arrival opens its own "fleet-placement" trace.
+	// decisions. The cluster writes no spans: the tracer only lends its
+	// clock to the decisions' stamps (BatchResult.Timing), which are read
+	// from the registry's clock without a tracer and not at all without
+	// either. Whoever owns a decision's trace hangs spans from the stamps.
 	Metrics *obs.Registry
 	Tracer  *trace.Tracer
 	// Flight, when non-nil, receives the dispatch plane's flight-recorder
@@ -155,14 +156,15 @@ type Placement struct {
 // BatchResult is one arrival's outcome in a coalesced placement batch.
 type BatchResult struct {
 	Placement
-	OK bool // false: no shard in the whole fleet had capacity
+	OK     bool        // false: no shard in the whole fleet had capacity
+	Timing BatchTiming // the decision's clock stamps and probe counts
 }
 
-// BatchTiming is one arrival's placement-decision breadcrumbs, stamped on
-// the balancer goroutine for callers that materialize trace spans after the
-// fact (the admission pipeline's deferred tracing: three clock reads here
-// instead of span bookkeeping on the single-threaded hot loop). Timestamps
-// come from the tracer clock (Tracer.Now; all zero with no tracer).
+// BatchTiming is one arrival's placement-decision stamps: raw clock reads
+// taken on the balancer goroutine, from which the decision histograms are
+// fed at once and spans are built after the fact, off the hot loop
+// (BatchResult.Trace). Timestamps come from the cluster's one clock — the
+// tracer's, else the registry's — and are all zero with neither.
 type BatchTiming struct {
 	// StartNS/EndNS bracket the decision; CommitNS is the instant the
 	// winning placement was chosen (probe reduced, commit about to book).
@@ -199,8 +201,8 @@ type sessionLoc struct {
 	shard, server, game int
 }
 
-// Cluster is the sharded dispatch plane. Its Place, PlaceBatch,
-// PlaceBatchTimed and Remove drive one built-in Caller and so take one
+// Cluster is the sharded dispatch plane. Its Place, PlaceBatch and Remove
+// drive one built-in Caller and so take one
 // goroutine at a time; every other method is safe under any number of
 // concurrent Callers.
 type Cluster struct {
@@ -236,7 +238,7 @@ type Cluster struct {
 	self *Caller // what the Cluster's own placement methods drive
 
 	met    fleetMetrics
-	tr     *trace.Tracer
+	now    obs.Clock // the decisions' stamps: tracer's, else registry's, else 0
 	flight *flight.Recorder
 
 	wg     sync.WaitGroup
@@ -284,8 +286,11 @@ func New(cfg Config) (*Cluster, error) {
 		occ:      make([]int, cfg.NumServers),
 		down:     make([]bool, cfg.NumServers),
 		met:      newFleetMetrics(cfg.Metrics, shardCount),
-		tr:       cfg.Tracer,
+		now:      cfg.Metrics.Now, // nil-safe: reads 0 without a registry
 		flight:   cfg.Flight,
+	}
+	if cfg.Tracer != nil {
+		c.now = cfg.Tracer.Now
 	}
 	c.all = make([]int, shardCount)
 	c.shards = make([]*shard, shardCount)
@@ -303,8 +308,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Caller returns the cluster's built-in caller — the one Place, PlaceBatch,
-// PlaceBatchTimed and Remove drive, so a component holding it places
+// Caller returns the cluster's built-in caller — the one Place, PlaceBatch
+// and Remove drive, so a component holding it places
 // exactly as direct calls on the Cluster would.
 func (c *Cluster) Caller() *Caller { return c.self }
 
@@ -324,13 +329,7 @@ func (c *Cluster) Place(game int) (Placement, bool) { return c.self.Place(game) 
 
 // PlaceBatch admits a coalesced batch through the built-in caller.
 func (c *Cluster) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
-	return c.self.PlaceBatchTimed(games, dst, nil)
-}
-
-// PlaceBatchTimed is PlaceBatch with per-arrival timing breadcrumbs; see
-// Caller.PlaceBatchTimed.
-func (c *Cluster) PlaceBatchTimed(games []int, dst []BatchResult, times []BatchTiming) []BatchResult {
-	return c.self.PlaceBatchTimed(games, dst, times)
+	return c.self.PlaceBatch(games, dst)
 }
 
 // Remove departs a session through the built-in caller; false when the id
@@ -377,9 +376,11 @@ func (c *Cluster) mutations() uint64 {
 }
 
 // genTag folds the model generation into score-cache keys, read once per
-// decision: a swap mid-decision at worst re-scores one placement. Mix64
-// spreads consecutive generations across the word so a bumped generation
-// cannot collide with a nearby state hash. A tag change —
+// decision: a swap mid-decision at worst re-scores one placement. A key is
+// a state's multiset hash plus the tag, and the multiset hash is a sum of
+// Mix64(game), so a tag of Mix64(gen) would make state S at generation a
+// the key of S-{b}+{a} at generation b: mixing twice keeps the tag out of
+// the game-id domain. A tag change —
 // the serving model was hot-swapped since the last decision — lands a
 // "gen-swap" event in the flight recorder, so a dump shows placement events
 // on either side of the swap boundary. The caller holds c.mu.
@@ -387,7 +388,7 @@ func (c *Cluster) genTag() uint64 {
 	var tag uint64
 	if c.cfg.Gen != nil {
 		if g := c.cfg.Gen(); g != 0 {
-			tag = sim.Mix64(g)
+			tag = sim.Mix64(sim.Mix64(g))
 		}
 	}
 	if c.genSeen && tag != c.lastGenTag {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -405,8 +406,8 @@ func TestGenerationInvalidatesCaches(t *testing.T) {
 	}
 }
 
-// TestObservability: counters, per-shard gauges, and placement traces must
-// reflect a small run exactly.
+// TestObservability: counters, per-shard gauges, and the placement traces a
+// caller hangs from the decisions' stamps must reflect a small run exactly.
 func TestObservability(t *testing.T) {
 	reg := obs.New()
 	tr := trace.New(trace.Config{Seed: 1})
@@ -425,12 +426,16 @@ func TestObservability(t *testing.T) {
 	defer c.Close()
 
 	var sids []int
+	var res []BatchResult
 	for i := 0; i < 6; i++ {
-		pl, ok := c.Place(i % 3)
-		if !ok {
+		tctx := tr.StartTrace("placement", trace.Int("game", i%3))
+		res = c.PlaceBatch([]int{i % 3}, res[:0])
+		if !res[0].OK {
 			t.Fatalf("placement %d rejected", i)
 		}
-		sids = append(sids, pl.Session)
+		res[0].Trace(tctx, 1)
+		tctx.End()
+		sids = append(sids, res[0].Session)
 	}
 	c.Remove(sids[0])
 
@@ -449,30 +454,26 @@ func TestObservability(t *testing.T) {
 		t.Fatalf("active gauge = %v, want 5", c.met.active.Value())
 	}
 
+	if got := snap.Histograms["gaugur_fleet_decision_seconds"].Count; got != 6 {
+		t.Fatalf("decision histogram holds %d observations, want 6", got)
+	}
 	traces := tr.Store().Recent(16)
 	placements := 0
 	for _, trc := range traces {
-		if trc.Name != "fleet-placement" {
-			continue
+		if trc.Name != "placement" {
+			t.Fatalf("the balancer opened a %q trace of its own", trc.Name)
 		}
 		placements++
-		shardSpans := 0
+		spans := map[string]int{}
 		for _, sp := range trc.Spans {
-			if sp.Name == "score-shard" {
-				shardSpans++
-				found := false
-				for _, a := range sp.Attrs {
-					if a.Key == "shard" {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("score-shard span without shard attr: %+v", sp)
-				}
+			spans[sp.Name]++
+			want := map[string]string{"score": "shards", "commit": "shard"}[sp.Name]
+			if want != "" && !slices.ContainsFunc(sp.Attrs, func(a trace.Attr) bool { return a.Key == want }) {
+				t.Fatalf("%s span without a %s attr: %+v", sp.Name, want, sp)
 			}
 		}
-		if shardSpans == 0 {
-			t.Fatalf("placement trace with no per-shard spans: %+v", trc)
+		if spans["place-batch"] != 1 || spans["score"] != 1 || spans["commit"] != 1 {
+			t.Fatalf("placement trace is not place-batch -> score/commit: %+v", trc)
 		}
 	}
 	if placements != 6 {

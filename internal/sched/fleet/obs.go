@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gaugur/internal/obs"
+	"gaugur/internal/obs/trace"
 )
 
 // fleetMetrics holds the pre-resolved instruments for one Cluster. All
@@ -22,8 +23,11 @@ type fleetMetrics struct {
 	conflicts    *obs.Counter
 	lockedProbes *obs.Counter
 	active       *obs.Gauge
-	decision     *obs.StageTimer
-	batchProbe   *obs.StageTimer
+	// decision and batchProbe are fed from the decisions' own stamps
+	// (BatchTiming): a decision's StartNS→EndNS, and the batch's fan-out
+	// start→its first decision's StartNS.
+	decision   *obs.Histogram
+	batchProbe *obs.Histogram
 	// batchArrivals distributes coalesced batch sizes — full 16-wide
 	// batches are the regime the compiled kernel is fastest in, so this
 	// histogram is how you see whether the admission front end actually
@@ -55,9 +59,9 @@ func newFleetMetrics(r *obs.Registry, shards int) fleetMetrics {
 			"full-fleet probes repeated under the commit lock after failed validation"),
 		active: r.Gauge("gaugur_fleet_active_sessions",
 			"currently placed sessions across all shards"),
-		decision: r.Timer("gaugur_fleet_decision_seconds",
+		decision: r.Histogram("gaugur_fleet_decision_seconds", nil,
 			"wall-clock latency of one balancer placement decision"),
-		batchProbe: r.Timer("gaugur_fleet_batch_probe_seconds",
+		batchProbe: r.Histogram("gaugur_fleet_batch_probe_seconds", nil,
 			"wall-clock latency of one batched cross-shard scoring fan-out"),
 		batchArrivals: r.Histogram("gaugur_fleet_batch_arrivals",
 			[]float64{1, 2, 4, 8, 12, 16, 24, 32, 64},
@@ -70,4 +74,33 @@ func newFleetMetrics(r *obs.Registry, shards int) fleetMetrics {
 			"sessions currently placed on this shard")
 	}
 	return m
+}
+
+// seconds converts a clock-stamp difference to the histograms' unit.
+func seconds(ns int64) float64 { return float64(ns) / 1e9 }
+
+// Trace hangs the decision's span tree under parent, built from its stamps
+// alone: a "place-batch" span over the decision (arrivals: the size of the
+// batch it was decided in) with a "score" child up to the commit — to the
+// end for a reject — and, when placed, a "commit" child to the end. No-op
+// on an inert parent or an unstamped decision.
+func (r BatchResult) Trace(parent trace.Ctx, arrivals int) {
+	tm := r.Timing
+	if !parent.Active() || tm.EndNS == 0 {
+		return
+	}
+	pb := parent.StartSpanAt("place-batch", tm.StartNS, trace.Int("arrivals", arrivals))
+	scoreEnd := tm.CommitNS
+	if !r.OK { // rejected: the probe ran to the decision's end
+		scoreEnd = tm.EndNS
+	}
+	pb.Event("score", tm.StartNS, scoreEnd,
+		trace.Int("shards", tm.Cands), trace.Int("probes", tm.Probes),
+		trace.Bool("escape", tm.Escape))
+	if r.OK {
+		pb.Event("commit", tm.CommitNS, tm.EndNS,
+			trace.Int("shard", r.Shard), trace.Int("server", r.Server),
+			trace.Int("session", r.Session))
+	}
+	pb.EndAt(tm.EndNS)
 }

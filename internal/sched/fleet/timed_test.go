@@ -6,12 +6,13 @@ import (
 	"slices"
 	"testing"
 
+	"gaugur/internal/obs"
 	"gaugur/internal/obs/flight"
 	"gaugur/internal/obs/trace"
 )
 
-// stepClock is a deterministic strictly-increasing trace.Clock.
-func stepClock() trace.Clock {
+// stepClock is a deterministic strictly-increasing clock.
+func stepClock() obs.Clock {
 	var now int64
 	return func() int64 {
 		now += 7
@@ -19,13 +20,14 @@ func stepClock() trace.Clock {
 	}
 }
 
-// TestPlaceBatchTimedMatchesSequential extends the golden batched-equals-
-// sequential contract to the timed form: breadcrumb stamping must never
-// perturb a placement decision, even with tracing AND tail sampling live on
-// the sequential side (the serve pipeline's exact production shape is the
-// timed side — suppressed fleet traces, caller-owned spans).
+// TestPlaceBatchTimedMatchesSequential: stamping never perturbs a decision.
+// A cluster stamping its decisions on a tracer's clock (tail sampling live,
+// a registry feeding the decision histograms) places coalesced batches
+// exactly as a cluster with no clock at all places the same arrivals one at
+// a time; the stamped side's stamps are ordered, the clockless side's are
+// zero, and the balancer writes no spans of its own.
 func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
-	mk := func(tr *trace.Tracer) *Cluster {
+	mk := func(tr *trace.Tracer, reg *obs.Registry) *Cluster {
 		c, err := New(Config{
 			NumServers:   32,
 			ShardCount:   4,
@@ -34,23 +36,25 @@ func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 			Seed:         9,
 			Scorer:       ScorerFunc(synthScore),
 			Tracer:       tr,
+			Metrics:      reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	seq := mk(trace.New(trace.Config{Seed: 5, Clock: stepClock(),
-		Tail: &trace.TailPolicy{Rate: 0.25, Warmup: 32}}))
-	bat := mk(trace.New(trace.Config{Seed: 5, Clock: stepClock(),
-		Tail: &trace.TailPolicy{Rate: 0.25, Warmup: 32}}))
+	tr := trace.New(trace.Config{Seed: 5, Clock: stepClock(),
+		Tail: &trace.TailPolicy{Rate: 0.25, Warmup: 32}})
+	reg := obs.New()
+	seq := mk(nil, nil)
+	bat := mk(tr, reg)
 	defer seq.Close()
 	defer bat.Close()
 
 	rng := rand.New(rand.NewSource(41))
 	var active []int
-	var results []BatchResult
-	var times []BatchTiming
+	var results, one []BatchResult
+	decisions := 0
 	for step := 0; step < 250; step++ {
 		if len(active) > 0 && rng.Intn(4) == 0 {
 			j := rng.Intn(len(active))
@@ -65,20 +69,20 @@ func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 		for i := range games {
 			games[i] = rng.Intn(8)
 		}
-		if cap(times) < len(games) {
-			times = make([]BatchTiming, len(games))
-		}
-		times = times[:len(games)]
-		results = bat.PlaceBatchTimed(games, results[:0], times)
+		results = bat.PlaceBatch(games, results[:0])
 		for i, g := range games {
-			pl, ok := seq.Place(g)
+			one = seq.PlaceBatch([]int{g}, one[:0])
+			pl, ok := one[0].Placement, one[0].OK
 			if ok != results[i].OK || (ok && pl != results[i].Placement) {
-				t.Fatalf("step %d arrival %d (game %d): sequential (%+v,%v), timed (%+v,%v)",
+				t.Fatalf("step %d arrival %d (game %d): clockless (%+v,%v), stamped (%+v,%v)",
 					step, i, g, pl, ok, results[i].Placement, results[i].OK)
 			}
-			tm := times[i]
+			if tm := one[0].Timing; tm.StartNS != 0 || tm.CommitNS != 0 || tm.EndNS != 0 {
+				t.Fatalf("step %d arrival %d: a cluster with no clock stamped %+v", step, i, tm)
+			}
+			tm := results[i].Timing
 			if tm.StartNS <= 0 || tm.EndNS <= tm.StartNS || tm.Cands < 1 || tm.Probes < 0 {
-				t.Fatalf("step %d arrival %d: implausible breadcrumbs %+v", step, i, tm)
+				t.Fatalf("step %d arrival %d: implausible stamps %+v", step, i, tm)
 			}
 			if ok && (tm.CommitNS <= tm.StartNS || tm.EndNS <= tm.CommitNS) {
 				t.Fatalf("step %d arrival %d: commit stamp out of order %+v", step, i, tm)
@@ -86,33 +90,84 @@ func TestPlaceBatchTimedMatchesSequential(t *testing.T) {
 			if !ok && tm.CommitNS != 0 {
 				t.Fatalf("step %d arrival %d: rejected arrival stamped a commit %+v", step, i, tm)
 			}
+			if i > 0 && tm.StartNS != results[i-1].Timing.EndNS {
+				t.Fatalf("step %d arrival %d: start %d does not chain from the previous end %d",
+					step, i, tm.StartNS, results[i-1].Timing.EndNS)
+			}
 			if ok {
 				active = append(active, pl.Session)
 			}
+			decisions++
 		}
 	}
 
 	verifyInvariants(t, seq)
 	verifyInvariants(t, bat)
 	if a, b := seq.Snapshot(), bat.Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("final snapshots diverged:\nsequential: %v\ntimed:      %v", a, b)
+		t.Fatalf("final snapshots diverged:\nclockless: %v\nstamped:   %v", a, b)
 	}
 	ss, bs := seq.Stats(), bat.Stats()
 	if ss.Placed != bs.Placed || ss.Rejected != bs.Rejected ||
 		ss.Escapes != bs.Escapes {
-		t.Fatalf("decision stats diverged:\nsequential: %+v\ntimed:      %+v", ss, bs)
+		t.Fatalf("decision stats diverged:\nclockless: %+v\nstamped:   %+v", ss, bs)
 	}
-	// Timed mode suppresses the fleet's own per-arrival traces — the caller
-	// owns those. The sequential side must have recorded (a sampled subset
-	// of) its placement traces; the timed side none.
-	if seq.tr.Store().Total() == 0 {
-		t.Error("sequential side recorded no traces despite an enabled tracer")
+	if n := tr.Store().Total(); n != 0 {
+		t.Errorf("the balancer committed %d traces of its own; callers own the decisions' traces", n)
 	}
-	for _, tr := range bat.tr.Store().Recent(0) {
-		if tr.Name == "fleet-placement" || tr.Name == "fleet-batch-probe" {
-			t.Errorf("timed side leaked a per-arrival %q trace; caller owns those", tr.Name)
+	snap := reg.Snapshot()
+	if got := snap.Histograms["gaugur_fleet_decision_seconds"].Count; got != int64(decisions) {
+		t.Errorf("decision histogram holds %d observations, want one per decision (%d)", got, decisions)
+	}
+}
+
+// countingClock counts its reads; each advances it by one.
+type countingClock struct{ reads int64 }
+
+func (c *countingClock) now() int64 {
+	c.reads++
+	return c.reads
+}
+
+// TestDecisionClockBudget pins what timing costs a decision: with one clock
+// behind both the tracer and the registry, a warm 16-arrival batch on a
+// 4-shard cluster reads it at most twice per arrival (commit, end) plus
+// twice per batch (fan-out start, first decision's start) — the stamps feed
+// the decision and fan-out histograms, nothing times a decision twice.
+func TestDecisionClockBudget(t *testing.T) {
+	clk := &countingClock{}
+	c, err := New(Config{
+		NumServers: 64, ShardCount: 4, MaxPerServer: 4, K: 2, Seed: 3,
+		Scorer:  ScorerFunc(synthScore),
+		Tracer:  trace.New(trace.Config{Seed: 1, Clock: clk.now}),
+		Metrics: obs.NewWithClock(clk.now),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	games := make([]int, 16)
+	for i := range games {
+		games[i] = i % 5
+	}
+	var res []BatchResult
+	for round := 0; round < 3; round++ { // warm: caches and scratch filled
+		res = c.PlaceBatch(games, res[:0])
+		for _, r := range res {
+			c.Remove(r.Session)
 		}
 	}
+	before := clk.reads
+	res = c.PlaceBatch(games, res[:0])
+	reads := clk.reads - before
+	for i, r := range res {
+		if !r.OK {
+			t.Fatalf("arrival %d rejected on a near-empty fleet", i)
+		}
+	}
+	if budget := int64(2*len(games) + 2); reads > budget {
+		t.Errorf("a warm %d-arrival batch read the clock %d times, budget %d", len(games), reads, budget)
+	}
+	t.Logf("%d clock reads for %d arrivals", reads, len(games))
 }
 
 // TestFleetFlightEvents drives the cluster through escapes, a model hot

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -228,8 +229,9 @@ func TestTraceOverheadUnderBudget(t *testing.T) {
 }
 
 // TestOnlineDecisionTraces pins the shape of what the loop records: one
-// trace per decision, named by kind, with the cluster's scoring spans nested
-// under placements and outcomes annotated on the root.
+// trace per decision, named by kind, with the cluster decision's score span
+// (built from its stamps) nested under placements and outcomes annotated on
+// the root.
 func TestOnlineDecisionTraces(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 9})
 	cfg := churnCfg{NumServers: 3, MaxPerServer: 2, OnlineConfig: OnlineConfig{
@@ -251,7 +253,7 @@ func TestOnlineDecisionTraces(t *testing.T) {
 	for _, tr := range tracer.Store().Recent(0) {
 		byName[tr.Name]++
 		for _, sp := range tr.Spans {
-			if sp.Name == "score-shard" {
+			if sp.Name == "score" {
 				withScoring++
 			}
 			if sp.SpanID == tr.Root {
@@ -266,8 +268,10 @@ func TestOnlineDecisionTraces(t *testing.T) {
 	if byName["placement"] == 0 {
 		t.Error("no placement traces recorded")
 	}
-	if n := byName["fleet-placement"]; n != 0 {
-		t.Errorf("%d decisions opened a second root in the cluster; scoring must nest under the driver's trace", n)
+	for name, n := range byName {
+		if !slices.Contains([]string{"placement", "migration", "watchdog", "shed"}, name) {
+			t.Errorf("%d %q traces: every trace must be one decision's, scoring nests under it", n, name)
+		}
 	}
 	if res.Crashes > 0 && byName["migration"] == 0 {
 		t.Error("crash occurred but no migration traces recorded")
@@ -276,7 +280,7 @@ func TestOnlineDecisionTraces(t *testing.T) {
 		t.Error("arrivals shed but no shed traces recorded")
 	}
 	if withScoring == 0 {
-		t.Error("no score-shard spans nested under decisions")
+		t.Error("no score spans nested under decisions")
 	}
 	if outcomes["placed"] == 0 {
 		t.Errorf("no placed outcomes annotated; outcomes = %v", outcomes)

@@ -94,11 +94,12 @@ type OnlineConfig struct {
 	Metrics *obs.Registry
 
 	// Tracer, when non-nil, records one trace per scheduling decision
-	// (placement, migration, watchdog eviction, shed); it is also installed
-	// as the ambient trace context, so a cluster built on the same tracer
-	// hangs its score-shard spans, and a fallback predictor its stage spans,
-	// under the decision. Like Metrics, tracing never feeds back into
-	// simulation state.
+	// (placement, migration, watchdog eviction, shed). A placement or
+	// migration hangs the cluster's place-batch -> score/commit spans,
+	// built from the decision's stamps, under it; the trace is also
+	// installed as the ambient context while the cluster decides, so a
+	// fallback predictor hangs its stage spans there too. Like Metrics,
+	// tracing never feeds back into simulation state.
 	Tracer *trace.Tracer
 	// Audit, when non-nil, receives session-lifecycle callbacks (see
 	// AuditSink) so a prediction audit log can resolve placement-time
@@ -283,6 +284,8 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 
 	om := newOnlineMetrics(cfg.Metrics)
 	tr := cfg.Tracer // nil-safe: every method on a nil Tracer is a no-op
+	// Every decision is a batch of one, so its stamps come back with it.
+	dst := make([]fleet.BatchResult, 1)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	world := make([]serverView, numServers)
@@ -442,10 +445,11 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 		)
 		tr.SetCurrent(tctx)
 		span := om.placeSec.Start()
-		pl, ok := cluster.Place(sess.game)
+		dst = cluster.PlaceBatch([]int{sess.game}, dst[:0])
 		span.Stop()
 		tr.ClearCurrent()
-		if ok {
+		dst[0].Trace(tctx, 1)
+		if pl, ok := dst[0].Placement, dst[0].OK; ok {
 			sess.csid = pl.Session
 			place(sess, pl.Server)
 			res.Migrated++
@@ -663,10 +667,11 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 		tctx := tr.StartTrace("placement", trace.Int("game", game))
 		tr.SetCurrent(tctx)
 		span := om.placeSec.Start()
-		pl, ok := cluster.Place(game)
+		dst = cluster.PlaceBatch([]int{game}, dst[:0])
 		span.Stop()
 		tr.ClearCurrent()
-		if ok {
+		dst[0].Trace(tctx, 1)
+		if pl, ok := dst[0].Placement, dst[0].OK; ok {
 			sess := &session{id: len(sessions), csid: pl.Session, game: game, server: -1}
 			sessions = append(sessions, sess)
 			place(sess, pl.Server)

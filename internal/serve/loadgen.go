@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -40,12 +41,9 @@ type LoadGenConfig struct {
 	// Seed drives arrivals, game draws, and hold times.
 	Seed int64
 	// Workers bounds concurrent in-flight requests; <= 0 defaults to 32.
+	// Over the binary protocol each worker owns one persistent connection;
+	// over HTTP the standard transport pools connections itself.
 	Workers int
-	// Conns sizes the binary protocol's persistent connection pool
-	// (workers share it, checking a connection out per request, with
-	// reconnect-on-error); <= 0 defaults to Workers. Ignored for HTTP,
-	// where the standard transport pools connections itself.
-	Conns int
 	// Trace mints a deterministic trace identifier per arrival — the n-th
 	// arrival always carries DeriveSeed(Seed, "loadgen-trace", n) — and
 	// propagates it over the wire (the X-Gaugur-Trace-Id header, or the
@@ -65,11 +63,10 @@ type LoadGenResult struct {
 	Errors           int
 	// P50 and P99 are end-to-end admission latencies (queue wait + batch
 	// dispatch + network), measured at the client around the wire round
-	// trip alone — pool checkout wait is excluded, so percentiles stay
-	// honest under connection contention.
+	// trip alone.
 	P50, P99 time.Duration
-	// Reconnects counts binary-pool connections redialed after a
-	// transport error mid-run (always 0 for HTTP).
+	// Reconnects counts binary connections redialed after a transport
+	// error mid-run (always 0 for HTTP).
 	Reconnects int64
 	Elapsed    time.Duration
 	// PlacementsPerSec is admitted sessions per wall-clock second.
@@ -87,19 +84,15 @@ func (r LoadGenResult) String() string {
 	return s
 }
 
-// lgClient abstracts the two wire protocols for the generator workers.
-// One client is shared by every worker (both implementations are safe for
-// concurrent use). A traceID of 0 means "don't propagate" (the server
-// mints its own). admit reports the request's wire latency itself so the
-// binary pool can exclude checkout wait from the percentiles.
+// lgClient abstracts the two wire protocols for the generator workers,
+// each of which owns one. A traceID of 0 means "don't propagate" (the
+// server mints its own). admit reports the request's wire latency itself,
+// so a binary redial stays out of the percentiles.
 type lgClient interface {
 	admit(game int, traceID uint64) (session int, lat time.Duration, err error)
 	leave(session int) error
 	close()
 }
-
-// reconnecter is the optional lgClient facet exposing pool redials.
-type reconnecter interface{ reconnects() int64 }
 
 // holdItem is one scheduled mid-run leave; holdHeap is a plain binary
 // min-heap on expiry time (ties by session id, for a stable order).
@@ -192,13 +185,21 @@ func RunLoadGen(cfg LoadGenConfig) (LoadGenResult, error) {
 		pendingLeaves int
 	)
 	jobs := make(chan lgJob, workers)
-	cl, err := newLGClient(cfg, workers)
-	if err != nil {
-		return LoadGenResult{}, err
-	}
-	defer cl.close()
-	var wg sync.WaitGroup
+	clients := make([]lgClient, 0, workers)
+	defer func() {
+		for _, cl := range clients {
+			cl.close()
+		}
+	}()
 	for w := 0; w < workers; w++ {
+		cl, err := newLGClient(cfg)
+		if err != nil {
+			return LoadGenResult{}, err
+		}
+		clients = append(clients, cl)
+	}
+	var wg sync.WaitGroup
+	for _, cl := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -326,8 +327,10 @@ func RunLoadGen(cfg LoadGenConfig) (LoadGenResult, error) {
 	close(jobs)
 	wg.Wait()
 
-	if rc, ok := cl.(reconnecter); ok {
-		res.Reconnects = rc.reconnects()
+	for _, cl := range clients {
+		if b, ok := cl.(*binLGClient); ok {
+			res.Reconnects += b.reconnects
+		}
 	}
 	res.Elapsed = time.Since(start)
 	res.P50, res.P99 = stats.LatencyPercentiles(lats)
@@ -337,35 +340,80 @@ func RunLoadGen(cfg LoadGenConfig) (LoadGenResult, error) {
 	return res, nil
 }
 
-// newLGClient builds the run's shared client: a fixed-size persistent
-// connection pool for the binary protocol (sized by Conns, defaulting to
-// one connection per worker), or one pooled-transport HTTP client.
-func newLGClient(cfg LoadGenConfig, workers int) (lgClient, error) {
+// newLGClient builds one worker's client: a persistent binary connection,
+// or an HTTP client on the standard transport's shared connection pool.
+func newLGClient(cfg LoadGenConfig) (lgClient, error) {
 	if cfg.Binary {
-		conns := cfg.Conns
-		if conns <= 0 {
-			conns = workers
-		}
-		pool, err := NewBinaryPool(cfg.Target, conns)
+		c, err := DialBinary(cfg.Target)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: loadgen dial: %w", err)
 		}
-		return &binLGClient{pool: pool}, nil
+		return &binLGClient{target: cfg.Target, c: c}, nil
 	}
 	return &httpLGClient{base: cfg.Target, c: &http.Client{Timeout: 30 * time.Second}}, nil
 }
 
-type binLGClient struct{ pool *BinaryPool }
-
-func (b *binLGClient) admit(game int, traceID uint64) (int, time.Duration, error) {
-	return b.pool.Admit(game, traceID)
+// binLGClient is one worker's persistent binary connection. A transport
+// error leaves the byte stream in an unknown state, so it retires the
+// connection: the request is retried once on a fresh dial, and every
+// redial counts as a reconnect.
+type binLGClient struct {
+	target     string
+	c          *BinaryClient // nil once a transport error retired it
+	reconnects int64
 }
+
+// isProtoReject reports whether err is an application-level outcome the
+// server delivered over a healthy connection. Anything else — transport
+// errors, short reads, malformed frames — retires the connection.
+func isProtoReject(err error) bool {
+	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDraining) ||
+		errors.Is(err, ErrNoCapacity) || errors.Is(err, ErrUnknownSession)
+}
+
+// do runs one round trip, redialing first if a previous request retired
+// the connection, and retries once on a fresh connection when the
+// transport fails mid-request. lat is the successful round trip alone.
+func (b *binLGClient) do(fn func(c *BinaryClient) error) (lat time.Duration, err error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		if b.c == nil {
+			if b.c, err = DialBinary(b.target); err != nil {
+				return 0, err
+			}
+			b.reconnects++
+		}
+		t0 := time.Now()
+		if err = fn(b.c); err == nil || isProtoReject(err) {
+			return time.Since(t0), err
+		}
+		b.c.Close()
+		b.c = nil
+	}
+	return 0, err
+}
+
+func (b *binLGClient) admit(game int, traceID uint64) (session int, lat time.Duration, err error) {
+	lat, err = b.do(func(c *BinaryClient) (e error) {
+		if traceID != 0 {
+			session, _, e = c.AdmitTraced(game, traceID)
+		} else {
+			session, _, e = c.Admit(game)
+		}
+		return e
+	})
+	return session, lat, err
+}
+
 func (b *binLGClient) leave(session int) error {
-	_, err := b.pool.Leave(session)
+	_, err := b.do(func(c *BinaryClient) error { return c.Leave(session) })
 	return err
 }
-func (b *binLGClient) close()            { b.pool.Close() }
-func (b *binLGClient) reconnects() int64 { return b.pool.Reconnects() }
+
+func (b *binLGClient) close() {
+	if b.c != nil {
+		b.c.Close()
+	}
+}
 
 type httpLGClient struct {
 	base string

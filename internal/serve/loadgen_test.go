@@ -69,8 +69,8 @@ func runLoadGenProto(t *testing.T, binaryProto bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("loadgen errors: %+v", res)
+	if res.Errors != 0 || res.Reconnects != 0 {
+		t.Fatalf("healthy run had errors or redials: %+v", res)
 	}
 	if res.Sent < 50 || res.Admitted == 0 {
 		t.Fatalf("trace barely ran: %+v", res)
@@ -110,7 +110,7 @@ func TestLoadGenHTTPReusesConnection(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	cl, err := newLGClient(LoadGenConfig{Target: srv.URL}, 1)
+	cl, err := newLGClient(LoadGenConfig{Target: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +125,46 @@ func TestLoadGenHTTPReusesConnection(t *testing.T) {
 	}
 	if got := opened.Load(); got != 1 {
 		t.Fatalf("%d leaves and %d rejected admits opened %d connections, want 1", n, n, got)
+	}
+}
+
+// TestLoadGenReconnect: a worker's binary connection severed by the server
+// is transparent to the replay. The server drops every connection that
+// sits idle past its frame timeout, and the paced trace leaves each worker
+// idle longer than that between arrivals: the worker's next request hits
+// the dead stream, redials once and retries, every request still succeeds,
+// and the redials are counted.
+func TestLoadGenReconnect(t *testing.T) {
+	p, err := NewPipeline(PipelineConfig{Cluster: testCluster(t, 16, 4, 2, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(ServerConfig{Pipeline: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.binTimeout = 50 * time.Millisecond
+	if err := s.StartBinary("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.closeBinary(); p.Close() })
+
+	res, err := RunLoadGen(LoadGenConfig{
+		Target: s.BinaryAddr(), Binary: true,
+		Crowd:   sim.FlashCrowd{Base: 5},
+		Horizon: 2, TimeScale: 1,
+		Games: []int{0, 1, 2}, Seed: 5, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Admitted != res.Sent || res.Left != res.Admitted || res.Sent < 3 {
+		t.Fatalf("severed connections were not transparent: %+v", res)
+	}
+	if res.Reconnects == 0 {
+		t.Fatalf("%d paced arrivals over a 50ms idle timeout redialed nothing: %+v", res.Sent, res)
+	}
+	if st := p.Stats(); st.Active != 0 {
+		t.Fatalf("sessions left behind: %d", st.Active)
 	}
 }

@@ -18,9 +18,10 @@ type admissionMetrics struct {
 	// the pipeline is pushing this toward the kernel's 16-wide chunk.
 	batchSize *obs.Histogram
 	// queueWait is time from enqueue to dispatch start (the coalescing
-	// cost an arrival pays); dispatch is the batch's cluster time.
+	// cost an arrival pays); dispatch is the batch's cluster time. Both
+	// are fed from the ops' own stamps (enqNS, dispatchNS).
 	queueWait *obs.Histogram
-	dispatch  *obs.StageTimer
+	dispatch  *obs.Histogram
 	// latency is end-to-end admission latency measured at the producer,
 	// with exemplars: each bucket remembers the trace ID of its last
 	// tail-kept observation, so a latency spike in /metrics links straight
@@ -54,7 +55,7 @@ func newAdmissionMetrics(r *obs.Registry) admissionMetrics {
 			"arrivals per coalesced dispatch"),
 		queueWait: r.Histogram("gaugur_admission_queue_wait_seconds", nil,
 			"time a request spent queued before its batch dispatched"),
-		dispatch: r.Timer("gaugur_admission_dispatch_seconds",
+		dispatch: r.Histogram("gaugur_admission_dispatch_seconds", nil,
 			"wall-clock latency of one coalesced batch dispatch"),
 		latency: r.Histogram("gaugur_admission_latency_seconds", nil,
 			"end-to-end admission latency (queue wait + dispatch), with trace exemplars").

@@ -86,7 +86,10 @@ type PipelineConfig struct {
 	// QueueCap bounds the MPSC admission queue; <= 0 defaults to 256.
 	// A full queue rejects with ErrQueueFull rather than blocking.
 	QueueCap int
-	// Metrics and Tracer are nil-safe, same contract as fleet.Config.
+	// Metrics and Tracer are nil-safe, same contract as fleet.Config: every
+	// stamp an op carries — and every latency histogram and span built from
+	// them — is read from the tracer's clock, else the registry's, else not
+	// at all.
 	Metrics *obs.Registry
 	Tracer  *trace.Tracer
 	// Flight, when non-nil, receives one event per admission outcome
@@ -116,23 +119,23 @@ type pendingOp struct {
 	kind    opKind
 	game    int
 	session int
-	enq     time.Time
 	done    chan opResult
 
-	// Deferred-tracing state. The producer mints the deferred root span (root) and
-	// stamps enqNS before enqueueing; the collector only writes raw clock
-	// reads (drainNS/dispatchNS/batchSize and the fleet's BatchTiming) —
-	// every span is materialized from the stamps on the producer goroutine
-	// after the result arrives, so span bookkeeping never slows the
-	// single-threaded collector. All trace fields are zero when the
-	// pipeline has no tracer.
+	// Stamps and deferred-tracing state. The producer mints the deferred
+	// root span (root; inert without a tracer) and stamps enqNS before
+	// enqueueing; the collector only writes raw clock reads
+	// (drainNS/dispatchNS/batchSize, and the fleet's decision in res — for
+	// a leave, res.Timing brackets the removal). The histograms are fed
+	// from the stamps as they land, and every span is materialized from
+	// them on the producer goroutine after the result arrives, so span
+	// bookkeeping never slows the single-threaded collector.
 	traceID    uint64
 	root       trace.Root
 	enqNS      int64
 	drainNS    int64
 	dispatchNS int64
 	batchSize  int
-	tm         fleet.BatchTiming
+	res        fleet.BatchResult
 }
 
 type opResult struct {
@@ -157,6 +160,7 @@ type Pipeline struct {
 	done      chan struct{}  // every lane collector exited; cluster quiescent
 
 	met admissionMetrics
+	now obs.Clock // every stamp: tracer's, else registry's, else 0
 }
 
 // lane is one admission lane: a bounded MPSC queue drained by its own
@@ -172,7 +176,6 @@ type lane struct {
 	batch   []*pendingOp
 	games   []int
 	results []fleet.BatchResult
-	times   []fleet.BatchTiming
 }
 
 // NewPipeline starts the collector goroutines. Close it to drain.
@@ -195,6 +198,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		nLanes: cfg.Lanes,
 		done:   make(chan struct{}),
 		met:    newAdmissionMetrics(cfg.Metrics),
+		now:    cfg.Metrics.Now, // nil-safe: reads 0 without a registry
+	}
+	if cfg.Tracer != nil {
+		p.now = cfg.Tracer.Now
 	}
 	// QueueCap bounds the whole pipeline; each lane gets an equal slice so
 	// total capacity (and the backpressure point) doesn't scale with Lanes.
@@ -282,36 +289,25 @@ func (p *Pipeline) enter() bool {
 	return true
 }
 
-func (p *Pipeline) getOp(kind opKind) *pendingOp {
+// getOp takes a pooled op and starts it: it mints (or adopts) the op's
+// root span on the producer goroutine, whose own start timestamp doubles as
+// the enqueue stamp, so starting an op costs one clock read whether it is
+// traced or not. The root carries no start attributes — finishAdmit and
+// finishLeave attach game/session alongside the outcome, and only for
+// traces the sampler is keeping, so the per-op attribute slice is never
+// allocated for the dropped bulk.
+func (p *Pipeline) getOp(kind opKind, traceID uint64, name string) *pendingOp {
 	op := p.pool.Get().(*pendingOp)
 	op.kind = kind
-	if p.cfg.Tracer == nil {
-		// Traced ops time everything on the tracer's clock (enqNS, stamped
-		// in startOpTrace); op.enq backs the untraced latency/queue-wait
-		// metrics, so skip the redundant clock read when tracing.
-		op.enq = time.Now()
-	}
-	op.traceID, op.root = 0, trace.Root{}
-	op.enqNS, op.drainNS, op.dispatchNS, op.batchSize = 0, 0, 0, 0
-	op.tm = fleet.BatchTiming{}
-	return op
-}
-
-// startOpTrace mints (or adopts) the op's root admission span on the
-// producer goroutine; the span's own start timestamp doubles as the
-// enqueue instant, so starting a traced op costs one clock read total.
-// The root carries no start attributes — finishAdmit/finishLeave attach
-// game/session alongside the outcome, and only for traces the sampler is
-// keeping, so the per-op attribute slice is never allocated for the
-// dropped bulk.
-func (p *Pipeline) startOpTrace(op *pendingOp, traceID uint64, name string) {
-	tr := p.cfg.Tracer
-	if tr == nil {
-		return
-	}
-	op.root = tr.StartRoot(traceID, name)
+	op.root = p.cfg.Tracer.StartRoot(traceID, name)
 	op.traceID = op.root.TraceID()
 	op.enqNS = op.root.StartNS()
+	if !op.root.Active() {
+		op.enqNS = p.now()
+	}
+	op.drainNS, op.dispatchNS, op.batchSize = 0, 0, 0
+	op.res = fleet.BatchResult{}
+	return op
 }
 
 // submit enqueues op on its home lane without blocking; a full home
@@ -373,16 +369,14 @@ func (p *Pipeline) AdmitTraced(game int, traceID uint64) (fleet.Placement, error
 	}
 	if !p.enter() {
 		p.met.rejectedDraining.Inc()
-		op := p.getOp(opAdmit)
+		op := p.getOp(opAdmit, traceID, "admission")
 		op.game = game
-		p.startOpTrace(op, traceID, "admission")
 		p.finishAdmit(op, fleet.Placement{}, ErrDraining)
 		p.pool.Put(op)
 		return fleet.Placement{}, ErrDraining
 	}
-	op := p.getOp(opAdmit)
+	op := p.getOp(opAdmit, traceID, "admission")
 	op.game = game
-	p.startOpTrace(op, traceID, "admission")
 	res, err := p.submit(p.laneFor(uint64(game)), op)
 	if err == nil {
 		err = res.err
@@ -407,16 +401,14 @@ func (p *Pipeline) LeaveTraced(session int, traceID uint64) error {
 	p.met.requests.Inc()
 	if !p.enter() {
 		p.met.rejectedDraining.Inc()
-		op := p.getOp(opLeave)
+		op := p.getOp(opLeave, traceID, "leave")
 		op.session = session
-		p.startOpTrace(op, traceID, "leave")
 		p.finishLeave(op, ErrDraining)
 		p.pool.Put(op)
 		return ErrDraining
 	}
-	op := p.getOp(opLeave)
+	op := p.getOp(opLeave, traceID, "leave")
 	op.session = session
-	p.startOpTrace(op, traceID, "leave")
 	res, err := p.submit(p.laneFor(uint64(session)), op)
 	if err == nil {
 		err = res.err
@@ -446,10 +438,10 @@ func errOutcome(err error) string {
 
 // finishAdmit runs on the producer goroutine once the result is known: it
 // records the flight-recorder event, materializes the admission's span
-// tree from the collector's stamps (queue-wait, coalesce, place-batch with
-// score/commit children), force-keeps every non-placed trace through tail
-// sampling, ends the root with the outcome, and feeds the latency
-// histogram — publishing the trace ID as an exemplar only when the trace
+// tree from the collector's stamps (queue-wait, coalesce, and the fleet's
+// place-batch with score/commit children), force-keeps every non-placed
+// trace through tail sampling, ends the root with the outcome, and feeds
+// the latency histogram — publishing the trace ID as an exemplar only when the trace
 // was actually kept, so exemplars never point at sampled-out traces.
 func (p *Pipeline) finishAdmit(op *pendingOp, pl fleet.Placement, err error) {
 	ev := flight.Event{Game: op.game, Trace: flight.TraceID(op.traceID)}
@@ -465,12 +457,12 @@ func (p *Pipeline) finishAdmit(op *pendingOp, pl fleet.Placement, err error) {
 	}
 	p.cfg.Flight.Record(ev)
 
+	end := p.now()
+	lat := float64(end-op.enqNS) / 1e9
 	if !op.root.Active() {
-		p.met.latency.Observe(time.Since(op.enq).Seconds())
+		p.met.latency.Observe(lat)
 		return
 	}
-	end := p.cfg.Tracer.Now()
-	lat := float64(end-op.enqNS) / 1e9
 	// Peek the tail-sampling decision before materializing the child
 	// spans: at production rates the bulk of traces is about to be
 	// dropped, and their span trees — and even the root's outcome
@@ -491,22 +483,7 @@ func (p *Pipeline) finishAdmit(op *pendingOp, pl fleet.Placement, err error) {
 			c.Event("queue-wait", op.enqNS, dr)
 			c.Event("coalesce", dr, op.dispatchNS, trace.Int("batch", op.batchSize))
 		}
-		if op.tm.EndNS != 0 {
-			pb := c.StartSpanAt("place-batch", op.tm.StartNS, trace.Int("arrivals", op.batchSize))
-			scoreEnd := op.tm.CommitNS
-			if scoreEnd == 0 { // rejected: the probe ran to the decision's end
-				scoreEnd = op.tm.EndNS
-			}
-			pb.Event("score", op.tm.StartNS, scoreEnd,
-				trace.Int("shards", op.tm.Cands), trace.Int("probes", op.tm.Probes),
-				trace.Bool("escape", op.tm.Escape))
-			if err == nil {
-				pb.Event("commit", op.tm.CommitNS, op.tm.EndNS,
-					trace.Int("shard", pl.Shard), trace.Int("server", pl.Server),
-					trace.Int("session", pl.Session))
-			}
-			pb.EndAt(op.tm.EndNS)
-		}
+		op.res.Trace(c, op.batchSize)
 	}
 	if err != nil {
 		op.root.Keep() // errors and backpressure always survive tail sampling
@@ -542,7 +519,7 @@ func (p *Pipeline) finishLeave(op *pendingOp, err error) {
 	if !op.root.Active() {
 		return
 	}
-	end := p.cfg.Tracer.Now()
+	end := p.now()
 	wk := p.cfg.Tracer.WouldKeep(op.traceID, end-op.enqNS, err != nil)
 	if wk {
 		c := op.root.Attach()
@@ -551,8 +528,8 @@ func (p *Pipeline) finishLeave(op *pendingOp, err error) {
 			c.Event("queue-wait", op.enqNS, dr)
 			c.Event("coalesce", dr, op.dispatchNS, trace.Int("batch", op.batchSize))
 		}
-		if op.tm.EndNS != 0 {
-			c.Event("remove", op.tm.StartNS, op.tm.EndNS)
+		if tm := op.res.Timing; tm.EndNS != 0 {
+			c.Event("remove", tm.StartNS, tm.EndNS)
 		}
 	}
 	if err != nil {
@@ -607,12 +584,8 @@ func (l *lane) run() {
 
 // stampDrain marks the instant an op left the queue — one raw clock read,
 // the collector's entire share of the queue-wait span (the producer builds
-// the span itself later). No-op without a tracer.
-func (l *lane) stampDrain(op *pendingOp) {
-	if l.p.cfg.Tracer != nil {
-		op.drainNS = l.p.cfg.Tracer.Now()
-	}
-}
+// the span itself later).
+func (l *lane) stampDrain(op *pendingOp) { op.drainNS = l.p.now() }
 
 // coalesce fills p.batch up to the window. With no deadline it drains
 // only what is already queued (never waits); with one it waits up to
@@ -625,7 +598,6 @@ func (l *lane) stampDrain(op *pendingOp) {
 func (l *lane) coalesce(timer *time.Timer, sweepNS int64) {
 	p := l.p
 	if timer == nil {
-		traced := p.cfg.Tracer != nil
 		for len(l.batch) < p.window {
 			select {
 			case op, ok := <-l.queue:
@@ -633,9 +605,7 @@ func (l *lane) coalesce(timer *time.Timer, sweepNS int64) {
 					return
 				}
 				l.depth.Add(-1)
-				if traced {
-					op.drainNS = sweepNS
-				}
+				op.drainNS = sweepNS
 				l.batch = append(l.batch, op)
 			default:
 				return
@@ -670,31 +640,21 @@ func (l *lane) coalesce(timer *time.Timer, sweepNS int64) {
 // dispatch runs one coalesced batch against the cluster. Consecutive
 // admits form one PlaceBatch call (the full-occupancy path); leaves and
 // stats execute singly in arrival order, so batched submission observes
-// exactly the sequence a singleton pipeline would. With a tracer the
-// collector's only tracing work is stamping timestamps into the ops — each
-// producer goroutine materializes its own admission's span tree, so the
-// per-request traces cost the hot loop a handful of clock reads instead of
-// span bookkeeping.
+// exactly the sequence a singleton pipeline would. The collector's only
+// timing work is stamping the ops — each producer goroutine materializes
+// its own admission's span tree, so the per-request traces cost the hot
+// loop a handful of clock reads instead of span bookkeeping. One dispatch
+// stamp serves the whole batch: every op's queue wait and coalesce span end
+// there, and the dispatch histogram runs from it to one end read.
 func (l *lane) dispatch() {
 	p := l.p
-	sp := p.met.dispatch.Start()
 	p.met.queueDepth.Set(float64(p.QueueDepth()))
-	if p.cfg.Tracer != nil {
-		// Traced ops observe queue wait on the tracer's clock — the same
-		// dispatch stamp the coalesce span uses, so the batch costs one
-		// clock read here instead of one per op.
-		dispatchNS := p.cfg.Tracer.Now()
-		bs := len(l.batch)
-		for _, op := range l.batch {
-			op.dispatchNS = dispatchNS
-			op.batchSize = bs
-			p.met.queueWait.Observe(float64(dispatchNS-op.enqNS) / 1e9)
-		}
-	} else {
-		now := time.Now()
-		for _, op := range l.batch {
-			p.met.queueWait.Observe(now.Sub(op.enq).Seconds())
-		}
+	dispatchNS := p.now()
+	bs := len(l.batch)
+	for _, op := range l.batch {
+		op.dispatchNS = dispatchNS
+		op.batchSize = bs
+		p.met.queueWait.Observe(float64(dispatchNS-op.enqNS) / 1e9)
 	}
 	for i := 0; i < len(l.batch); {
 		if l.batch[i].kind != opAdmit {
@@ -709,36 +669,27 @@ func (l *lane) dispatch() {
 		l.runAdmits(l.batch[i:j])
 		i = j
 	}
-	sp.Stop()
+	p.met.dispatch.Observe(float64(p.now()-dispatchNS) / 1e9)
 	// Drop op pointers so pooled ops aren't pinned by the scratch slice.
 	clear(l.batch)
 	l.batch = l.batch[:0]
 }
 
-// runAdmits places one run of consecutive admits through one timed batch
-// when tracing (times stays nil otherwise), so each op carries its fleet
-// breadcrumbs home. Each op's result is copied into the op BEFORE its done
-// send: the producer frees the op back to the pool right after
-// materializing.
+// runAdmits places one run of consecutive admits through one batch, and
+// each op carries its fleet decision — stamps included — home. Each op's
+// result is copied into the op BEFORE its done send: the producer frees the
+// op back to the pool right after materializing.
 func (l *lane) runAdmits(ops []*pendingOp) {
 	p := l.p
 	l.games = l.games[:0]
 	for _, op := range ops {
 		l.games = append(l.games, op.game)
 	}
-	if p.cfg.Tracer != nil {
-		if cap(l.times) < len(ops) {
-			l.times = make([]fleet.BatchTiming, len(ops))
-		}
-		l.times = l.times[:len(ops)]
-	}
-	l.results = l.caller.PlaceBatchTimed(l.games, l.results[:0], l.times)
-	for i := range l.times {
-		ops[i].tm = l.times[i]
-	}
+	l.results = l.caller.PlaceBatch(l.games, l.results[:0])
 	admitted := 0
 	for i, op := range ops {
 		r := l.results[i]
+		op.res = r
 		if r.OK {
 			admitted++
 			op.done <- opResult{placement: r.Placement}
@@ -756,13 +707,9 @@ func (l *lane) runAdmits(ops []*pendingOp) {
 // producer's trace.
 func (l *lane) runSingle(op *pendingOp) {
 	p := l.p
-	if p.cfg.Tracer != nil {
-		op.tm.StartNS = p.cfg.Tracer.Now()
-	}
+	op.res.Timing.StartNS = p.now()
 	removed := l.caller.Remove(op.session)
-	if p.cfg.Tracer != nil {
-		op.tm.EndNS = p.cfg.Tracer.Now()
-	}
+	op.res.Timing.EndNS = p.now()
 	if removed {
 		p.met.leaves.Inc()
 		op.done <- opResult{}
