@@ -65,7 +65,10 @@ lifecycle-e2e:
 # flash-crowd arrival trace over the wire with loadgen (which exits
 # non-zero if any request errors and propagates deterministic trace ids),
 # pull /debug/flightrecorder and require a non-empty dump with zero
-# dropped events that the flightrec reader can render, then SIGTERM the
+# dropped events that the flightrec reader can render, and among its
+# retained traces an admission whose place-batch span has both its score
+# and commit children (the span tree recorded from the op's stamps, end to
+# end through the real binary with two lanes), then SIGTERM the
 # server and require "drained clean": exit 0, fleet.CheckInvariants passed
 # on the quiescent cluster, no session left active. The subshell traps
 # EXIT so the server never outlives a failed run; the dump lands in
@@ -82,15 +85,20 @@ serve-smoke:
 		sleep 0.2; \
 	done; \
 	./bin/gaugur loadgen -target http://127.0.0.1:18080 -rps 300 -horizon 4 -time-scale 4 -crowd-at 1 -crowd-duration 1; \
-	curl -sf "http://127.0.0.1:18080/debug/flightrecorder?traces=8" -o flightrecorder.json \
+	curl -sf "http://127.0.0.1:18080/debug/flightrecorder?traces=64" -o flightrecorder.json \
 		|| { echo "serve-smoke: flight recorder fetch failed"; cat serve_smoke.log; exit 1; }; \
 	test -s flightrecorder.json || { echo "serve-smoke: flight recorder dump is empty"; exit 1; }; \
 	grep -q '"dropped": 0' flightrecorder.json \
 		|| { echo "serve-smoke: flight recorder dropped events under load"; head -5 flightrecorder.json; exit 1; }; \
 	grep -q '"kind": "admit"' flightrecorder.json \
 		|| { echo "serve-smoke: no admit events in the flight recorder"; exit 1; }; \
-	./bin/gaugur flightrec -in flightrecorder.json -expand 1 > /dev/null \
+	./bin/gaugur flightrec -in flightrecorder.json -expand 64 > serve_smoke_traces.txt \
 		|| { echo "serve-smoke: flightrec reader choked on the dump"; exit 1; }; \
+	awk '/^trace .* \(admission\):$$/ { adm = 1; next } /^trace / { adm = 0 } \
+		pb && /^      score / { s = 1; next } pb && /^      commit / { c = 1; next } \
+		pb { if (s && c) ok = 1; pb = 0 } adm && /^    place-batch / { pb = 1; s = 0; c = 0 } \
+		END { if (pb && s && c) ok = 1; exit !ok }' serve_smoke_traces.txt \
+		|| { echo "serve-smoke: no retained admission trace with place-batch -> score + commit"; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "serve-smoke: server exited non-zero"; cat serve_smoke.log; exit 1; }; \
 	trap - EXIT; \

@@ -257,7 +257,7 @@ func reportCompileTime(reg *obs.Registry) {
 
 // loadPredictor reads a saved predictor and wires it to reg (nil
 // disables). Metrics are enabled before the explicit re-Compile so the
-// gaugur_stage_seconds{stage="model-compile"} timer observes the plan
+// gaugur_stage_seconds{stage="model-compile"} histogram observes the plan
 // lowering that LoadPredictor's own (pre-metrics) compile already did —
 // Compile is idempotent, and the double lowering costs microseconds.
 func loadPredictor(lab *core.Lab, path string, reg *obs.Registry) (*core.Predictor, error) {
@@ -370,9 +370,9 @@ func cmdPack(args []string) error {
 		return err
 	}
 
-	tctx := tracer.StartTrace("pack",
-		trace.Int("games", len(ids)), trace.Int("requests", *requests))
-	sp := tctx.StartSpan("filter-feasible")
+	var root trace.Root
+	tracer.StartRoot(&root, 0, "pack")
+	start := tracer.Now()
 	subsets := sched.EnumerateSubsets(ids, *maxSize)
 	var feasible []sched.ColocSet
 	for _, s := range subsets {
@@ -380,12 +380,13 @@ func cmdPack(args []string) error {
 			feasible = append(feasible, s)
 		}
 	}
-	sp.End(trace.Int("candidates", len(subsets)), trace.Int("feasible", len(feasible)))
-	sp = tctx.StartSpan("pack-requests")
+	filtered := tracer.Now()
+	root.Child(0, "filter-feasible", start, filtered,
+		trace.Int("candidates", len(subsets)), trace.Int("feasible", len(feasible)))
 	demand := sched.SpreadRequests(ids, *requests, nil)
 	res := sched.PackRequests(feasible, demand)
-	sp.End(trace.Int("servers", res.NumServers()))
-	tctx.End()
+	root.Child(0, "pack-requests", filtered, tracer.Now(), trace.Int("servers", res.NumServers()))
+	root.End(trace.Int("games", len(ids)), trace.Int("requests", *requests))
 	fmt.Printf("games=%d candidate colocations=%d judged feasible=%d\n", len(ids), len(subsets), len(feasible))
 	fmt.Printf("packed %d requests onto %d servers (no-colocation policy would use %d)\n",
 		*requests, res.NumServers(), *requests)
@@ -420,16 +421,17 @@ func cmdDispatch(args []string) error {
 	stream := sched.ExpandRequests(demand)
 
 	run := func(name string, sc sched.Scorer) error {
-		tctx := tracer.StartTrace("dispatch",
-			trace.String("scorer", name), trace.Int("requests", len(stream)))
+		var root trace.Root
+		tracer.StartRoot(&root, 0, "dispatch")
 		d := &sched.Dispatcher{NumServers: *servers, MaxPerServer: 4, Score: sc}
 		fleet, err := d.Assign(stream)
 		if err != nil {
-			tctx.End(trace.String("outcome", "error"))
+			root.End(trace.String("scorer", name), trace.Int("requests", len(stream)), trace.String("outcome", "error"))
 			return err
 		}
 		fps := sched.EvaluateFleet(lab, fleet)
-		tctx.End(trace.Int("servers", len(fleet)), trace.Float("avg_fps", stats.Mean(fps)))
+		root.End(trace.String("scorer", name), trace.Int("requests", len(stream)),
+			trace.Int("servers", len(fleet)), trace.Float("avg_fps", stats.Mean(fps)))
 		fmt.Printf("%-12s avg FPS %6.1f  (p10 %.1f, p50 %.1f, p90 %.1f) on %d servers\n",
 			name, stats.Mean(fps), pctl(fps, 0.1), pctl(fps, 0.5), pctl(fps, 0.9), len(fleet))
 		return nil

@@ -48,8 +48,7 @@ func cmdFaults(args []string) error {
 
 	// The greedy scorer runs through the fallback chain so the dropout
 	// windows exercise graceful degradation.
-	fb := core.NewFallbackPredictor(p, lab.Profiles, p.QoS, core.BreakerConfig{}).
-		EnableMetrics(reg).EnableTracing(tracer)
+	fb := core.NewFallbackPredictor(p, lab.Profiles, p.QoS, core.BreakerConfig{}).EnableMetrics(reg)
 	// Audit through the fallback chain so records carry the serving stage;
 	// attached only to the first (model-driven, migrating) run.
 	var aud *core.Auditor

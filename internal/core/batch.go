@@ -3,7 +3,6 @@ package core
 import (
 	"gaugur/internal/features"
 	"gaugur/internal/ml"
-	"gaugur/internal/obs"
 )
 
 // Batch prediction and the pooled scratch for the online path. Scoring
@@ -41,14 +40,14 @@ type predictScratch struct {
 	cur     Colocation
 
 	// Pending RM block: feature vectors (each with its own backing
-	// array), destination indices, and the per-query latency spans that
-	// stop when the block flushes. bn counts gathered queries; bout
-	// receives the raw plan outputs.
-	bx    [rmBlock][]float64
-	bqi   [rmBlock]int
-	bspan [rmBlock]obs.Span
-	bout  [rmBlock]float64
-	bn    int
+	// array), destination indices, and the per-query gather stamps the
+	// latency histogram is fed from when the block flushes. bn counts
+	// gathered queries; bout receives the raw plan outputs.
+	bx     [rmBlock][]float64
+	bqi    [rmBlock]int
+	bstart [rmBlock]int64
+	bout   [rmBlock]float64
+	bn     int
 }
 
 // getScratch draws a scratch from the pool (allocating only on first use
@@ -101,8 +100,8 @@ func (s *predictScratch) split(idx int) (features.Member, []features.Member) {
 // compiled plan when one is installed.
 func (p *Predictor) degradation(s *predictScratch, c Colocation, idx int) float64 {
 	p.met.predictions.Inc()
-	span := p.met.latency.Start()
-	defer span.Stop()
+	start := p.met.stamp()
+	defer p.met.since(p.met.latency, start)
 	if len(c) == 1 {
 		return 1
 	}
@@ -126,12 +125,12 @@ func (p *Predictor) degradation(s *predictScratch, c Colocation, idx int) float6
 func (p *Predictor) gatherDeg(s *predictScratch, c Colocation, idx, qi int, dst []float64) {
 	p.met.predictions.Inc()
 	if len(c) == 1 {
-		span := p.met.latency.Start()
+		start := p.met.stamp()
 		dst[qi] = 1
-		span.Stop()
+		p.met.since(p.met.latency, start)
 		return
 	}
-	s.bspan[s.bn] = p.met.latency.Start()
+	s.bstart[s.bn] = p.met.stamp()
 	s.resolve(p, c)
 	target, others := s.split(idx)
 	s.bx[s.bn] = p.Enc.RMInto(s.bx[s.bn], target, others)
@@ -166,7 +165,7 @@ func (p *Predictor) flushDeg(s *predictScratch, dst []float64) {
 		}
 	}
 	for k := 0; k < s.bn; k++ {
-		s.bspan[k].Stop()
+		p.met.since(p.met.latency, s.bstart[k])
 	}
 	s.bn = 0
 }

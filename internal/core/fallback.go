@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gaugur/internal/obs/trace"
 	"gaugur/internal/profile"
 	"gaugur/internal/sim"
 )
@@ -260,7 +259,12 @@ func (b *breaker) observe(ok bool) {
 // always answers: queries walk the chain until a healthy stage responds,
 // and the terminal capacity stage cannot fail. Safe for concurrent use:
 // breaker state and the stage tallies are mutex-guarded, so a lifecycle
-// hot swap can land while serving threads are mid-query.
+// hot swap can land while serving threads are mid-query. It records no
+// spans — queries run on whatever goroutine asks, which does not own the
+// decision's trace. Which stage carried the traffic is in Stats and, with
+// EnableMetrics, on /metrics: gaugur_fallback_served_total,
+// gaugur_fallback_errors_total, gaugur_fallback_breaker_transitions_total,
+// gaugur_fallback_breaker_state and gaugur_fallback_degraded.
 type FallbackPredictor struct {
 	mu       sync.Mutex
 	stages   []PredictorStage
@@ -280,10 +284,6 @@ type FallbackPredictor struct {
 	// met mirrors Served/Errors into an obs registry and additionally
 	// tracks breaker transitions; see EnableMetrics.
 	met fallbackMetrics
-
-	// tracer, when set, emits one span per stage consulted (or skipped by
-	// an open breaker) under the ambient decision trace; see EnableTracing.
-	tracer *trace.Tracer
 }
 
 // NewFallbackPredictor builds the standard two-stage chain: the trained
@@ -327,18 +327,6 @@ func NewFallbackChain(cfg BreakerConfig, stages ...PredictorStage) *FallbackPred
 	for range stages {
 		f.breakers = append(f.breakers, &breaker{cfg: cfg})
 	}
-	return f
-}
-
-// EnableTracing attaches a span tracer: every query then emits one
-// "stage:<name>" span per stage consulted — annotated with the breaker
-// state at entry and the outcome — plus skipped-stage spans when an open
-// breaker short-circuits, all as children of the tracer's ambient decision
-// trace (RunOnline installs one per placement). Nil-safe: a nil tracer, or
-// no ambient trace, records nothing and costs one pointer load per query.
-// Returns f for chaining.
-func (f *FallbackPredictor) EnableTracing(t *trace.Tracer) *FallbackPredictor {
-	f.tracer = t
 	return f
 }
 
@@ -477,8 +465,6 @@ func (f *FallbackPredictor) Stats() (served, errors map[string]int) {
 func (f *FallbackPredictor) query(call func(PredictorStage) error) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parent := f.tracer.Current()
-	traced := parent.Active()
 	var lastErr error
 	for i, st := range f.stages {
 		terminal := i == len(f.stages)-1
@@ -486,23 +472,8 @@ func (f *FallbackPredictor) query(call func(PredictorStage) error) (string, erro
 		if !terminal {
 			prev = f.breakers[i].state
 			if !f.breakers[i].allow() {
-				if traced {
-					sp := parent.StartSpan("stage:"+st.Name(),
-						trace.String("breaker", prev.String()),
-						trace.Bool("skipped", true),
-					)
-					sp.End()
-				}
 				continue
 			}
-		}
-		var sp trace.Ctx
-		if traced {
-			state := "terminal"
-			if !terminal {
-				state = prev.String()
-			}
-			sp = parent.StartSpan("stage:"+st.Name(), trace.String("breaker", state))
 		}
 		err := call(st)
 		if !terminal {
@@ -516,13 +487,11 @@ func (f *FallbackPredictor) query(call func(PredictorStage) error) (string, erro
 			f.met.served[st.Name()].Inc()
 			f.publishBreakers()
 			f.updateDegraded()
-			sp.End(trace.String("outcome", "served"))
 			return st.Name(), nil
 		}
 		f.Errors[st.Name()]++
 		f.met.errors[st.Name()].Inc()
 		lastErr = err
-		sp.End(trace.String("outcome", "error"))
 	}
 	f.publishBreakers()
 	f.updateDegraded()

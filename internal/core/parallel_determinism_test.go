@@ -63,9 +63,6 @@ func TestParallelPipelineMatchesSequential(t *testing.T) {
 	if !traces["profile-catalog"] || !traces["collect-samples"] {
 		t.Errorf("traced run committed traces %v, want the profile and collect stages among them", traces)
 	}
-	if n := tracer.DroppedSpans(); n != 0 {
-		t.Fatalf("%d spans leaked past their trace commit", n)
-	}
 
 	if seq.set.Len() != par.set.Len() {
 		t.Fatalf("profile counts differ: %d vs %d", seq.set.Len(), par.set.Len())

@@ -100,15 +100,17 @@ func (l *Lab) CollectSamples(colocs []Colocation, qos float64, encK int) *Sample
 // from its list position.
 func (l *Lab) CollectSamplesMetric(colocs []Colocation, qos float64, encK int, metric Metric) *SampleSet {
 	enc := newEncoder(encK)
-	root := l.Tracer.StartTrace("collect-samples", trace.Int("colocations", len(colocs)))
+	var root trace.Root
+	l.Tracer.StartRoot(&root, 0, "collect-samples")
 	set := &SampleSet{QoS: qos, Samples: make([]Sample, 0, 3*len(colocs))}
 	for ci, c := range colocs {
-		sp := root.StartSpan("measure-coloc", trace.Int("index", ci), trace.Int("size", c.Size()))
+		start := l.Tracer.Now()
 		samples := l.colocSamples(enc, c, ci, qos, metric)
-		sp.End(trace.Int("samples", len(samples)))
+		root.Child(0, "measure-coloc", start, l.Tracer.Now(),
+			trace.Int("index", ci), trace.Int("size", c.Size()), trace.Int("samples", len(samples)))
 		set.Samples = append(set.Samples, samples...)
 	}
-	root.End(trace.Int("samples", set.Len()))
+	root.End(trace.Int("colocations", len(colocs)), trace.Int("samples", set.Len()))
 	return set
 }
 

@@ -63,11 +63,12 @@ func TestDumpRoundTripWithTraces(t *testing.T) {
 		Tail: &trace.TailPolicy{Rate: 0, Warmup: 1 << 30}})
 	r := New(16, clk)
 	r.Record(Event{Kind: "admit", Game: 2, Session: 7, Server: 31, Shard: 1, Trace: TraceID(0xfeed)})
-	c := tr.StartTraceWithID(0xfeed, "admission")
+	var c trace.Root
+	tr.StartRoot(&c, 0xfeed, "admission")
 	c.Keep()
 	c.End()
-	cDropped := tr.StartTraceWithID(0xbad, "admission")
-	cDropped.End()
+	tr.StartRoot(&c, 0xbad, "admission")
+	c.End()
 	r.Record(Event{Kind: "drain-begin"})
 
 	var buf bytes.Buffer

@@ -4,24 +4,28 @@ import (
 	"testing"
 )
 
-// TestRootDroppedRecordsNothing: the deferred-root fast path — an
-// unattached root whose tail decision is "drop" must leave no trace in
-// the store and still feed the sampler's ledger.
+// TestRootDroppedRecordsNothing: a root whose tail decision is "drop" must
+// leave no trace in the store and still feed the sampler's ledger.
 func TestRootDroppedRecordsNothing(t *testing.T) {
 	tr := New(Config{
 		Seed:  7,
 		Clock: manualClock(0, 10),
 		Tail:  &TailPolicy{Rate: 0}, // drop everything not forced
 	})
-	r := tr.StartRoot(0, "admission")
+	var r Root
+	tr.StartRoot(&r, 0, "admission")
 	if !r.Active() {
 		t.Fatal("root inactive on a live tracer")
 	}
 	if r.TraceID() == 0 {
 		t.Fatal("StartRoot(0) minted a zero trace ID")
 	}
+	r.Child(0, "queue-wait", 0, 5)
 	if r.End() {
 		t.Fatal("End kept a trace under Rate: 0 with no force")
+	}
+	if r.Active() {
+		t.Fatal("root still live after End")
 	}
 	if got := tr.Store().Total(); got != 0 {
 		t.Fatalf("store holds %d traces after a dropped root, want 0", got)
@@ -33,8 +37,8 @@ func TestRootDroppedRecordsNothing(t *testing.T) {
 }
 
 // TestRootForceKeptUnattached: a root that is force-kept (error path)
-// but never attached still commits a minimal one-span trace so the
-// store never misses a keep.
+// but has no children still commits a one-span trace so the store never
+// misses a keep.
 func TestRootForceKeptUnattached(t *testing.T) {
 	tr := New(Config{
 		Seed:  7,
@@ -42,7 +46,8 @@ func TestRootForceKeptUnattached(t *testing.T) {
 		Tail:  &TailPolicy{Rate: 0},
 	})
 	const minted = uint64(0xabcdef0012345678)
-	r := tr.StartRoot(minted, "admission")
+	var r Root
+	tr.StartRoot(&r, minted, "admission")
 	r.Keep()
 	if !r.EndAt(250, String("outcome", "queue-full")) {
 		t.Fatal("force-kept root reported dropped")
@@ -64,59 +69,20 @@ func TestRootForceKeptUnattached(t *testing.T) {
 	}
 }
 
-// TestRootAttachEquivalentToStartTrace: the attached path must produce
-// the same span tree a direct StartTraceWithID would — children parented
-// under the root, identity and timestamps adopted from the deferred
-// handle, Keep forwarded.
-func TestRootAttachEquivalentToStartTrace(t *testing.T) {
-	tr := New(Config{Seed: 7, Clock: manualClock(1000, 0)})
-	const minted = uint64(0x1122334455667788)
-	r := tr.StartRoot(minted, "admission")
-	c := r.Attach()
-	if c2 := r.Attach(); c2.traceID != c.traceID || c2.spanID != c.spanID || c2.lt != c.lt {
-		t.Fatal("Attach is not idempotent")
-	}
-	c.Event("queue-wait", 1000, 1200, Int("depth", 3))
-	r.Keep() // after Attach: must forward to the live context
-	if !r.EndAt(1500, Int("game", 9)) {
-		t.Fatal("attached root reported dropped despite Keep")
-	}
-	got, ok := tr.Store().Get(minted)
-	if !ok {
-		t.Fatal("attached trace not committed")
-	}
-	if got.StartNS != 1000 || got.EndNS != 1500 {
-		t.Fatalf("trace window = [%d,%d], want [1000,1500]", got.StartNS, got.EndNS)
-	}
-	if len(got.Spans) != 2 {
-		t.Fatalf("got %d spans, want root + queue-wait", len(got.Spans))
-	}
-	var rootSpan, child Span
-	for _, sp := range got.Spans {
-		if sp.SpanID == got.Root {
-			rootSpan = sp
-		} else {
-			child = sp
-		}
-	}
-	if child.Name != "queue-wait" || child.Parent != got.Root {
-		t.Fatalf("child = %q parent %x, want queue-wait under %x", child.Name, child.Parent, got.Root)
-	}
-	if len(rootSpan.Attrs) != 1 || rootSpan.Attrs[0].Key != "game" {
-		t.Fatalf("root attrs = %v", rootSpan.Attrs)
-	}
-}
-
-// TestRootNilTracer: every Root method is inert on a nil tracer.
+// TestRootNilTracer: every Root method is inert on a nil tracer, and
+// StartRoot on a nil tracer clears a root a live tracer used before.
 func TestRootNilTracer(t *testing.T) {
+	var r Root
+	New(Config{Seed: 1}).StartRoot(&r, 42, "admission")
+	r.Keep()
 	var tr *Tracer
-	r := tr.StartRoot(42, "admission")
+	tr.StartRoot(&r, 42, "admission")
 	if r.Active() || r.TraceID() != 0 || r.StartNS() != 0 {
 		t.Fatal("nil-tracer root is not inert")
 	}
 	r.Keep()
-	if c := r.Attach(); c.Active() {
-		t.Fatal("Attach on a nil-tracer root yielded a live Ctx")
+	if r.Child(0, "x", 1, 2) != 0 {
+		t.Fatal("Child on a nil-tracer root drew a span id")
 	}
 	if r.End() || r.EndAt(10) {
 		t.Fatal("nil-tracer root reported kept")

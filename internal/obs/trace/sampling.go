@@ -10,7 +10,7 @@ import (
 // when a trace *completes*, so it can see the outcome — which is the whole
 // point. Three rules apply in order:
 //
-//  1. Force-kept traces (Ctx.Keep — error paths, shed admissions, 429s)
+//  1. Force-kept traces (Root.Keep — error paths, shed admissions, 429s)
 //     are always retained.
 //  2. Slow traces are always retained: once Warmup roots have completed,
 //     the sampler tracks a log2-bucketed duration distribution and keeps
@@ -43,7 +43,7 @@ type TailPolicy struct {
 type TailStats struct {
 	// Rate echoes the configured baseline keep probability.
 	Rate float64 `json:"rate"`
-	// KeptForced counts traces retained because Ctx.Keep was called.
+	// KeptForced counts traces retained because Root.Keep was called.
 	KeptForced int64 `json:"kept_forced"`
 	// KeptSlow counts traces retained by the slow-quantile rule.
 	KeptSlow int64 `json:"kept_slow"`

@@ -7,34 +7,39 @@ import (
 	"testing"
 )
 
+// TestStartTraceWithIDAdoptsClientID: a trace started with a
+// client-minted identifier keeps it and is retrievable by it; an id of 0
+// falls back to the tracer's own deterministic sequence.
 func TestStartTraceWithIDAdoptsClientID(t *testing.T) {
 	tr := New(Config{Seed: 7, Clock: manualClock(0, 10)})
 	const minted = uint64(0xdeadbeefcafe0001)
-	root := tr.StartTraceWithID(minted, "admission", Int("game", 3))
+	var root Root
+	tr.StartRoot(&root, minted, "admission")
 	if got := root.TraceID(); got != minted {
 		t.Fatalf("TraceID = %x, want the client-minted %x", got, minted)
 	}
-	if !root.End() {
+	if !root.End(Int("game", 3)) {
 		t.Fatal("End reported the trace dropped with no sampling configured")
 	}
 	if _, ok := tr.Store().Get(minted); !ok {
 		t.Fatalf("trace %x not retrievable by its client-minted ID", minted)
 	}
-	// ID 0 falls back to the tracer's own deterministic sequence.
-	auto := tr.StartTraceWithID(0, "admission")
-	if auto.TraceID() == 0 {
-		t.Fatal("StartTraceWithID(0) minted a zero trace ID")
+	tr.StartRoot(&root, 0, "admission")
+	if root.TraceID() == 0 {
+		t.Fatal("StartRoot(0) minted a zero trace ID")
 	}
-	auto.End()
+	root.End()
 }
 
+// TestPreTimedSpans: children recorded from stamps keep their stamps,
+// parent ids and attributes, at any depth.
 func TestPreTimedSpans(t *testing.T) {
 	tr := New(Config{Seed: 7, Clock: manualClock(1000, 0)})
-	root := tr.StartTrace("admission")
-	root.Event("queue-wait", 100, 250, Int("depth", 4))
-	child := root.StartSpanAt("place-batch", 250, Int("arrivals", 16))
-	child.Event("commit", 300, 320, Int("shard", 2))
-	child.EndAt(400)
+	var root Root
+	tr.StartRoot(&root, 0, "admission")
+	root.Child(0, "queue-wait", 100, 250, Int("depth", 4))
+	pb := root.Child(0, "place-batch", 250, 400, Int("arrivals", 16))
+	root.Child(pb, "commit", 300, 320, Int("shard", 2))
 	root.End()
 
 	got, ok := tr.Store().Get(root.TraceID())
@@ -52,13 +57,13 @@ func TestPreTimedSpans(t *testing.T) {
 	if qw.Parent != got.Root {
 		t.Errorf("queue-wait parent = %x, want root %x", qw.Parent, got.Root)
 	}
-	pb := byName["place-batch"]
-	if pb.StartNS != 250 || pb.EndNS != 400 {
-		t.Errorf("place-batch = [%d,%d], want [250,400]", pb.StartNS, pb.EndNS)
+	pbs := byName["place-batch"]
+	if pbs.StartNS != 250 || pbs.EndNS != 400 || pbs.SpanID != pb {
+		t.Errorf("place-batch = %x [%d,%d], want %x [250,400]", pbs.SpanID, pbs.StartNS, pbs.EndNS, pb)
 	}
 	cm := byName["commit"]
-	if cm.Parent != pb.SpanID {
-		t.Errorf("commit parent = %x, want place-batch %x", cm.Parent, pb.SpanID)
+	if cm.Parent != pb {
+		t.Errorf("commit parent = %x, want place-batch %x", cm.Parent, pb)
 	}
 	if len(qw.Attrs) != 1 || qw.Attrs[0].Key != "depth" || qw.Attrs[0].Value() != "4" {
 		t.Errorf("queue-wait attrs = %v", qw.Attrs)
@@ -66,24 +71,25 @@ func TestPreTimedSpans(t *testing.T) {
 }
 
 // TestAttrsSurviveHeaderRecycling guards the arena design: attributes of a
-// committed trace must stay intact after the tracer reuses the header (and
-// its arena) for later traces that overwrite the same backing memory.
+// committed trace must stay intact after the Root reuses its span buffer
+// and attribute arena for later traces that overwrite the same memory.
 func TestAttrsSurviveHeaderRecycling(t *testing.T) {
 	tr := New(Config{Seed: 7, Clock: manualClock(0, 1), Capacity: 64})
-	first := tr.StartTrace("decision", String("who", "first"))
-	first.Event("step", 1, 2, String("tag", "alpha"), Int("n", 11))
-	first.End()
-	got, _ := tr.Store().Get(first.TraceID())
-	// Churn through recycled headers, rewriting the arena repeatedly.
+	var root Root
+	tr.StartRoot(&root, 0, "decision")
+	first := root.TraceID()
+	root.Child(0, "step", 1, 2, String("tag", "alpha"), Int("n", 11))
+	root.End(String("who", "first"))
+	got, _ := tr.Store().Get(first)
 	for i := 0; i < 50; i++ {
-		c := tr.StartTrace("decision", String("who", "later"))
-		c.Event("step", 1, 2, String("tag", "beta"), Int("n", 99))
-		c.End()
+		tr.StartRoot(&root, 0, "decision")
+		root.Child(0, "step", 1, 2, String("tag", "beta"), Int("n", 99))
+		root.End(String("who", "later"))
 	}
 	for _, sp := range got.Spans {
 		for _, a := range sp.Attrs {
 			if v := a.Value(); v == "beta" || v == "99" || v == "later" {
-				t.Fatalf("detached trace attr %q=%q was overwritten by a recycled arena", a.Key, v)
+				t.Fatalf("detached trace attr %q=%q was overwritten by a reused arena", a.Key, v)
 			}
 		}
 	}
@@ -95,7 +101,8 @@ func TestTailRateIsDeterministicPerTraceID(t *testing.T) {
 			Tail: &TailPolicy{Rate: 0.25, Warmup: 1 << 30}})
 		kept := map[uint64]bool{}
 		for i := uint64(1); i <= 2000; i++ {
-			c := tr.StartTraceWithID(i, "admission")
+			var c Root
+			tr.StartRoot(&c, i, "admission")
 			kept[i] = c.End()
 		}
 		return kept
@@ -121,7 +128,8 @@ func TestTailForcedKeepAndLedger(t *testing.T) {
 		Tail: &TailPolicy{Rate: 0, Warmup: 1 << 30}})
 	var keptIDs []uint64
 	for i := 0; i < 200; i++ {
-		c := tr.StartTrace("admission")
+		var c Root
+		tr.StartRoot(&c, 0, "admission")
 		if i%10 == 0 {
 			c.Keep() // the 429/error path
 			if !c.End(String("outcome", "rejected")) {
@@ -157,7 +165,8 @@ func TestTailSlowQuantileKeepsSlowTraces(t *testing.T) {
 		Tail: &TailPolicy{Rate: 0, SlowQuantile: 0.9, Warmup: 64}})
 	// Manual clock with step 0: span duration is whatever we stamp.
 	mk := func(id uint64, durNS int64) bool {
-		c := tr.StartTraceWithID(id, "admission")
+		var c Root
+		tr.StartRoot(&c, id, "admission")
 		return c.EndAt(durNS)
 	}
 	// Warm up the distribution: lots of ~1µs traces, a few ~1ms ones.
@@ -194,7 +203,8 @@ func TestTracerHandlerReportsTailLedger(t *testing.T) {
 	tr := New(Config{Seed: 11, Clock: manualClock(0, 1),
 		Tail: &TailPolicy{Rate: 0, Warmup: 1 << 30}})
 	for i := 0; i < 10; i++ {
-		c := tr.StartTrace("admission")
+		var c Root
+		tr.StartRoot(&c, 0, "admission")
 		if i == 0 {
 			c.Keep()
 		}
@@ -226,17 +236,23 @@ func TestTracerHandlerReportsTailLedger(t *testing.T) {
 	}
 }
 
+// TestEndReturnsKeptForChildSpans: End reports whether the trace, child
+// spans included, was retained, and a root that has ended records nothing
+// more.
 func TestEndReturnsKeptForChildSpans(t *testing.T) {
 	tr := New(Config{Seed: 1, Clock: manualClock(0, 1)})
-	root := tr.StartTrace("r")
-	child := root.StartSpan("c")
-	if !child.End() {
-		t.Error("live child End returned false")
+	var root Root
+	tr.StartRoot(&root, 0, "r")
+	if root.Child(0, "c", 0, 1) == 0 {
+		t.Error("live root drew no span id for its child")
 	}
-	root.End()
-	// A child ending after the root committed is dropped and says so.
-	late := Ctx{}
-	if late.End() {
-		t.Error("inert Ctx End returned true")
+	if !root.End() {
+		t.Error("kept trace End returned false")
+	}
+	if root.Child(0, "late", 1, 2) != 0 || root.End() {
+		t.Error("an ended root recorded more")
+	}
+	if got := tr.Store().Recent(1)[0].Spans; len(got) != 2 {
+		t.Errorf("committed trace has %d spans, want child + root", len(got))
 	}
 }

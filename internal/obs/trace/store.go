@@ -15,8 +15,9 @@ type Span struct {
 // DurationNS returns the span's length in nanoseconds.
 func (s Span) DurationNS() int64 { return s.EndNS - s.StartNS }
 
-// Trace is one completed span tree. Spans appear in End order (children
-// before the root); the root is identified by Root.
+// Trace is one completed span tree. Spans appear in the order the owning
+// goroutine recorded them, the root span last; the root is identified by
+// Root.
 type Trace struct {
 	ID      uint64 `json:"id"`
 	Name    string `json:"name"`
@@ -54,9 +55,9 @@ func newStore(capacity int) *Store {
 
 // add commits one trace, evicting the oldest when full. Spans and their
 // attribute slices are deep-copied into the slot's own buffers (reused
-// across ring wraps) because the tracer recycles both the span buffer and
-// the attr arena of a committed trace; readers in turn detach from the
-// slot before returning (see Recent and Get).
+// across ring wraps) because the committing Root reuses both its span
+// buffer and its attr arena for its next trace; readers in turn detach
+// from the slot before returning (see Recent and Get).
 func (s *Store) add(tr Trace) {
 	s.mu.Lock()
 	slot := &s.buf[s.head]

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"sync"
 	"testing"
 )
 
@@ -23,13 +22,12 @@ func manualClock(start, step int64) Clock {
 // two child spans (one annotated).
 func buildFixture(seed int64, capacity, n int) *Tracer {
 	t := New(Config{Seed: seed, Clock: manualClock(1000, 10), Capacity: capacity})
+	var root Root
 	for i := 0; i < n; i++ {
-		root := t.StartTrace("decision", Int("round", i))
-		a := root.StartSpan("score", Int("candidates", 3))
-		a.End(Float("best", 58.5))
-		b := root.StartSpan("predict")
-		b.End()
-		root.End(Bool("placed", true))
+		t.StartRoot(&root, 0, "decision")
+		root.Child(0, "score", t.Now(), t.Now(), Int("candidates", 3), Float("best", 58.5))
+		root.Child(0, "predict", t.Now(), t.Now())
+		root.End(Int("round", i), Bool("placed", true))
 	}
 	return t
 }
@@ -72,7 +70,7 @@ func TestSpanTreeShape(t *testing.T) {
 	if len(got.Spans) != 3 {
 		t.Fatalf("trace has %d spans, want 3 (2 children + root)", len(got.Spans))
 	}
-	// Children End first, root last.
+	// Children in record order, root last.
 	rootSpan := got.Spans[2]
 	if rootSpan.SpanID != got.Root {
 		t.Errorf("last span %x is not the root %x", rootSpan.SpanID, got.Root)
@@ -92,9 +90,8 @@ func TestSpanTreeShape(t *testing.T) {
 	if got.EndNS <= got.StartNS {
 		t.Errorf("trace end %d not after start %d", got.EndNS, got.StartNS)
 	}
-	// Attributes from Start, SetAttr-free path and End all survive.
 	if n := len(rootSpan.Attrs); n != 2 {
-		t.Errorf("root span has %d attrs, want 2 (start + end)", n)
+		t.Errorf("root span has %d attrs, want 2", n)
 	}
 	if rootSpan.Attrs[1] != Bool("placed", true) {
 		t.Errorf("root end attr = %+v", rootSpan.Attrs[1])
@@ -205,24 +202,23 @@ func TestFormatParseID(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	ctx := tr.StartTrace("x", Int("k", 1))
-	if ctx.Active() {
-		t.Error("nil tracer produced an active Ctx")
+	var root Root
+	tr.StartRoot(&root, 7, "x")
+	if root.Active() || root.TraceID() != 0 || root.StartNS() != 0 {
+		t.Error("nil tracer produced a live root")
 	}
-	child := ctx.StartSpan("y")
-	child = child.SetAttr(String("a", "b"))
-	child.End()
-	ctx.End()
-	tr.SetCurrent(ctx)
-	tr.ClearCurrent()
-	if tr.Current().Active() {
-		t.Error("nil tracer Current is active")
+	root.Keep()
+	if id := root.Child(0, "y", 1, 2, String("a", "b")); id != 0 {
+		t.Errorf("inert root recorded child %x", id)
+	}
+	if root.End() || root.EndAt(10) {
+		t.Error("inert root reported kept")
 	}
 	if tr.Store() != nil {
 		t.Error("nil tracer Store != nil")
 	}
-	if tr.DroppedSpans() != 0 {
-		t.Error("nil tracer DroppedSpans != 0")
+	if tr.Now() != 0 {
+		t.Error("nil tracer Now != 0")
 	}
 	var s *Store
 	if s.Len() != 0 || s.Total() != 0 || s.Evicted() != 0 || s.Capacity() != 0 {
@@ -234,78 +230,11 @@ func TestNilSafety(t *testing.T) {
 	if _, ok := s.Get(1); ok {
 		t.Error("nil store Get found a trace")
 	}
-	// Zero Ctx is inert too.
-	var zero Ctx
-	zero.StartSpan("z").End()
-	zero.End()
-	if zero.TraceID() != 0 {
-		t.Error("zero Ctx has a trace ID")
-	}
-}
-
-func TestAmbientCurrent(t *testing.T) {
-	tr := New(Config{Seed: 1, Clock: manualClock(0, 1)})
-	if tr.Current().Active() {
-		t.Error("fresh tracer has an ambient context")
-	}
-	root := tr.StartTrace("loop")
-	tr.SetCurrent(root)
-	got := tr.Current()
-	if !got.Active() || got.TraceID() != root.TraceID() {
-		t.Errorf("Current = %+v, want the installed root", got)
-	}
-	// Spans started from the ambient context land in the same trace.
-	sp := tr.Current().StartSpan("inner")
-	sp.End()
-	tr.ClearCurrent()
-	if tr.Current().Active() {
-		t.Error("ClearCurrent left an ambient context")
-	}
-	root.End()
-	traces := tr.Store().Recent(1)
-	if len(traces) != 1 || len(traces[0].Spans) != 2 {
-		t.Fatalf("ambient child span missing: %+v", traces)
-	}
-}
-
-func TestLateChildDropped(t *testing.T) {
-	tr := New(Config{Seed: 2, Clock: manualClock(0, 1)})
-	root := tr.StartTrace("r")
-	late := root.StartSpan("late")
-	root.End()
-	late.End()
-	if tr.DroppedSpans() != 1 {
-		t.Errorf("DroppedSpans = %d, want 1", tr.DroppedSpans())
-	}
-	if got := tr.Store().Recent(1)[0].Spans; len(got) != 1 {
-		t.Errorf("committed trace has %d spans, want 1 (late child dropped)", len(got))
-	}
-}
-
-func TestConcurrentChildren(t *testing.T) {
-	tr := New(Config{Seed: 3, Capacity: 8})
-	const workers, rounds = 8, 20
-	for r := 0; r < rounds; r++ {
-		root := tr.StartTrace("fanout", Int("round", r))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sp := root.StartSpan("work", Int("worker", w))
-				sp.End()
-			}(w)
-		}
-		wg.Wait()
-		root.End()
-	}
-	if tr.DroppedSpans() != 0 {
-		t.Errorf("DroppedSpans = %d, want 0", tr.DroppedSpans())
-	}
-	for _, got := range tr.Store().Recent(0) {
-		if len(got.Spans) != workers+1 {
-			t.Errorf("trace %x has %d spans, want %d", got.ID, len(got.Spans), workers+1)
-		}
+	// The zero Root is inert too.
+	var zero Root
+	zero.Child(0, "z", 0, 0)
+	if zero.End() || zero.TraceID() != 0 {
+		t.Error("zero Root is live")
 	}
 }
 

@@ -427,14 +427,15 @@ func TestObservability(t *testing.T) {
 
 	var sids []int
 	var res []BatchResult
+	var root trace.Root
 	for i := 0; i < 6; i++ {
-		tctx := tr.StartTrace("placement", trace.Int("game", i%3))
+		tr.StartRoot(&root, 0, "placement")
 		res = c.PlaceBatch([]int{i % 3}, res[:0])
 		if !res[0].OK {
 			t.Fatalf("placement %d rejected", i)
 		}
-		res[0].Trace(tctx, 1)
-		tctx.End()
+		res[0].Trace(&root, 1)
+		root.End(trace.Int("game", i%3))
 		sids = append(sids, res[0].Session)
 	}
 	c.Remove(sids[0])

@@ -94,12 +94,13 @@ type OnlineConfig struct {
 	Metrics *obs.Registry
 
 	// Tracer, when non-nil, records one trace per scheduling decision
-	// (placement, migration, watchdog eviction, shed). A placement or
-	// migration hangs the cluster's place-batch -> score/commit spans,
-	// built from the decision's stamps, under it; the trace is also
-	// installed as the ambient context while the cluster decides, so a
-	// fallback predictor hangs its stage spans there too. Like Metrics,
-	// tracing never feeds back into simulation state.
+	// (placement, migration, watchdog eviction, shed), built by the loop
+	// itself in one reused trace.Root: a placement or migration records
+	// the cluster's place-batch -> score/commit spans from the decision's
+	// stamps, and the root carries the decision's inputs and outcome.
+	// Nothing the loop calls writes spans of its own. The tracer's clock
+	// also stamps gaugur_sched_place_seconds when Metrics is set. Like
+	// Metrics, tracing never feeds back into simulation state.
 	Tracer *trace.Tracer
 	// Audit, when non-nil, receives session-lifecycle callbacks (see
 	// AuditSink) so a prediction audit log can resolve placement-time
@@ -282,8 +283,9 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 	}
 	watchdogOn := cfg.WatchdogWindow > 0
 
-	om := newOnlineMetrics(cfg.Metrics)
-	tr := cfg.Tracer // nil-safe: every method on a nil Tracer is a no-op
+	om := newOnlineMetrics(cfg.Metrics, cfg.Tracer)
+	tr := cfg.Tracer    // nil-safe: every method on a nil Tracer is a no-op
+	var root trace.Root // one decision's trace at a time, buffers reused
 	// Every decision is a batch of one, so its stamps come back with it.
 	dst := make([]fleet.BatchResult, 1)
 
@@ -438,17 +440,12 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 		if sess.done || sess.server >= 0 {
 			return
 		}
-		tctx := tr.StartTrace("migration",
-			trace.Int("session", sess.id),
-			trace.Int("game", sess.game),
-			trace.Int("attempt", sess.retries),
-		)
-		tr.SetCurrent(tctx)
-		span := om.placeSec.Start()
+		attempt := sess.retries
+		tr.StartRoot(&root, 0, "migration")
+		t0 := om.placeStart()
 		dst = cluster.PlaceBatch([]int{sess.game}, dst[:0])
-		span.Stop()
-		tr.ClearCurrent()
-		dst[0].Trace(tctx, 1)
+		om.placeEnd(t0)
+		dst[0].Trace(&root, 1)
 		if pl, ok := dst[0].Placement, dst[0].OK; ok {
 			sess.csid = pl.Session
 			place(sess, pl.Server)
@@ -457,18 +454,21 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 			recoverSum += now - sess.orphanedAt
 			recoverN++
 			om.recovery.Observe(now - sess.orphanedAt)
-			tctx.End(trace.String("outcome", "migrated"), trace.Int("server", pl.Server))
+			root.End(trace.Int("session", sess.id), trace.Int("game", sess.game), trace.Int("attempt", attempt),
+				trace.String("outcome", "migrated"), trace.Int("server", pl.Server))
 			return
 		}
 		if sess.retries >= migRetries {
 			dropSession(sess)
-			tctx.End(trace.String("outcome", "dropped"))
+			root.End(trace.Int("session", sess.id), trace.Int("game", sess.game), trace.Int("attempt", attempt),
+				trace.String("outcome", "dropped"))
 			return
 		}
 		sess.retries++
 		delay := migBackoff * math.Pow(2, float64(sess.retries-1))
 		push(event{at: now + delay, kind: evRetry, sid: sess.id})
-		tctx.End(trace.String("outcome", "retry"))
+		root.End(trace.Int("session", sess.id), trace.Int("game", sess.game), trace.Int("attempt", attempt),
+			trace.String("outcome", "retry"))
 	}
 
 	// crash starts the migration of the sessions the cluster evicted when
@@ -616,24 +616,20 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 				om.watchdog.Inc()
 				if worst >= 0 {
 					victim := placed[world[s].residents[worst].Session]
-					tctx := tr.StartTrace("watchdog",
-						trace.Int("server", s),
-						trace.Int("session", victim.id),
-						trace.Float("victim_fps", worstFPS),
-					)
-					tr.SetCurrent(tctx)
-					span := om.placeSec.Start()
+					tr.StartRoot(&root, 0, "watchdog")
+					t0 := om.placeStart()
 					target, ok := cluster.Migrate(victim.csid)
-					span.Stop()
-					tr.ClearCurrent()
+					om.placeEnd(t0)
 					if ok {
 						unplace(victim)
 						place(victim, target)
 						res.Migrated++
 						om.migrations.Inc()
-						tctx.End(trace.String("outcome", "migrated"), trace.Int("target", target))
+						root.End(trace.Int("server", s), trace.Int("session", victim.id), trace.Float("victim_fps", worstFPS),
+							trace.String("outcome", "migrated"), trace.Int("target", target))
 					} else {
-						tctx.End(trace.String("outcome", "no-target"))
+						root.End(trace.Int("server", s), trace.Int("session", victim.id), trace.Float("victim_fps", worstFPS),
+							trace.String("outcome", "no-target"))
 					}
 				}
 				// Re-arm: if the server still violates, check again a
@@ -649,28 +645,22 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 		game := cfg.GameIDs[rng.Intn(len(cfg.GameIDs))]
 		if cfg.ShedUtilization > 0 {
 			if capacity := cluster.Capacity(); capacity == 0 || float64(active) >= cfg.ShedUtilization*float64(capacity) {
-				tctx := tr.StartTrace("shed",
-					trace.Int("game", game),
-					trace.Int("active", active),
-					trace.Int("capacity", capacity),
-				)
+				tr.StartRoot(&root, 0, "shed")
 				res.Rejected++
 				res.Shed++
 				om.rejected.Inc()
 				om.shed.Inc()
 				arrived++
 				nextArrival = crowd.Next(now, rng)
-				tctx.End()
+				root.End(trace.Int("game", game), trace.Int("active", active), trace.Int("capacity", capacity))
 				continue
 			}
 		}
-		tctx := tr.StartTrace("placement", trace.Int("game", game))
-		tr.SetCurrent(tctx)
-		span := om.placeSec.Start()
+		tr.StartRoot(&root, 0, "placement")
+		t0 := om.placeStart()
 		dst = cluster.PlaceBatch([]int{game}, dst[:0])
-		span.Stop()
-		tr.ClearCurrent()
-		dst[0].Trace(tctx, 1)
+		om.placeEnd(t0)
+		dst[0].Trace(&root, 1)
 		if pl, ok := dst[0].Placement, dst[0].OK; ok {
 			sess := &session{id: len(sessions), csid: pl.Session, game: game, server: -1}
 			sessions = append(sessions, sess)
@@ -679,7 +669,7 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 			dur := rng.ExpFloat64() * cfg.MeanDuration
 			sess.departAt = now + dur
 			push(event{at: sess.departAt, kind: evDeparture, sid: sess.id})
-			tctx.End(
+			root.End(trace.Int("game", game),
 				trace.String("outcome", "placed"),
 				trace.Int("server", pl.Server),
 				trace.Int("session", sess.id),
@@ -687,7 +677,7 @@ func RunOnline(cfg OnlineConfig, cluster *fleet.Cluster, eval FPSEvaluator, qos 
 		} else {
 			res.Rejected++
 			om.rejected.Inc()
-			tctx.End(trace.String("outcome", "rejected"))
+			root.End(trace.Int("game", game), trace.String("outcome", "rejected"))
 		}
 		arrived++
 		nextArrival = crowd.Next(now, rng)

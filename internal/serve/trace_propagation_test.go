@@ -399,3 +399,44 @@ func TestStatsAndTracesUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestKeptAdmissionTraceWarmAllocs: with every trace kept, a warm admit
+// and leave — spans recorded from stamps into the pooled op's root, the
+// trace committed into a warm store slot, the latency exemplar published —
+// allocate nothing.
+func TestKeptAdmissionTraceWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector, so pooled paths allocate")
+	}
+	tr := trace.New(trace.Config{Seed: 5, Capacity: 8, Tail: &trace.TailPolicy{Rate: 1}})
+	p, err := NewPipeline(PipelineConfig{
+		Cluster: tracedCluster(t, 16, 4, 2, tr),
+		Metrics: obs.New(),
+		Tracer:  tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pair := func() {
+		pl, err := p.Admit(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Leave(pl.Session); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the op pool and every store slot
+		pair()
+	}
+	before := tr.Store().Total()
+	n := testing.AllocsPerRun(200, pair)
+	if kept := tr.Store().Total() - before; kept < 2*200 {
+		t.Fatalf("%d traces kept over 200 pairs, want every admit and leave", kept)
+	}
+	if n != 0 {
+		t.Fatalf("a warm kept admit/leave pair allocates %v times, want 0", n)
+	}
+	t.Logf("allocations per warm kept admit/leave pair: %v", n)
+}
