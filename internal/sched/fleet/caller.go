@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 
+	"gaugur/internal/obs"
 	"gaugur/internal/obs/flight"
 )
 
@@ -238,7 +239,7 @@ func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 	// start, give or take bookkeeping the score stage absorbs. A decision
 	// thus costs two clock reads (commit, end) and the batch two more.
 	lastNS := c.now()
-	c.met.batchProbe.Observe(seconds(lastNS - fanNS))
+	c.met.batchProbe.Observe(obs.Seconds(fanNS, lastNS))
 	for i, g := range games {
 		tm := BatchTiming{StartNS: lastNS}
 		probes0 := cl.probes
@@ -246,7 +247,7 @@ func (cl *Caller) PlaceBatch(games []int, dst []BatchResult) []BatchResult {
 		tm.Probes = cl.probes - probes0
 		tm.EndNS = c.now()
 		lastNS = tm.EndNS
-		c.met.decision.Observe(seconds(tm.EndNS - tm.StartNS))
+		c.met.decision.Observe(obs.Seconds(tm.StartNS, tm.EndNS))
 		dst[i] = BatchResult{Placement: pl, OK: ok, Timing: tm}
 	}
 	// Leave no reply buffered: the next call expects its channels empty.
