@@ -2,7 +2,7 @@
 // greedy dispatcher (internal/sched) scans every server per arrival —
 // fine at ~100 servers, a wall at 10k. Here cluster state is partitioned
 // into shards, each owned by its own dispatcher goroutine with a private
-// generation-keyed score cache, state-group index, and idle heap; a
+// generation-keyed score memo, state-group index, and idle heap; a
 // balancer routes each arrival to k sampled shards (power-of-k-choices),
 // takes the best predicted-QoS placement among the candidates — every
 // candidate is still scored through the interference predictor, never
@@ -58,7 +58,7 @@ const (
 // must be safe for concurrent use — every shard goroutine calls the
 // shared scorer during the fan-out. Values should be pure functions of the
 // state: the cross-shard-count and batched-vs-sequential guarantees depend
-// on it, and a score is memoized per state for as long as the cache keeps it.
+// on it, and a score is memoized per state for as long as the memo keeps it.
 //
 // An impure scorer (the fallback chain, whose breaker cooldown counts
 // queries) still replays byte-identically under one caller, because what it
@@ -120,10 +120,14 @@ type Config struct {
 	// Mode selects greedy (default) or least-loaded placement.
 	Mode Mode
 	// Gen, when non-nil, reports the serving model's generation; every
-	// score-cache key is tagged with it so a hot swap invalidates all
+	// score-memo key is tagged with it so a hot swap invalidates all
 	// shards' memos at once.
 	Gen func() uint64
-	// CacheCap bounds each shard's score cache; <= 0 uses the default.
+	// CacheCap bounds the scores each shard's memo holds; <= 0 uses the
+	// default, 2^15. The memo keeps one row per state: the state's own
+	// score plus one slot for each game the shard has been asked about, so
+	// over a 100-game catalog the default holds 324 states (~260 KB), and
+	// a cap too small for one full row memoizes states' own scores only.
 	CacheCap int
 
 	// Metrics and Tracer are nil-safe and never feed back into placement
@@ -374,7 +378,7 @@ func (c *Cluster) mutations() uint64 {
 	return c.commitSeq + c.masks + uint64(c.stats.Removed) + uint64(c.stats.Migrated)
 }
 
-// genTag folds the model generation into score-cache keys, read once per
+// genTag folds the model generation into score-memo keys, read once per
 // decision: a swap mid-decision at worst re-scores one placement. A key is
 // a state's multiset hash plus the tag, and the multiset hash is a sum of
 // Mix64(game), so a tag of Mix64(gen) would make state S at generation a

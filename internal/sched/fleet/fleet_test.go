@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -30,12 +32,69 @@ func synthScore(games []int) float64 {
 	return s * math.Pow(0.92, float64(pairs))
 }
 
-// verifyInvariants fails the test on the first broken cluster invariant.
+// verifyInvariants fails the test on the first broken cluster invariant,
+// then on the first memoized score that is not the scorer's.
 func verifyInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
 	if err := CheckInvariants(c); err != nil {
 		t.Fatal(err)
 	}
+	if err := checkMemoScores(c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkMemoScores re-scores every score a shard's memo can still serve —
+// the live rows under the current generation tag — and compares each with
+// the memo's, bit for bit, so a stale or cross-written score fails the test
+// that made it. It needs a pure scorer, so it runs only when the cluster
+// scores with synthScore, and only on shards that know few enough games to
+// enumerate every state: a row's key names its state only through the
+// multiset hash, so every multiset of the known games up to the server cap
+// is hashed to find it.
+func checkMemoScores(c *Cluster) error {
+	if f, ok := c.cfg.Scorer.(ScorerFunc); !ok || reflect.ValueOf(f).Pointer() != reflect.ValueOf(synthScore).Pointer() {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for si, sh := range c.shards {
+		sh.reqs <- shardReq{op: opBarrier}
+		<-sh.resp
+		m := sh.memo
+		games := make([]int, len(m.slots))
+		for g, i := range m.slots {
+			games[i] = g
+		}
+		if len(games) > 24 {
+			continue
+		}
+		states := map[uint64][]int{}
+		var walk func(from int, s []int)
+		walk = func(from int, s []int) {
+			states[multisetHash(s)+c.lastGenTag] = slices.Clone(s)
+			for j := from; j < len(games) && len(s) < c.max; j++ {
+				walk(j, append(s, games[j]))
+			}
+		}
+		walk(0, nil)
+		for _, r := range m.fifo[m.head:] {
+			s, ok := states[r.key]
+			if !ok {
+				continue // an earlier generation's row, which no probe can reach
+			}
+			if !math.IsNaN(r.base) && !same(r.base, synthScore(s)) {
+				return fmt.Errorf("shard %d: memo holds %v for state %v, which scores %v", si, r.base, s, synthScore(s))
+			}
+			for i, v := range r.cand {
+				if want := synthScore(append(slices.Clone(s), games[i])); !math.IsNaN(v) && !same(v, want) {
+					return fmt.Errorf("shard %d: memo holds %v for state %v plus game %d, which scores %v", si, v, s, games[i], want)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestGoldenMatchesFlatGreedy: with one shard the fleet balancer must
@@ -246,12 +305,14 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFullCacheDeterminism: a score cache far smaller than the set of live
+// TestFullCacheDeterminism: a score memo far smaller than the set of live
 // states evicts on every probe. Which entries it evicts used to follow map
 // iteration order, and a probe could evict a value its own reduce still
-// needed and silently skip that server group. Two tiny-cache clusters fed
+// needed and silently skip that server group. Two tiny-memo clusters fed
 // one stream must agree with each other on everything, and with a cluster
-// whose cache never evicts on every placement.
+// whose memo never evicts on every placement. CacheCap counts scores: the
+// tiny memo's 8 hold up to eight rows of base scores, and candidates only
+// while the shard knows fewer than eight games.
 //
 // The stream holds the 120 slots at least 90% full once they have filled, so
 // it is also where "a change to the probe moved only time" is pinned: every
@@ -332,7 +393,7 @@ func TestFullCacheDeterminism(t *testing.T) {
 		got                          Stats
 		scanned, cacheMisses, probes int
 	}{
-		{"tiny cache", sa, 7950, 10179, 1720},
+		{"tiny cache", sa, 7950, 12127, 1720},
 		{"unbounded cache", sbig, 7950, 2069, 1720},
 	} {
 		if pin.got.Scanned != pin.scanned || pin.got.CacheMisses != pin.cacheMisses || pin.got.ScoreProbes != pin.probes {

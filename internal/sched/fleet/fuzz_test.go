@@ -25,10 +25,11 @@ func (r *opReader) next() int {
 }
 
 // FuzzClusterOps decodes bytes into a cluster configuration (1-12 servers,
-// 1-4 shards, 1-4 sessions per server, a score cache of one entry, two or
-// the default, greedy or least-loaded) and an op schedule (Place,
-// PlaceBatch of 1-16, Remove, Migrate, FailServer, RestoreServer, and a
-// model generation bump), then holds every decision to oracle_test.go's
+// 1-4 shards, 1-4 sessions per server, a score memo of one score, two, the
+// default, or 44 — four rows once all ten games are known, fewer than a
+// shard can have open groups — greedy or least-loaded) and an op schedule
+// (Place, PlaceBatch of 1-16, Remove, Migrate, FailServer, RestoreServer,
+// and a model generation bump), then holds every decision to oracle_test.go's
 // flat policy run on a mirror of the fleet. Every shard is a candidate
 // (K covers them all), so the only freedom the cluster has is the one the
 // flat scan pins: best score, lowest server id on ties. After every op
@@ -50,7 +51,7 @@ func FuzzClusterOps(f *testing.F) {
 		servers := 1 + r.next()%12
 		shards := 1 + r.next()%4
 		max := 1 + r.next()%4
-		cacheCap := []int{1, 2, 0}[r.next()%3]
+		cacheCap := []int{1, 2, 0, 44}[r.next()%4]
 		mode := Mode(r.next() % 2)
 		gen := uint64(1)
 		cfg := Config{

@@ -11,8 +11,11 @@ import "fmt"
 // other server is in exactly the group its contents name; each shard's open
 // slice holds exactly the map's groups with room, each once, at the position
 // the group records, the map holds no empty group, and no group freed for
-// reuse is in either or has a member; the counters conserve
-// sessions; commit tickets are dense.
+// reuse is in either or has a member; each shard's memo holds live rows
+// only, each indexed once under its key, within the cap (a group trusts
+// its row pointer only while that row is live under the group's key, so
+// this is what keeps a recycled row out of every probe); the counters
+// conserve sessions; commit tickets are dense.
 //
 // It holds the commit lock throughout and quiesces every shard first
 // (commits are fire-and-forget), so no mutation can be in flight while it
@@ -75,6 +78,9 @@ func CheckInvariants(c *Cluster) error {
 		if err := sh.checkGroupIndex(); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
+		if err := sh.memo.check(); err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
 		if load != c.loads[si] {
 			return fmt.Errorf("shard %d: balancer load %d, actual %d", si, c.loads[si], load)
 		}
@@ -128,6 +134,33 @@ func (sh *shard) checkGroupIndex() error {
 		if len(g.members) > 0 || g.at != -1 || sh.groups[g.hash] == g {
 			return fmt.Errorf("freed group %v is still live: %d members, open position %d", g.games, len(g.members), g.at)
 		}
+	}
+	return nil
+}
+
+// check verifies the memo's bookkeeping: the live rows are exactly the
+// FIFO's from its head, each indexed once under its key, with nothing else
+// in the map; between them they hold the counted scores, within the cap;
+// no row is wider than the slots handed out; the row kept for recycling is
+// dead.
+func (m *memo) check() error {
+	held := 0
+	for _, r := range m.fifo[m.head:] {
+		if r == nil || !r.live || m.rows[r.key] != r {
+			return fmt.Errorf("memo FIFO holds a row that is not live under its key")
+		}
+		if len(r.cand) > len(m.slots) {
+			return fmt.Errorf("memo row %#x has %d slots, %d games known", r.key, len(r.cand), len(m.slots))
+		}
+		held += 1 + len(r.cand)
+	}
+	switch {
+	case len(m.rows) != len(m.fifo)-m.head:
+		return fmt.Errorf("memo indexes %d rows, its FIFO holds %d", len(m.rows), len(m.fifo)-m.head)
+	case held != m.held || held > m.limit:
+		return fmt.Errorf("memo rows hold %d scores, counted %d, cap %d", held, m.held, m.limit)
+	case m.spare != nil && m.spare.live:
+		return fmt.Errorf("memo keeps live row %#x for recycling", m.spare.key)
 	}
 	return nil
 }

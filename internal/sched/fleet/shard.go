@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"slices"
+	"math"
 	"sort"
 
 	"gaugur/internal/sim"
@@ -21,9 +21,12 @@ import (
 //     holds exactly the groups a probe may answer with (a member, and room
 //     for one more game), so the probe never visits a full group and never
 //     pays Go's map iteration,
-//   - its own generation-keyed score cache: every key carries the model
-//     generation, so a hot swap makes stale entries unreachable with no
-//     flush and no locking on the placement path,
+//   - its own generation-keyed score memo (cache.go): one row per state,
+//     holding the state's score and, by game slot, the score of the state
+//     plus each game. An open group keeps a pointer to its row, so a warm
+//     probe reads both scores by index with no hashing. Every key carries
+//     the model generation, so a hot swap makes stale rows unreachable with
+//     no flush and no locking on the placement path,
 //   - an idle heap over its non-full servers (O(1) capacity check and
 //     emptiest-server lookup).
 //
@@ -31,15 +34,18 @@ import (
 // scoring around a session's own server) is simply in neither index, so
 // no probe can answer with it and the scoring code never tests for it.
 //
-// Scoring is three-phase: one pass over the state groups looks every
-// needed score up in the cache and queues the uncached states, one
-// BatchScorer call scores them all (one blocked pass through the compiled
-// forest), the reduce picks the best (delta, lowest global server id)
-// candidate from what the first pass noted, and only then are the new
-// scores memoized, in sorted key order. The reduce is order-independent and
-// no Put lands between the lookups and it, so the order the open slice
-// happens to hold its groups in changes neither the answer nor what a full
-// cache evicts.
+// Scoring is three-phase: one pass over the state groups reads every needed
+// score from the groups' rows — or, on a row miss, from wherever else the
+// memo holds it — and queues the states it holds nowhere, one BatchScorer
+// call scores them all (one blocked pass through the compiled forest), and
+// the reduce picks the best (delta, lowest global server id) candidate from
+// what the first pass noted, filing each new score in its group's row on
+// the way. The first pass copies every score it reads, so a row evicted
+// mid-probe costs no answer, and the reduce files a score only in a live
+// row under its group's key: a row recycled for another state mid-probe is
+// left alone. The reduce is order-independent, so the order the open slice
+// happens to hold its groups in never changes an answer; it may change
+// which rows a full memo evicts.
 
 // shardOp enumerates the balancer->shard requests.
 type shardOp int
@@ -105,20 +111,24 @@ type shardResp struct {
 // holds an empty one. hash is its key there; at is its position in
 // shard.open, or -1 for a full group, which no probe may answer with. An
 // emptied group goes on shard.free, and newGroup refiles it under the next
-// new state with its games and members arrays reused.
+// new state with its games and members arrays reused. row is the memo row
+// the group last read its scores from, trusted only while it is live under
+// the group's key (hash plus the generation tag), so neither a refiled group
+// nor a recycled row needs clearing.
 type group struct {
 	games   []int
 	hash    uint64
 	at      int
 	members []int // min-heap by local index; heap positions in shard.pos
+	row     *row
 }
 
-// scan is what the gather pass notes per (game, eligible group): the
-// group's tie-break server and its two scores — the state with the game
-// added and the state as it stands — each either read from the cache or,
-// when the index is >= 0, waiting at that position of the pending list.
+// scan is what the gather pass notes per (game, eligible group): the group
+// and its two scores — the state with the game added and the state as it
+// stands — each either read from the memo or, when the index is >= 0,
+// waiting at that position of the pending list.
 type scan struct {
-	srv            int
+	g              *group
 	cand, base     float64
 	candAt, baseAt int
 }
@@ -139,18 +149,16 @@ type shard struct {
 	open     []*group // the groups with room, dense: what a probe walks
 	free     []*group // emptied groups, in neither index, for newGroup to reuse
 	idle     *idleHeap
-	cache    *scoreCache
+	memo     *memo
 
-	// scoring scratch, reused across requests. pendIdx indexes pendKeys
+	// scoring scratch, reused across requests. pendIdx indexes pendStates
 	// by key: a batched probe gathers games × groups states, so membership
 	// must stay O(1).
 	scans      []scan
-	pendKeys   []uint64
 	pendStates [][]int
 	pendVals   []float64
 	pendIdx    map[uint64]int
-	putOrder   []uint64 // memoize scratch: pendKeys sorted
-	pos        []int    // local idx -> position in its current group's member heap
+	pos        []int // local idx -> position in its current group's member heap
 }
 
 func newShard(id, lo, hi, max int, mode Mode, scorer BatchScorer, cacheCap int) *shard {
@@ -166,7 +174,7 @@ func newShard(id, lo, hi, max int, mode Mode, scorer BatchScorer, cacheCap int) 
 		slots:    make([][]int, n),
 		groups:   map[uint64]*group{},
 		idle:     newIdleHeap(n),
-		cache:    newScoreCache(cacheCap),
+		memo:     newMemo(cacheCap),
 		pendIdx:  map[uint64]int{},
 		pos:      make([]int, n),
 	}
@@ -293,26 +301,45 @@ func (sh *shard) run() {
 // resetPending clears the scoring scratch for a fresh probe.
 func (sh *shard) resetPending() {
 	sh.scans = sh.scans[:0]
-	sh.pendKeys = sh.pendKeys[:0]
 	sh.pendStates = sh.pendStates[:0]
 	clear(sh.pendIdx)
 }
 
-// lookup resolves the score of the state keyed k: the cached value, or the
-// state's position in the pending list (queued now unless an earlier group
-// or game of this probe already did). state materializes it and runs only
-// on a genuine miss, so warm probes never allocate.
-func (sh *shard) lookup(k uint64, state func() []int) (float64, int) {
-	if v, ok := sh.cache.Lookup(k); ok {
+// rowOf returns g's memo row under genTag: the one it points at while that
+// is live under its key, else the memo's row for the key, filed anew when
+// there is none.
+func (sh *shard) rowOf(g *group, genTag uint64) *row {
+	k := g.hash + genTag
+	r := g.row
+	if r == nil || !r.live || r.key != k {
+		if r = sh.memo.rows[k]; r == nil {
+			r = sh.memo.newRow(k)
+		}
+		g.row = r
+	}
+	r.used = true
+	return r
+}
+
+// lookup resolves a score g's row does not hold, of the state keyed k: g's
+// own state, or g's state plus game when cand. It returns the score held
+// elsewhere in the memo, or the state's position in the pending list
+// (queued now unless an earlier group or game of this probe already did).
+// Only a state queued now is materialized, so warm probes never allocate.
+func (sh *shard) lookup(k uint64, g *group, game int, cand bool) (float64, int) {
+	if at, ok := sh.pendIdx[k]; ok {
+		return 0, at
+	}
+	if v, ok := sh.memo.recall(k, g.games, cand); ok {
 		return v, -1
 	}
-	at, ok := sh.pendIdx[k]
-	if !ok {
-		at = len(sh.pendKeys)
-		sh.pendIdx[k] = at
-		sh.pendKeys = append(sh.pendKeys, k)
-		sh.pendStates = append(sh.pendStates, state())
+	at := len(sh.pendStates)
+	sh.pendIdx[k] = at
+	state := g.games
+	if cand {
+		state = insertSorted(g.games, game)
 	}
+	sh.pendStates = append(sh.pendStates, state)
 	return 0, at
 }
 
@@ -330,16 +357,27 @@ func (sh *shard) leastLoadedBest() shardResp {
 }
 
 // gatherGame appends one scan per group that can still take game — its
-// occupant state and its occupants+game candidate, each looked up or queued
-// for scoring — and returns how many groups that was.
+// occupant state and its occupants+game candidate, each read from the
+// group's row, recalled into it, or queued for scoring — and returns how
+// many groups that was.
 func (sh *shard) gatherGame(game int, genTag uint64) int {
 	gh := sim.Mix64(uint64(game))
+	slot := sh.memo.slot(game)
 	from := len(sh.scans)
 	for _, g := range sh.open {
-		e := scan{srv: g.members[0], baseAt: -1}
-		e.cand, e.candAt = sh.lookup(g.hash+gh+genTag, func() []int { return insertSorted(g.games, game) })
+		r := sh.rowOf(g, genTag)
+		e := scan{g: g, cand: r.candAt(slot), candAt: -1, baseAt: -1}
+		if math.IsNaN(e.cand) {
+			if e.cand, e.candAt = sh.lookup(r.key+gh, g, game, true); e.candAt < 0 {
+				sh.memo.putCand(r, slot, e.cand)
+			}
+		}
 		if len(g.games) > 0 {
-			e.base, e.baseAt = sh.lookup(g.hash+genTag, func() []int { return g.games })
+			if e.base = r.base; math.IsNaN(e.base) {
+				if e.base, e.baseAt = sh.lookup(r.key, g, game, false); e.baseAt < 0 {
+					r.base = e.base
+				}
+			}
 		}
 		sh.scans = append(sh.scans, e)
 	}
@@ -349,40 +387,40 @@ func (sh *shard) gatherGame(game int, genTag uint64) int {
 // scorePending scores every queued state through ONE scorer call — the
 // whole point of batching probes: the compiled forest runs at full chunk
 // occupancy instead of one underfilled pass per game. Returns the number of
-// states scored. The answers stay in the pending list until memoize.
+// states scored. The answers stay in the pending list until the reduce.
 func (sh *shard) scorePending() int {
-	if len(sh.pendKeys) > 0 {
+	if len(sh.pendStates) > 0 {
 		sh.pendVals = sh.scorer.ScoreStates(sh.pendStates, sh.pendVals[:0])
 	}
-	return len(sh.pendKeys)
+	return len(sh.pendStates)
 }
 
-// memoize moves the pending scores into the cache, after the reduce has
-// read them. A full cache evicts FIFO, so the order of these Puts decides
-// which older entries survive to the next probe — hence a sorted order, not
-// the order the gather happened to meet them in.
-func (sh *shard) memoize() {
-	sh.putOrder = append(sh.putOrder[:0], sh.pendKeys...)
-	slices.Sort(sh.putOrder)
-	for _, k := range sh.putOrder {
-		sh.cache.Put(k, sh.pendVals[sh.pendIdx[k]])
-	}
-}
-
-// reduce picks the best (delta, lowest server id) candidate among one
-// game's scans, filling in the scores scorePending just computed.
-func (sh *shard) reduce(scans []scan) shardResp {
+// reduce picks the best (delta, lowest server id) candidate among the
+// scans of the game in memo slot slot, filling in the scores scorePending
+// just computed and filing them in each group's row — only while that row
+// is live under the group's key: an earlier write-back or gather of this
+// very probe may have evicted it and recycled it for another state.
+func (sh *shard) reduce(scans []scan, slot int, genTag uint64) shardResp {
 	best, bestDelta, found := -1, 0.0, false
 	for _, e := range scans {
-		if e.candAt >= 0 {
-			e.cand = sh.pendVals[e.candAt]
+		if e.candAt >= 0 || e.baseAt >= 0 {
+			r := e.g.row
+			keep := r.live && r.key == e.g.hash+genTag
+			if e.candAt >= 0 {
+				if e.cand = sh.pendVals[e.candAt]; keep {
+					sh.memo.putCand(r, slot, e.cand)
+				}
+			}
+			if e.baseAt >= 0 {
+				if e.base = sh.pendVals[e.baseAt]; keep {
+					r.base = e.base
+				}
+			}
 		}
-		if e.baseAt >= 0 {
-			e.base = sh.pendVals[e.baseAt]
-		}
+		srv := e.g.members[0]
 		delta := e.cand - e.base
-		if !found || delta > bestDelta || (delta == bestDelta && e.srv < best) {
-			found, best, bestDelta = true, e.srv, delta
+		if !found || delta > bestDelta || (delta == bestDelta && srv < best) {
+			found, best, bestDelta = true, srv, delta
 		}
 	}
 	if !found {
@@ -394,7 +432,7 @@ func (sh *shard) reduce(scans []scan) shardResp {
 // scoreBest answers the balancer's candidate probe: the shard's best
 // placement for game under the current model generation, or ok=false when
 // the shard is saturated. Pure with respect to shard state (only the
-// score cache warms up), so concurrent probes of different shards commute.
+// score memo warms up), so concurrent probes of different shards commute.
 func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 	if sh.idle.empty() {
 		return shardResp{ok: false}
@@ -405,8 +443,7 @@ func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 	sh.resetPending()
 	sh.gatherGame(game, genTag)
 	misses := sh.scorePending()
-	r := sh.reduce(sh.scans)
-	sh.memoize()
+	r := sh.reduce(sh.scans, sh.memo.slot(game), genTag)
 	r.misses = misses
 	return r
 }
@@ -416,7 +453,7 @@ func (sh *shard) scoreBest(game int, genTag uint64) shardResp {
 // single BatchScorer call, so a 16-arrival admission batch fills the
 // compiled kernel's 16-wide chunks instead of trickling singleton states
 // through it. Answers are bit-identical to calling scoreBest per game
-// against unchanged shard state (the scorer is pure; only the cache
+// against unchanged shard state (the scorer is pure; only the memo
 // warms). The answers are written into out, the requesting caller's reply
 // buffer, grown when short.
 func (sh *shard) scoreBatch(games []int, genTag uint64, out []shardResp) []shardResp {
@@ -444,12 +481,11 @@ func (sh *shard) scoreBatch(games []int, genTag uint64, out []shardResp) []shard
 	}
 	misses := sh.scorePending()
 	from := 0
-	for i := range games {
+	for i, g := range games {
 		n := out[i].scanned
-		out[i] = sh.reduce(sh.scans[from : from+n])
+		out[i] = sh.reduce(sh.scans[from:from+n], sh.memo.slot(g), genTag)
 		from += n
 	}
-	sh.memoize()
 	if len(out) > 0 {
 		out[0].misses = misses
 	}

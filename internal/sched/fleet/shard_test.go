@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -174,5 +177,103 @@ func TestOpenIndexEdges(t *testing.T) {
 			}
 			verifyInvariants(t, c)
 		})
+	}
+}
+
+// TestRowRecycledMidProbe: a memo with fewer rows than the shard has open
+// groups evicts inside every batched probe, so the row a group read from can
+// be recycled for another state before the probe files the scores that group
+// was waiting for. Filing them without checking the row's key puts one
+// state's score under another's; filing them in an evicted row breaks the
+// memo's count. Caps of one and two scores hold one and two rows of base
+// scores only; 44, 55 and 66 hold four to six rows wide enough for all ten
+// games. Every decision of every 16-game batch must equal the flat oracle's,
+// and every memoized score the scorer's (verifyInvariants).
+func TestRowRecycledMidProbe(t *testing.T) {
+	const servers, perServer = 128, 3
+	for _, cacheCap := range []int{1, 2, 44, 55, 66} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("cap%d/seed%d", cacheCap, seed), func(t *testing.T) {
+				c, err := New(Config{NumServers: servers, MaxPerServer: perServer,
+					Scorer: ScorerFunc(synthScore), CacheCap: cacheCap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				flat := flatGreedy(synthScore, perServer)
+				m := newMirror(servers, perServer)
+				rng := rand.New(rand.NewSource(seed))
+				games := make([]int, 16)
+				var res []BatchResult
+				mostOpen := 0
+				for step := 0; step < 150; step++ {
+					for len(m.active) > servers*perServer-len(games)/2 || len(m.active) > 0 && rng.Intn(3) == 0 {
+						sid := m.active[rng.Intn(len(m.active))]
+						if !c.Remove(sid) {
+							t.Fatalf("step %d: session %d vanished", step, sid)
+						}
+						m.leave(sid)
+					}
+					for i := range games {
+						games[i] = rng.Intn(10)
+					}
+					open := map[string]bool{}
+					for _, occ := range m.contents {
+						if len(occ) < perServer {
+							state := slices.Clone(occ)
+							slices.Sort(state)
+							open[fmt.Sprint(state)] = true
+						}
+					}
+					mostOpen = max(mostOpen, len(open))
+					res = c.PlaceBatch(games, res[:0])
+					for i, g := range games {
+						want, wantOK := flat.Place(m.view(-1), g)
+						if got := res[i]; got.OK != wantOK || (got.OK && got.Server != want) {
+							t.Fatalf("step %d: batch arrival %d (game %d) = (%d, %v), flat (%d, %v)", step, i, g, got.Server, got.OK, want, wantOK)
+						}
+						if res[i].OK {
+							m.join(res[i].Session, res[i].Server, g)
+						}
+					}
+					verifyInvariants(t, c)
+				}
+				if mostOpen <= 5 {
+					t.Fatalf("at most %d open groups: the memo never ran short of rows", mostOpen)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkShardProbeWarm times one warm batched probe of a churn-sized
+// shard: 128 servers of four slots, ~95% full of games drawn from 100, asked
+// for a batch of 16 games whose every score is already memoized, so the
+// probe is pure memo reads and the reduce. It drives the shard's methods
+// directly, with no dispatcher goroutine, to leave the hand-off out.
+func BenchmarkShardProbeWarm(b *testing.B) {
+	const servers, perServer, games = 128, 4, 100
+	sh := newShard(0, 0, servers, perServer, ModeGreedy, ScorerFunc(synthScore), 0)
+	rng := rand.New(rand.NewSource(49))
+	for sid := 0; sid < servers*perServer*95/100; sid++ {
+		local := rng.Intn(servers)
+		for len(sh.contents[local]) == perServer {
+			local = rng.Intn(servers)
+		}
+		sh.commit(rng.Intn(games), sid, local)
+	}
+	batch := make([]int, 16)
+	for i := range batch {
+		batch[i] = rng.Intn(games)
+	}
+	out := sh.scoreBatch(batch, 0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = sh.scoreBatch(batch, 0, out)
+	}
+	b.StopTimer()
+	if out[0].misses != 0 {
+		b.Fatalf("warm probe missed %d times", out[0].misses)
 	}
 }
